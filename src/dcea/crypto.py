@@ -26,7 +26,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -41,6 +41,9 @@ DIGEST_LEN = 48
 SIGNATURE_ALGORITHM = "ed25519"
 
 CERT_DOMAIN_TAG = "dcea-cert-v1"
+
+# Most certificate links a known-links memo holds; at this size it is cleared.
+MAX_KNOWN_LINKS = 1024
 
 
 @dataclass(frozen=True)
@@ -204,12 +207,6 @@ class Certificate:
     claims: Tuple[Tuple[str, str], ...]
     signature: bytes
 
-    def claim(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        for k, v in self.claims:
-            if k == key:
-                return v
-        return default
-
     def claims_dict(self) -> dict:
         return dict(self.claims)
 
@@ -269,20 +266,44 @@ def _cert_signature_valid(cert: Certificate, signer_public: bytes) -> bool:
         return False
 
 
-def verify_chain(chain: CertChain, trusted_roots: Iterable[Certificate]) -> ChainVerdict:
+# (certificate, signer public key): one signature checked in a chain walk
+Link = Tuple[Certificate, bytes]
+
+
+def verify_chain(
+    chain: CertChain,
+    trusted_roots: Iterable[Certificate],
+    known_links: Optional[Set[Link]] = None,
+) -> ChainVerdict:
     """Walk leaf to root; every link must verify and the root must be trusted.
 
     Each certificate's signature is checked under its parent's subject key;
     the final certificate must be self-signed. BROKEN_LINK carries the index
     of the first certificate whose signature fails.
+
+    ``known_links`` is the caller's memo of links already verified: a link
+    in it skips its signature check, and every link of a chain that comes
+    out VALID is added to it (after clearing it at ``MAX_KNOWN_LINKS``). The
+    root-trust test runs on every call, so a link enters the memo only
+    under a trusted root. A link is the whole certificate plus the signer
+    key, so altering any signed field makes it a different link.
     """
     certs = chain.certs
     if not certs:
         raise EmptyChain("certificate chain is empty")
-    for i, cert in enumerate(certs):
-        signer = certs[i + 1].subject_public if i + 1 < len(certs) else cert.subject_public
-        if not _cert_signature_valid(cert, signer):
+    links = [
+        (cert, certs[i + 1].subject_public if i + 1 < len(certs) else cert.subject_public)
+        for i, cert in enumerate(certs)
+    ]
+    for i, link in enumerate(links):
+        if known_links is not None and link in known_links:
+            continue
+        if not _cert_signature_valid(*link):
             return ChainVerdict(ChainStatus.BROKEN_LINK, broken_index=i)
     if certs[-1] not in set(trusted_roots):
         return ChainVerdict(ChainStatus.UNTRUSTED_ROOT)
+    if known_links is not None:
+        if len(known_links) + len(links) > MAX_KNOWN_LINKS:
+            known_links.clear()
+        known_links.update(links)
     return ChainVerdict(ChainStatus.VALID)

@@ -20,18 +20,18 @@ report_data layout (64 bytes):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import crypto
 from .crypto import CertChain, Certificate, Digest
 from .errors import IncompleteBundle, ParseError
-from .td import RTMR_PCR_MAP, TdReport
+from .td import REPORT_DATA_LEN, RTMR_PCR_MAP, TdReport
 from .tpm import N_PCRS, N_RTMRS, EventLogEntry, Scope, TpmQuote
 
 FORMAT_VERSION = 1
 
-REPORT_DATA_LEN = 64
 RD_NONCE = slice(0, 32)
 RD_TAIL = slice(32, 64)
 
@@ -225,8 +225,22 @@ class _Reader:
         value = obj[key]
         if value is None and optional:
             return None
-        if kind is not None and not isinstance(value, kind):
+        # JSON true/false decode as bool, a subclass of int: only a bool
+        # field takes them
+        if kind is not None and (
+            not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+        ):
             self.fail(f"{path}.{key}", f"expected {kind}")
+        return value
+
+    def number(self, obj, path, key) -> float:
+        """A finite number field as a float; NaN and infinities fail."""
+        try:
+            value = float(self.get(obj, path, key, (int, float)))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            self.fail(f"{path}.{key}", "expected a finite number")
         return value
 
     @staticmethod
@@ -316,12 +330,12 @@ def _parse_quote(obj, path, r: _Reader) -> TpmQuote:
     values = r.get(obj, path, "values", list)
     parsed_values = []
     for i, pair in enumerate(values):
-        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], int)):
+        if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int):
             r.fail(f"{path}.values[{i}]", "expected [index, hex] pair")
         if not 0 <= pair[0] < N_PCRS:
             r.fail(f"{path}.values[{i}]", f"pcr index {pair[0]} out of range")
         parsed_values.append((pair[0], r.digest_field(pair[1], f"{path}.values[{i}]")))
-    if not all(isinstance(s, int) and 0 <= s < N_PCRS for s in selection):
+    if not all(type(s) is int and 0 <= s < N_PCRS for s in selection):
         r.fail(f"{path}.selection", "selection must hold pcr indices")
     return TpmQuote(
         selection=tuple(selection),
@@ -346,10 +360,6 @@ def obj_to_bundle(obj) -> EvidenceBundle:
     entries = r.get(obj, "$", "event_log", list)
     ak_obj = r.get(obj, "$", "ak_cert", dict, optional=True)
 
-    def timing_field(key):
-        value = r.get(timing_obj, "$.timing", key, (int, float))
-        return float(value)
-
     return EvidenceBundle(
         td_report=_parse_report(r.get(obj, "$", "td_report", dict), "$.td_report", r),
         tpm_quote=_parse_quote(r.get(obj, "$", "tpm_quote", dict), "$.tpm_quote", r),
@@ -367,9 +377,9 @@ def obj_to_bundle(obj) -> EvidenceBundle:
             ),
         ),
         timing=Timing(
-            challenge_sent=timing_field("challenge_sent"),
-            td_received=timing_field("td_received"),
-            quote_received=timing_field("quote_received"),
+            challenge_sent=r.number(timing_obj, "$.timing", "challenge_sent"),
+            td_received=r.number(timing_obj, "$.timing", "td_received"),
+            quote_received=r.number(timing_obj, "$.timing", "quote_received"),
         ),
         scenario_meta=dict(meta),
     )

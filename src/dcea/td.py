@@ -33,9 +33,8 @@ from . import crypto
 from .crypto import CertChain, Digest, KeyPair
 from .errors import BadReportData, InvalidEntry, InvalidRtmr, NotLaunched
 from .platform import Platform
-from .tpm import EventLogEntry, Scope
+from .tpm import N_RTMRS, EventLogEntry, Scope
 
-N_RTMRS = 4
 REPORT_DATA_LEN = 64
 MRTD_PCR = 0
 

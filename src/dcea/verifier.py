@@ -212,8 +212,12 @@ def registry_lookup(registry: AkRegistry, ak_public: bytes) -> Optional[Registry
 # the eight checks
 # ---------------------------------------------------------------------------
 
-def _check_c1(bundle: EvidenceBundle, policy: VerifierPolicy) -> Tuple[bool, str]:
-    verdict = crypto.verify_chain(bundle.td_report.qe_chain, policy.trusted_tee_roots)
+def _check_c1(
+    bundle: EvidenceBundle, policy: VerifierPolicy, known_links: Optional[Set[crypto.Link]]
+) -> Tuple[bool, str]:
+    verdict = crypto.verify_chain(
+        bundle.td_report.qe_chain, policy.trusted_tee_roots, known_links
+    )
     if not verdict.ok:
         return False, f"TEE certificate chain: {verdict.status.value}"
     if not td.verify_td_report_signature(bundle.td_report):
@@ -222,7 +226,10 @@ def _check_c1(bundle: EvidenceBundle, policy: VerifierPolicy) -> Tuple[bool, str
 
 
 def _check_c2(
-    bundle: EvidenceBundle, policy: VerifierPolicy, registry: Optional[AkRegistry]
+    bundle: EvidenceBundle,
+    policy: VerifierPolicy,
+    registry: Optional[AkRegistry],
+    known_links: Optional[Set[crypto.Link]],
 ) -> Tuple[bool, str]:
     quote = bundle.tpm_quote
     if not tpm.verify_quote_signature(quote):
@@ -236,11 +243,11 @@ def _check_c2(
         if bundle.ak_cert.subject_public != quote.ak_public:
             return False, "AK certificate covers a different key than the quote"
         full = CertChain((bundle.ak_cert,) + ek_chain.certs)
-        verdict = crypto.verify_chain(full, policy.trusted_provider_roots)
+        verdict = crypto.verify_chain(full, policy.trusted_provider_roots, known_links)
         if not verdict.ok:
             return False, f"AK provenance chain: {verdict.status.value}"
         return True, "quote verified; AK chains to a trusted provider root"
-    verdict = crypto.verify_chain(ek_chain, policy.trusted_provider_roots)
+    verdict = crypto.verify_chain(ek_chain, policy.trusted_provider_roots, known_links)
     if not verdict.ok:
         return False, f"EK chain: {verdict.status.value}"
     if registry is not None and registry_lookup(registry, quote.ak_public) is not None:
@@ -340,6 +347,7 @@ def verify_bundle(
     *,
     registry: Optional[AkRegistry] = None,
     spent: Optional[Set[Tuple[bytes, bytes]]] = None,
+    known_links: Optional[Set[crypto.Link]] = None,
     disabled_checks: FrozenSet[str] = frozenset(),
     challenge_known: bool = True,
 ) -> Verdict:
@@ -348,12 +356,13 @@ def verify_bundle(
     ``disabled_checks`` is a diagnostic hook for ablation runs; a disabled
     check is reported as passed without being evaluated. ``spent`` is the
     caller's consumed-challenge ledger (the ``Verifier`` class maintains
-    one); ``challenge_known`` is False when the challenge was never issued
-    by the calling verifier.
+    one); ``known_links`` is its memo of verified certificate links (see
+    ``crypto.verify_chain``); ``challenge_known`` is False when the
+    challenge was never issued by the calling verifier.
     """
     evaluators: Mapping[str, Callable[[], Tuple[bool, str]]] = {
-        "C1": lambda: _check_c1(bundle, policy),
-        "C2": lambda: _check_c2(bundle, policy, registry),
+        "C1": lambda: _check_c1(bundle, policy, known_links),
+        "C2": lambda: _check_c2(bundle, policy, registry, known_links),
         "C3": lambda: _check_c3(bundle, policy),
         "C4": lambda: _check_c4(bundle, challenge, spent, challenge_known),
         "C5": lambda: _check_c5(bundle),
@@ -388,7 +397,9 @@ def verify_bundle(
 
 class Verifier:
     """Stateful relying party: issues single-use challenges and keeps the
-    consumed-challenge ledger and AK registry across verifications."""
+    consumed-challenge ledger, the AK registry and a bounded memo of
+    certificate links verified under its pinned roots across
+    verifications."""
 
     def __init__(
         self,
@@ -402,6 +413,7 @@ class Verifier:
         self.registry = AkRegistry()
         self._outstanding: Dict[Tuple[bytes, bytes], Challenge] = {}
         self._spent: Set[Tuple[bytes, bytes]] = set()
+        self._known_links: Set[crypto.Link] = set()
 
     def challenge(self) -> Challenge:
         while True:
@@ -430,6 +442,7 @@ class Verifier:
             challenge,
             registry=self.registry,
             spent=self._spent,
+            known_links=self._known_links,
             disabled_checks=disabled_checks,
             challenge_known=known,
         )
@@ -486,7 +499,7 @@ def obj_to_policy(obj) -> VerifierPolicy:
             _parse_cert(c, f"$.trusted_provider_roots[{i}]", r) for i, c in enumerate(provider)
         ),
         expected_pcr17_18=expected,
-        rtt_threshold_ms=float(r.get(obj, "$", "rtt_threshold_ms", (int, float))),
+        rtt_threshold_ms=r.number(obj, "$", "rtt_threshold_ms"),
         require_ak_registry_uniqueness=bool(
             r.get(obj, "$", "require_ak_registry_uniqueness", bool)
         ),
@@ -508,7 +521,7 @@ def obj_to_challenge(obj) -> Challenge:
     return Challenge(
         td_nonce=r.bytes_field(r.get(obj, "$", "td_nonce"), "$.td_nonce", evidence.NONCE_LEN),
         tpm_nonce=r.bytes_field(r.get(obj, "$", "tpm_nonce"), "$.tpm_nonce", evidence.NONCE_LEN),
-        issued_at=float(r.get(obj, "$", "issued_at", (int, float))),
+        issued_at=r.number(obj, "$", "issued_at"),
     )
 
 
@@ -524,7 +537,7 @@ def _obj_to_entry(obj, path, r: _Reader) -> RegistryEntry:
     return RegistryEntry(
         platform_id=r.get(obj, path, "platform_id", str),
         issuer=r.get(obj, path, "issuer", str),
-        registered_at=float(r.get(obj, path, "registered_at", (int, float))),
+        registered_at=r.number(obj, path, "registered_at"),
     )
 
 

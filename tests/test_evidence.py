@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcea import crypto, evidence, platform, td, tpm
+from dcea import crypto, evidence, platform, td, tpm, verifier
 from dcea.errors import IncompleteBundle, ParseError
 
 from support import random_bundle
@@ -119,6 +120,47 @@ def test_parse_error_on_schema_violations():
     obj3["td_report"]["mrtd"] = "ab" * 47
     with pytest.raises(ParseError):
         evidence.deserialize(json.dumps(obj3).encode())
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# golden document -> its decoder
+DECODERS = {
+    "honest_s1.dcea.json": evidence.obj_to_bundle,
+    "honest_s1.policy.json": lambda ctx: (
+        verifier.obj_to_policy(ctx["policy"]),
+        verifier.obj_to_challenge(ctx["challenge"]),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "document, path, value",
+    [
+        ("honest_s1.dcea.json", ("format_version",), True),
+        ("honest_s1.dcea.json", ("tpm_quote", "values", 0, 0), False),
+        ("honest_s1.dcea.json", ("tpm_quote", "selection", 1), True),
+        ("honest_s1.dcea.json", ("event_log", 0, "pcr_index"), False),
+        ("honest_s1.dcea.json", ("timing", "quote_received"), True),
+        ("honest_s1.dcea.json", ("timing", "quote_received"), float("-inf")),
+        ("honest_s1.dcea.json", ("timing", "td_received"), float("inf")),
+        ("honest_s1.dcea.json", ("timing", "challenge_sent"), float("nan")),
+        ("honest_s1.dcea.json", ("timing", "challenge_sent"), 10**400),
+        ("honest_s1.policy.json", ("policy", "rtt_threshold_ms"), True),
+        ("honest_s1.policy.json", ("policy", "rtt_threshold_ms"), float("inf")),
+        ("honest_s1.policy.json", ("challenge", "issued_at"), float("-inf")),
+    ],
+)
+def test_decoders_reject_bools_as_numbers_and_non_finite_numbers(document, path, value):
+    obj = json.loads((FIXTURES / document).read_text())
+    decode = DECODERS[document]
+    decode(obj)  # the golden document itself decodes, bool fields included
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ParseError):
+        decode(json.loads(json.dumps(obj)))
 
 
 def test_build_bundle_missing_mandatory():

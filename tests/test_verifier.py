@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from dcea import crypto, evidence, tpm, verifier
+from dcea import adversary, crypto, evidence, td, tpm, verifier
 from dcea.tpm import TpmKind
 
 from test_evidence import honest_bundle, honest_pieces
@@ -291,3 +291,135 @@ def test_policy_roundtrip():
     obj = verifier.policy_to_obj(policy)
     back = verifier.obj_to_policy(obj)
     assert back == policy
+
+
+# -- the verified-link memo of a long-lived Verifier --------------------------
+
+ALL_CHECKS = frozenset(verifier.CHECK_IDS)
+
+
+def next_bundle(world):
+    """A fresh challenge and honest bundle from the world's platform."""
+    outcome = adversary.attest_honest(world, disabled_checks=ALL_CHECKS)
+    return outcome.bundle, outcome.challenge
+
+
+def appraise(v, world, alter=lambda bundle: bundle):
+    bundle, challenge = next_bundle(world)
+    v.adopt_challenge(challenge)
+    return v.verify(alter(bundle), challenge)
+
+
+def new_verifier(world, **policy_changes):
+    policy = replace(adversary.default_policy_for(world), **policy_changes)
+    v = verifier.Verifier(policy, rng=random.Random(5))
+    for ak_public, entry in world.registrations:
+        verifier.registry_register(v.registry, ak_public, entry)
+    return v
+
+
+def warm_verifier(**policy_changes):
+    """A world and a long-lived verifier that has accepted one of its bundles."""
+    world = adversary.build_world(adversary.WorldConfig(seed=11))
+    v = new_verifier(world, **policy_changes)
+    assert appraise(v, world).accepted
+    return world, v
+
+
+def altered_claim(cert):
+    """The certificate with its first claim changed and its signature kept."""
+    (key, value), *rest = cert.claims
+    return replace(cert, claims=((key, value + "-altered"),) + tuple(rest))
+
+
+def alter_qe_leaf(bundle):
+    chain = bundle.td_report.qe_chain
+    qe_chain = crypto.CertChain((altered_claim(chain.leaf),) + chain.certs[1:])
+    return replace(bundle, td_report=replace(bundle.td_report, qe_chain=qe_chain))
+
+
+@pytest.mark.parametrize(
+    "alter, check_id, detail",
+    [
+        (alter_qe_leaf, "C1", "TEE certificate chain: broken_link"),
+        (lambda b: replace(b, ak_cert=altered_claim(b.ak_cert)),
+         "C2", "AK provenance chain: broken_link"),
+    ],
+    ids=["qe_cert", "ak_cert"],
+)
+def test_memo_still_rejects_a_remembered_cert_with_an_altered_claim(alter, check_id, detail):
+    world, v = warm_verifier()
+    verdict = appraise(v, world, alter)
+    assert verdict.failed_checks() == (check_id,)
+    assert verdict.checks_by_id()[check_id].detail == detail
+
+
+def reroot_qe_chain(bundle):
+    """A QE chain with valid links up to a self-signed root nobody pinned."""
+    fake_ca = crypto.keygen(b"fake-tee", crypto.KeyKind.CA)
+    fake_qe = crypto.keygen(b"fake-qe", crypto.KeyKind.QE)
+    chain = crypto.CertChain((
+        crypto.issue_cert(fake_ca, fake_qe.public, {"role": "qe"}),
+        crypto.issue_cert(fake_ca, fake_ca.public, {"role": "tee-root"}),
+    ))
+    report = replace(bundle.td_report, qe_chain=chain)
+    report = replace(
+        report, qe_signature=crypto.sign(fake_qe.private, td.report_signing_payload(report))
+    )
+    return replace(bundle, td_report=report)
+
+
+def qe_chain_as_ek_chain(bundle):
+    """Remembered links (the QE chain) offered under the provider roots."""
+    return replace(bundle, ek_cert_chain=bundle.td_report.qe_chain, ak_cert=None)
+
+
+@pytest.mark.parametrize(
+    "alter, check_id, detail",
+    [
+        (reroot_qe_chain, "C1", "TEE certificate chain: untrusted_root"),
+        (qe_chain_as_ek_chain, "C2", "EK chain: untrusted_root"),
+    ],
+    ids=["new_links", "remembered_links"],
+)
+def test_memo_still_rejects_a_chain_to_an_unpinned_root(alter, check_id, detail):
+    world, v = warm_verifier(provider_allowlist=())
+    known = set(v._known_links)
+    verdict = appraise(v, world, alter)
+    assert verdict.failed_checks() == (check_id,)
+    assert verdict.checks_by_id()[check_id].detail == detail
+    assert v._known_links == known
+
+
+def test_warm_appraisal_makes_two_verifies(monkeypatch):
+    world, warm = warm_verifier()
+    fresh = new_verifier(world)
+    (b0, c0), (b1, c1), (b2, c2) = [next_bundle(world) for _ in range(3)]
+    warm.adopt_challenge(c0)
+    fresh.adopt_challenge(c1)
+    calls = []
+    real_verify = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or real_verify(*args))
+
+    def verifies(verify, bundle, challenge):
+        calls.clear()
+        assert verify(bundle, challenge).accepted
+        return len(calls)
+
+    assert verifies(warm.verify, b0, c0) == 2
+    assert verifies(fresh.verify, b1, c1) == 7
+    assert verifies(lambda b, c: verifier.verify_bundle(b, warm.policy, c), b2, c2) == 7
+
+
+def test_memo_never_grows_past_its_bound(monkeypatch):
+    monkeypatch.setattr(crypto, "MAX_KNOWN_LINKS", 8)
+    world, v = warm_verifier()
+    ek = world.vtpms["plat-A"].ek
+    for serial in range(12):
+        bundle, challenge = next_bundle(world)
+        claims = bundle.ak_cert.claims + (("serial", str(serial)),)
+        ak_cert = crypto.issue_cert(ek, bundle.ak_cert.subject_public, claims)
+        v.adopt_challenge(challenge)
+        assert v.verify(replace(bundle, ak_cert=ak_cert), challenge).accepted
+        assert len(v._known_links) <= crypto.MAX_KNOWN_LINKS
+        assert (ak_cert, ek.public) in v._known_links
