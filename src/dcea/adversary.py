@@ -336,7 +336,7 @@ def _gen_report_forgery(world: World, challenge: Challenge) -> EvidenceBundle:
     unsigned = replace(bundle.td_report, qe_chain=rogue_chain, qe_signature=b"")
     signed = replace(
         unsigned,
-        qe_signature=crypto.sign(rogue_qe.private, td_mod.report_signing_payload(unsigned)),
+        qe_signature=crypto.sign(rogue_qe, td_mod.report_signing_payload(unsigned)),
     )
     return replace(bundle, td_report=signed)
 

@@ -203,6 +203,8 @@ def matrix_rows(seed: int, seeds: int = 1) -> List[dict]:
                 })
                 continue
             expected_accept = sid == "honest"
+            # a run is correct only when it fails exactly its targeted check
+            expected_failed = () if expected_accept else (SCENARIOS[sid].targeted_check,)
             ok_runs = 0
             failed = ()
             last_accepted = None
@@ -213,9 +215,9 @@ def matrix_rows(seed: int, seeds: int = 1) -> List[dict]:
                     if expected_accept
                     else attest_attack(world, sid)
                 )
-                if outcome.verdict.accepted == expected_accept:
-                    ok_runs += 1
                 failed = outcome.verdict.failed_checks()
+                if failed == expected_failed:
+                    ok_runs += 1
                 last_accepted = outcome.verdict.accepted
             rows.append({
                 "scenario": sid, "deployment": deployment.value,

@@ -29,7 +29,6 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -101,10 +100,24 @@ class KeyKind(str, Enum):
 
 @dataclass(frozen=True)
 class KeyPair:
-    public: bytes
+    """An Ed25519 pair. The private bytes are parsed once, here: the library
+    key object is built in ``__post_init__`` and held for every ``sign``, and
+    ``public`` is derived from it. The held object takes no part in equality,
+    hashing or repr."""
+
+    public: bytes = field(init=False)
     private: bytes
     kind: KeyKind
     algorithm: str = SIGNATURE_ALGORITHM
+    _key: Ed25519PrivateKey = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            key = Ed25519PrivateKey.from_private_bytes(self.private)
+        except (ValueError, TypeError) as exc:
+            raise InvalidKey(f"bad private key: {exc}") from exc
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "public", key.public_key().public_bytes_raw())
 
 
 def keygen(seed: bytes, kind: KeyKind) -> KeyPair:
@@ -116,19 +129,11 @@ def keygen(seed: bytes, kind: KeyKind) -> KeyPair:
     if not seed:
         raise InvalidSeed("key seed must be non-empty")
     raw = hashlib.sha384(kind.value.encode("ascii") + b":" + seed).digest()[:32]
-    private = Ed25519PrivateKey.from_private_bytes(raw)
-    public = private.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    return KeyPair(public=public, private=raw, kind=kind)
+    return KeyPair(private=raw, kind=kind)
 
 
-def sign(private: bytes, message: bytes) -> bytes:
-    try:
-        key = Ed25519PrivateKey.from_private_bytes(private)
-    except (ValueError, TypeError) as exc:
-        raise InvalidKey(f"bad private key: {exc}") from exc
-    return key.sign(message)
+def sign(key: KeyPair, message: bytes) -> bytes:
+    return key._key.sign(message)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
@@ -254,7 +259,7 @@ def issue_cert(issuer: KeyPair, subject_public: bytes, claims: ClaimsLike) -> Ce
         subject_public=subject_public,
         issuer_id=issuer_id,
         claims=normalized,
-        signature=sign(issuer.private, payload),
+        signature=sign(issuer, payload),
     )
 
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import crypto
 from .crypto import CertChain, Certificate, Digest
-from .errors import IncompleteBundle, ParseError
+from .errors import IncompleteBundle, InvalidEntry, ParseError
 from .td import REPORT_DATA_LEN, RTMR_PCR_MAP, TdReport
 from .tpm import N_PCRS, N_RTMRS, EventLogEntry, Scope, TpmQuote
 
@@ -294,7 +294,7 @@ def _parse_entry(obj, path, r: _Reader) -> EventLogEntry:
             scope=scope,
             rtmr_index=rtmr,
         )
-    except Exception as exc:
+    except InvalidEntry as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

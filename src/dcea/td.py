@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 from . import crypto
 from .crypto import CertChain, Digest, KeyPair
-from .errors import BadReportData, InvalidEntry, InvalidRtmr, NotLaunched
+from .errors import BadReportData, InvalidEntry, InvalidKey, InvalidRtmr, NotLaunched
 from .platform import Platform
 from .tpm import N_RTMRS, EventLogEntry, Scope
 
@@ -212,7 +212,7 @@ def td_report(td: TdState, report_data: bytes, qe: KeyPair, qe_chain: CertChain)
         qe_signature=b"",
         qe_chain=qe_chain,
     )
-    signature = crypto.sign(qe.private, report_signing_payload(unsigned))
+    signature = crypto.sign(qe, report_signing_payload(unsigned))
     return replace(unsigned, qe_signature=signature)
 
 
@@ -223,5 +223,5 @@ def verify_td_report_signature(report: TdReport) -> bool:
     payload = report_signing_payload(report)
     try:
         return crypto.verify(report.qe_chain.leaf.subject_public, payload, report.qe_signature)
-    except Exception:
+    except InvalidKey:
         return False

@@ -251,7 +251,7 @@ def tpm_quote(
         if not 0 <= idx < N_PCRS:
             raise InvalidPcrIndex(f"quote selection index {idx} out of range")
     values = tuple((idx, tpm.pcrs.value(idx)) for idx in indices)
-    signature = crypto.sign(sealed.keypair.private, quote_signing_payload(values, nonce))
+    signature = crypto.sign(sealed.keypair, quote_signing_payload(values, nonce))
     return TpmQuote(
         selection=tuple(indices),
         values=values,

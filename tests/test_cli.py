@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -155,6 +156,33 @@ def test_matrix_multi_seed(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     live = [r for r in rows if r["result"] != "n/a"]
     assert all(r["runs"] == "3" for r in live)
+
+
+def test_matrix_counts_a_wrong_check_rejection_as_unexpected(monkeypatch, capsys):
+    # seed 0 of A4_replay is rejected, but by C7 as well as its targeted C4
+    real_attack = cli.attest_attack
+
+    def attack_tripping_c7(world, sid):
+        outcome = real_attack(world, sid)
+        if sid != "A4_replay" or world.config.seed != 0:
+            return outcome
+        checks = tuple(
+            replace(c, passed=False) if c.check_id == "C7" else c
+            for c in outcome.verdict.checks
+        )
+        return replace(outcome, verdict=replace(outcome.verdict, checks=checks))
+
+    monkeypatch.setattr(cli, "attest_attack", attack_tripping_c7)
+    by_key = {(r["scenario"], r["deployment"]): r for r in cli.matrix_rows(0, seeds=2)}
+    row = by_key[("A4_replay", "S2")]
+    assert row["result"] == "rejected"
+    assert row["ok_runs"] == 1
+    assert row["as_expected"] == "no"
+    others = [r for k, r in by_key.items() if k != ("A4_replay", "S2")]
+    assert all(r["as_expected"] in ("yes", "n/a") for r in others)
+    rc, out, _ = run_cli(capsys, "matrix", "--seed", "0", "--seeds", "2")
+    assert rc == cli.EXIT_CONTRARY
+    assert "UNEXPECTED" in out
 
 
 def test_matrix_out_file(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcea import crypto
+from dcea import adversary, crypto
 from dcea.errors import EmptyChain, InvalidKey, InvalidSeed
 
 # Frozen oracle outputs.
@@ -65,6 +65,34 @@ def test_keygen_deterministic_frozen():
     assert kp.public.hex() == AK_PUB_UNIT_SEED
     again = crypto.keygen(b"unit-seed", crypto.KeyKind.AK)
     assert again == kp
+    assert hash(again) == hash(kp)
+    assert crypto.KeyPair(private=kp.private, kind=kp.kind) == kp
+    # the held library key object is no part of the pair's repr
+    assert repr(kp) == (
+        f"KeyPair(public={kp.public!r}, private={kp.private!r}, "
+        f"kind={kp.kind!r}, algorithm='ed25519')"
+    )
+
+
+@pytest.mark.parametrize("deployment", list(adversary.Deployment))
+def test_honest_round_parses_each_private_key_once(monkeypatch, deployment):
+    # a round mints six keys: the provider and TEE CAs, the QE, the host
+    # TPM's EK, and the EK and AK of the guest-facing TPM; KeyPair parses
+    # each once and every signature reuses the parsed key
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+    parsed = []
+    original = Ed25519PrivateKey.from_private_bytes
+
+    def counting(data):
+        parsed.append(bytes(data))
+        return original(data)
+
+    monkeypatch.setattr(Ed25519PrivateKey, "from_private_bytes", counting)
+    world = adversary.build_world(adversary.WorldConfig(seed=7, deployment=deployment))
+    assert adversary.attest_honest(world).verdict.accepted
+    assert len(parsed) == 6
+    assert len(set(parsed)) == 6
 
 
 def test_keygen_distinct_seeds_and_kinds():
@@ -86,21 +114,21 @@ def test_sign_verify_roundtrip_against_raw_library(seed, message):
     from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
     kp = crypto.keygen(seed, crypto.KeyKind.QE)
-    sig = crypto.sign(kp.private, message)
+    sig = crypto.sign(kp, message)
     Ed25519PublicKey.from_public_bytes(kp.public).verify(sig, message)
     assert crypto.verify(kp.public, message, sig)
 
 
 def test_verify_rejects_tampered_message():
     kp = crypto.keygen(b"tamper", crypto.KeyKind.AK)
-    sig = crypto.sign(kp.private, b"payload")
+    sig = crypto.sign(kp, b"payload")
     assert not crypto.verify(kp.public, b"payload!", sig)
     assert not crypto.verify(kp.public, b"payload", b"\x00" * 64)
 
 
 def test_malformed_key_raises():
     with pytest.raises(InvalidKey):
-        crypto.sign(b"\x01\x02", b"m")
+        crypto.KeyPair(private=b"\x01\x02", kind=crypto.KeyKind.AK)
     with pytest.raises(InvalidKey):
         crypto.verify(b"\x01\x02", b"m", b"\x00" * 64)
 

@@ -163,6 +163,26 @@ def test_decoders_reject_bools_as_numbers_and_non_finite_numbers(document, path,
         decode(json.loads(json.dumps(obj)))
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"event_digest": "zz"}, "$.event_log[3].event_digest: invalid hex"),
+        ({"event_digest": "ab" * 47}, "$.event_log[3].event_digest: expected 48 bytes, got 47"),
+        ({"description": 5}, "$.event_log[3].description: expected <class 'str'>"),
+        ({"scope": "bios"}, "$.event_log[3].scope: unknown scope 'bios'"),
+        ({"pcr_index": 24}, "$.event_log[3]: pcr index 24 out of range"),
+        ({"rtmr_index": 4}, "$.event_log[3]: rtmr index 4 out of range"),
+        ({"pcr_index": None}, "$.event_log[3]: entry must target a PCR, an RTMR, or both"),
+    ],
+)
+def test_event_log_parse_error_names_the_path_once(changes, message):
+    obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
+    obj["event_log"][3].update(changes)
+    with pytest.raises(ParseError) as exc:
+        evidence.obj_to_bundle(obj)
+    assert str(exc.value) == message
+
+
 def test_build_bundle_missing_mandatory():
     bundle = honest_bundle()
     with pytest.raises(IncompleteBundle):

@@ -113,6 +113,17 @@ def test_report_signature_covers_measurements():
     assert not td.verify_td_report_signature(forged)
 
 
+def test_report_signature_under_malformed_leaf_key_is_invalid():
+    from dataclasses import replace
+
+    guest, _, _ = make_td()
+    qe, chain, _ = make_qe()
+    report = td.td_report(guest, b"\x00" * 64, qe, chain)
+    bad_leaf = replace(chain.leaf, subject_public=b"\x01\x02")
+    bad_chain = crypto.CertChain((bad_leaf,) + chain.certs[1:])
+    assert not td.verify_td_report_signature(replace(report, qe_chain=bad_chain))
+
+
 def test_report_data_width_enforced():
     guest, _, _ = make_td()
     qe, chain, _ = make_qe()

@@ -68,7 +68,7 @@ def test_c1_untrusted_qe_root():
     report = replace(bundle.td_report, qe_chain=fake_chain, qe_signature=b"")
     from dcea import td as td_mod
 
-    signed = replace(report, qe_signature=crypto.sign(fake_qe.private, td_mod.report_signing_payload(report)))
+    signed = replace(report, qe_signature=crypto.sign(fake_qe, td_mod.report_signing_payload(report)))
     bundle = replace(bundle, td_report=signed)
     verdict = verifier.verify_bundle(bundle, honest_policy(), honest_challenge())
     assert _failed_ids(verdict) == {"C1"}
@@ -110,7 +110,7 @@ def test_c3_binding_mismatch():
     from dcea import td as td_mod
 
     unsigned = replace(report, qe_signature=b"")
-    signed = replace(unsigned, qe_signature=crypto.sign(qe.private, td_mod.report_signing_payload(unsigned)))
+    signed = replace(unsigned, qe_signature=crypto.sign(qe, td_mod.report_signing_payload(unsigned)))
     verdict = verifier.verify_bundle(replace(bundle, td_report=signed), honest_policy(), honest_challenge())
     assert _failed_ids(verdict) == {"C3"}
     assert verdict.attack_flags == frozenset({"A2", "A5"})
@@ -364,7 +364,7 @@ def reroot_qe_chain(bundle):
     ))
     report = replace(bundle.td_report, qe_chain=chain)
     report = replace(
-        report, qe_signature=crypto.sign(fake_qe.private, td.report_signing_payload(report))
+        report, qe_signature=crypto.sign(fake_qe, td.report_signing_payload(report))
     )
     return replace(bundle, td_report=report)
 
