@@ -242,72 +242,66 @@ def _spawn_platform(
 # bundle assembly
 # ---------------------------------------------------------------------------
 
-def _host_entries(vtpm: TpmState):
-    return tuple(e for e in vtpm.log if e.scope is Scope.HOST)
+def _respond(
+    world: World,
+    challenge: Challenge,
+    scenario_id: str,
+    platform_id: str = "plat-A",
+    *,
+    guest: Optional[TdState] = None,
+    bound_pub: Optional[bytes] = None,
+    handle: Optional[str] = None,
+    ek_cert: Optional[Certificate] = None,
+    root_cert: Optional[Certificate] = None,
+    extra_quote_delay_ms: float = 0.0,
+    **meta_extra: str,
+) -> EvidenceBundle:
+    """Answer a challenge from ``platform_id``: the TD report, the quote of
+    its serving TPM, its certificates, its host log plus the guest log, and
+    the wire timing, which also advances the world clock.
 
-
-def _timing(world: World, t0: float, extra_quote_delay_ms: float = 0.0) -> Timing:
+    Each keyword is a part an adversary swaps in; left unset, the
+    platform's own is used. ``handle`` picks the quoting AK and its
+    certificate, and ``meta_extra`` lands in ``scenario_meta``.
+    """
     cfg = world.config
-    rtt = 2 * cfg.one_way_delay_ms
-    return Timing(
-        challenge_sent=t0,
-        td_received=t0 + rtt + cfg.td_report_latency_ms,
-        quote_received=t0 + rtt + QUOTE_LATENCY_MS[quoting_kind(world)] + extra_quote_delay_ms,
-    )
+    vtpm = world.vtpms[platform_id]
+    guest = world.tds[platform_id] if guest is None else guest
+    bound_pub = world.bound_pubs[platform_id] if bound_pub is None else bound_pub
+    handle = world.ak_handles[platform_id] if handle is None else handle
 
-
-def _advance(world: World, timing: Timing) -> None:
-    world.clock_ms = max(world.clock_ms, timing.td_received, timing.quote_received)
-
-
-def _meta(world: World, scenario_id: str, platform_id: str, **extra: str) -> Dict[str, str]:
-    meta = {
-        "scenario": scenario_id,
-        "deployment": world.config.deployment.value,
-        "platform_id": platform_id,
-        "seed": str(world.config.seed),
-    }
-    meta.update(extra)
-    return meta
-
-
-def _make_report(world: World, challenge: Challenge, guest: TdState, bound_pub: bytes):
-    cfg = world.config
     if cfg.binding_channel is BindingChannel.REPORT_DATA:
         rd = encode_report_data(challenge.td_nonce, binding=crypto.digest(bound_pub).data[:32])
     elif cfg.in_td_check:
         rd = encode_report_data(challenge.td_nonce, consistency_bit=True)
     else:
         rd = encode_report_data(challenge.td_nonce)
-    return td_mod.td_report(guest, rd, world.qe, world.qe_chain)
-
-
-def _honest_bundle(
-    world: World,
-    challenge: Challenge,
-    platform_id: str = "plat-A",
-    scenario_id: str = "honest",
-    root_cert: Optional[Certificate] = None,
-    **meta_extra: str,
-) -> EvidenceBundle:
-    """The protocol-following flow on one platform: report and quote for the
-    given challenge, this platform's certificates, the combined event log."""
-    vtpm = world.vtpms[platform_id]
-    handle = world.ak_handles[platform_id]
-    guest = world.tds[platform_id]
-    report = _make_report(world, challenge, guest, world.bound_pubs[platform_id])
+    report = td_mod.td_report(guest, rd, world.qe, world.qe_chain)
     quote = tpm_mod.tpm_quote(vtpm, handle, QUOTE_SELECTION, challenge.tpm_nonce)
-    timing = _timing(world, challenge.issued_at)
-    _advance(world, timing)
+
+    t0 = challenge.issued_at
+    rtt = 2 * cfg.one_way_delay_ms
+    timing = Timing(
+        challenge_sent=t0,
+        td_received=t0 + rtt + cfg.td_report_latency_ms,
+        quote_received=t0 + rtt + QUOTE_LATENCY_MS[quoting_kind(world)] + extra_quote_delay_ms,
+    )
+    world.clock_ms = max(world.clock_ms, timing.td_received, timing.quote_received)
     return build_bundle(
         td_report=report,
         tpm_quote=quote,
-        ek_cert_chain=CertChain((vtpm.ek_cert, root_cert or world.provider_root)),
+        ek_cert_chain=CertChain((ek_cert or vtpm.ek_cert, root_cert or world.provider_root)),
         ak_cert=vtpm.aks[handle].ak_cert,
-        event_log=_host_entries(vtpm) + guest.guest_log,
+        event_log=tuple(e for e in vtpm.log if e.scope is Scope.HOST) + guest.guest_log,
         nonces=Nonces(challenge.td_nonce, challenge.tpm_nonce),
         timing=timing,
-        scenario_meta=_meta(world, scenario_id, platform_id, **meta_extra),
+        scenario_meta={
+            "scenario": scenario_id,
+            "deployment": cfg.deployment.value,
+            "platform_id": platform_id,
+            "seed": str(cfg.seed),
+            **meta_extra,
+        },
     )
 
 
@@ -318,7 +312,7 @@ def _honest_bundle(
 def _gen_quote_forgery(world: World, challenge: Challenge) -> EvidenceBundle:
     # the adversary mirrors an honest quote's structure but cannot reach the
     # sealed key, so the signature is junk of the right size
-    bundle = _honest_bundle(world, challenge, scenario_id="A1_quote_forgery")
+    bundle = _respond(world, challenge, "A1_quote_forgery")
     junk = (_seed_bytes(world.config, "forged-sig-a") + _seed_bytes(world.config, "forged-sig-b"))[:64]
     return replace(bundle, tpm_quote=replace(bundle.tpm_quote, signature=junk))
 
@@ -326,7 +320,7 @@ def _gen_quote_forgery(world: World, challenge: Challenge) -> EvidenceBundle:
 def _gen_report_forgery(world: World, challenge: Challenge) -> EvidenceBundle:
     # honest-looking TD report content, signed by a quoting-enclave chain the
     # adversary minted itself
-    bundle = _honest_bundle(world, challenge, scenario_id="A1_report_forgery")
+    bundle = _respond(world, challenge, "A1_report_forgery")
     rogue_ca = crypto.keygen(_seed_bytes(world.config, "rogue-tee-ca"), crypto.KeyKind.CA)
     rogue_qe = crypto.keygen(_seed_bytes(world.config, "rogue-qe"), crypto.KeyKind.QE)
     rogue_chain = CertChain((
@@ -345,22 +339,9 @@ def _gen_mix_match(world: World, challenge: Challenge) -> EvidenceBundle:
     # genuine TD report from plat-A, genuine quote from plat-B; identical
     # stacks and parallel queries keep everything but the key binding green
     _spawn_platform(world, "plat-B")
-    vtpm_b = world.vtpms["plat-B"]
-    handle_b = world.ak_handles["plat-B"]
-    guest_a = world.tds["plat-A"]
-    report = _make_report(world, challenge, guest_a, world.bound_pubs["plat-A"])
-    quote = tpm_mod.tpm_quote(vtpm_b, handle_b, QUOTE_SELECTION, challenge.tpm_nonce)
-    timing = _timing(world, challenge.issued_at)
-    _advance(world, timing)
-    return build_bundle(
-        td_report=report,
-        tpm_quote=quote,
-        ek_cert_chain=CertChain((vtpm_b.ek_cert, world.provider_root)),
-        ak_cert=vtpm_b.aks[handle_b].ak_cert,
-        event_log=_host_entries(vtpm_b) + guest_a.guest_log,
-        nonces=Nonces(challenge.td_nonce, challenge.tpm_nonce),
-        timing=timing,
-        scenario_meta=_meta(world, "A2_mix_match", "plat-B"),
+    return _respond(
+        world, challenge, "A2_mix_match", "plat-B",
+        guest=world.tds["plat-A"], bound_pub=world.bound_pubs["plat-A"],
     )
 
 
@@ -369,31 +350,16 @@ def _gen_frankenstein(world: World, challenge: Challenge) -> EvidenceBundle:
     # and that platform's quotes are relayed in; only the wire time gives it
     # away
     _spawn_platform(world, "plat-R")
-    vtpm_r = world.vtpms["plat-R"]
-    handle_r = world.ak_handles["plat-R"]
-    remote_ak = vtpm_r.aks[handle_r].keypair.public
-    plat_a = world.platforms["plat-A"]
+    remote_ak = world.bound_pubs["plat-R"]
     launch_bind = (
         remote_ak if world.config.binding_channel is BindingChannel.MRCONFIGID else None
     )
-    guest = td_mod.td_launch(plat_a, world.guest_firmware, ak_pub=launch_bind)
+    guest = td_mod.td_launch(world.platforms["plat-A"], world.guest_firmware, ak_pub=launch_bind)
     for ev in world.guest_events:
         guest = td_mod.rtmr_extend(guest, ev)
-    report = _make_report(world, challenge, guest, remote_ak)
-    quote = tpm_mod.tpm_quote(vtpm_r, handle_r, QUOTE_SELECTION, challenge.tpm_nonce)
-    timing = _timing(
-        world, challenge.issued_at, extra_quote_delay_ms=2 * world.config.relay_delay_ms
-    )
-    _advance(world, timing)
-    return build_bundle(
-        td_report=report,
-        tpm_quote=quote,
-        ek_cert_chain=CertChain((vtpm_r.ek_cert, world.provider_root)),
-        ak_cert=vtpm_r.aks[handle_r].ak_cert,
-        event_log=_host_entries(vtpm_r) + guest.guest_log,
-        nonces=Nonces(challenge.td_nonce, challenge.tpm_nonce),
-        timing=timing,
-        scenario_meta=_meta(world, "A2_frankenstein", "plat-R"),
+    return _respond(
+        world, challenge, "A2_frankenstein", "plat-R",
+        guest=guest, extra_quote_delay_ms=2 * world.config.relay_delay_ms,
     )
 
 
@@ -401,9 +367,7 @@ def _gen_register_desync(world: World, challenge: Challenge) -> EvidenceBundle:
     # the host filters one guest event out of the PCR mirror stream, so the
     # two measurement views stop describing the same boot
     _spawn_platform(world, "plat-D", tamper_index=TAMPER_EVENT_INDEX)
-    return _honest_bundle(
-        world, challenge, platform_id="plat-D", scenario_id="A3_register_desync"
-    )
+    return _respond(world, challenge, "A3_register_desync", "plat-D")
 
 
 def _gen_replay(world: World, challenge: Challenge) -> EvidenceBundle:
@@ -413,7 +377,7 @@ def _gen_replay(world: World, challenge: Challenge) -> EvidenceBundle:
         tpm_nonce=world.rng.randbytes(32),
         issued_at=world.clock_ms,
     )
-    return _honest_bundle(world, stale, scenario_id="A4_replay")
+    return _respond(world, stale, "A4_replay")
 
 
 def _gen_ek_spoof(world: World, challenge: Challenge) -> EvidenceBundle:
@@ -424,40 +388,22 @@ def _gen_ek_spoof(world: World, challenge: Challenge) -> EvidenceBundle:
         rogue_ca, rogue_ca.public, {"role": "root", "provider": world.config.provider}
     )
     _spawn_platform(world, "plat-E", ca=rogue_ca, register=False)
-    return _honest_bundle(
-        world, challenge, platform_id="plat-E", scenario_id="A5_ek_spoof",
-        root_cert=rogue_root,
-    )
+    return _respond(world, challenge, "A5_ek_spoof", "plat-E", root_cert=rogue_root)
 
 
 def _gen_ak_substitute(world: World, challenge: Challenge) -> EvidenceBundle:
     # quote made with a second, genuinely certified AK that the TD never
     # bound; certification alone doesn't tie a key to a guest
     _spawn_platform(world, "plat-S")
-    vtpm_s = world.vtpms["plat-S"]
     vtpm_s, handle2 = tpm_mod.create_sealed_ak(
-        vtpm_s,
+        world.vtpms["plat-S"],
         _seed_bytes(world.config, "substitute-ak"),
         world.config.policy_pcrs,
-        issuer=vtpm_s.ek,
+        issuer=world.vtpms["plat-S"].ek,
         cert_claims={"platform_id": "plat-S"},
     )
     world.vtpms["plat-S"] = vtpm_s
-    guest = world.tds["plat-S"]
-    report = _make_report(world, challenge, guest, world.bound_pubs["plat-S"])
-    quote = tpm_mod.tpm_quote(vtpm_s, handle2, QUOTE_SELECTION, challenge.tpm_nonce)
-    timing = _timing(world, challenge.issued_at)
-    _advance(world, timing)
-    return build_bundle(
-        td_report=report,
-        tpm_quote=quote,
-        ek_cert_chain=CertChain((vtpm_s.ek_cert, world.provider_root)),
-        ak_cert=vtpm_s.aks[handle2].ak_cert,
-        event_log=_host_entries(vtpm_s) + guest.guest_log,
-        nonces=Nonces(challenge.td_nonce, challenge.tpm_nonce),
-        timing=timing,
-        scenario_meta=_meta(world, "A5_ak_substitute", "plat-S"),
-    )
+    return _respond(world, challenge, "A5_ak_substitute", "plat-S", handle=handle2)
 
 
 def _gen_ak_clone(world: World, challenge: Challenge) -> EvidenceBundle:
@@ -467,27 +413,15 @@ def _gen_ak_clone(world: World, challenge: Challenge) -> EvidenceBundle:
     sealed = victim_vtpm.aks[world.ak_handles["plat-A"]]
     clone_pub = sealed.keypair.public
     _spawn_platform(world, "plat-C", bind_ak_pub=clone_pub, register=False)
-    vtpm_c = tpm_mod.install_sealed_ak(world.vtpms["plat-C"], "ak-stolen", sealed)
-    world.vtpms["plat-C"] = vtpm_c
+    world.vtpms["plat-C"] = tpm_mod.install_sealed_ak(world.vtpms["plat-C"], "ak-stolen", sealed)
     world.registrations.append(
         (clone_pub, RegistryEntry(platform_id="plat-C", issuer=world.config.provider,
                                   registered_at=world.clock_ms))
     )
-    guest = world.tds["plat-C"]
-    report = _make_report(world, challenge, guest, clone_pub)
-    quote = tpm_mod.tpm_quote(vtpm_c, "ak-stolen", QUOTE_SELECTION, challenge.tpm_nonce)
-    timing = _timing(world, challenge.issued_at)
-    _advance(world, timing)
-    return build_bundle(
-        td_report=report,
-        tpm_quote=quote,
-        # the adversary replays the victim's public certificates
-        ek_cert_chain=CertChain((victim_vtpm.ek_cert, world.provider_root)),
-        ak_cert=sealed.ak_cert,
-        event_log=_host_entries(vtpm_c) + guest.guest_log,
-        nonces=Nonces(challenge.td_nonce, challenge.tpm_nonce),
-        timing=timing,
-        scenario_meta=_meta(world, "A5_ak_clone", "plat-C"),
+    # the adversary replays the victim's public certificates
+    return _respond(
+        world, challenge, "A5_ak_clone", "plat-C",
+        handle="ak-stolen", ek_cert=victim_vtpm.ek_cert,
     )
 
 
@@ -507,11 +441,7 @@ def _gen_stack_downgrade(world: World, challenge: Challenge) -> EvidenceBundle:
         world.reference_stack,
         hypervisor_image=world.reference_stack.hypervisor_image + b"-patched",
     )
-    device2 = tpm_mod.tpm_init(
-        _seed_bytes(cfg, "ek:plat-M"), world.provider_ca,
-        {"provider": cfg.provider, "platform_id": "plat-M", "region": cfg.region},
-    )
-    plat2 = platform_mod.measured_launch(mutated, device2)
+    plat2 = _launch_platform(world, "plat-M", stack=mutated)
     vtpm2 = platform_mod.instantiate_vtpm(
         plat2, world.provider_ca, _seed_bytes(cfg, "vtpm:plat-M:reboot"),
         kind=quoting_kind(world), policy_pcrs=cfg.policy_pcrs,
@@ -531,9 +461,8 @@ def _gen_stack_downgrade(world: World, challenge: Challenge) -> EvidenceBundle:
     world.ak_handles["plat-M"] = fallback_handle
     world.tds["plat-M"] = guest
     world.bound_pubs["plat-M"] = fallback_pub
-    return _honest_bundle(
-        world, challenge, platform_id="plat-M", scenario_id="A6_stack_downgrade",
-        fallback="policy-violation",
+    return _respond(
+        world, challenge, "A6_stack_downgrade", "plat-M", fallback="policy-violation"
     )
 
 
@@ -668,7 +597,7 @@ def _attest(world: World, scenario: Optional[AttackScenario], disabled_checks) -
     )
     challenge = verifier.challenge()
     if scenario is None:
-        bundle = _honest_bundle(world, challenge)
+        bundle = _respond(world, challenge, "honest")
         scenario_id = "honest"
     else:
         bundle = scenario.generate(world, challenge)

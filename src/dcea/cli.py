@@ -205,9 +205,9 @@ def matrix_rows(seed: int, seeds: int = 1) -> List[dict]:
             expected_accept = sid == "honest"
             # a run is correct only when it fails exactly its targeted check
             expected_failed = () if expected_accept else (SCENARIOS[sid].targeted_check,)
+            # the row shows the first run that broke it, or else the last run
             ok_runs = 0
-            failed = ()
-            last_accepted = None
+            failed, accepted, broken = (), None, False
             for s in range(seed, seed + seeds):
                 world = build_world(WorldConfig(seed=s, deployment=deployment))
                 outcome = (
@@ -215,14 +215,15 @@ def matrix_rows(seed: int, seeds: int = 1) -> List[dict]:
                     if expected_accept
                     else attest_attack(world, sid)
                 )
-                failed = outcome.verdict.failed_checks()
-                if failed == expected_failed:
-                    ok_runs += 1
-                last_accepted = outcome.verdict.accepted
+                verdict = outcome.verdict
+                ok = verdict.failed_checks() == expected_failed
+                ok_runs += ok
+                if not broken:
+                    failed, accepted, broken = verdict.failed_checks(), verdict.accepted, not ok
             rows.append({
                 "scenario": sid, "deployment": deployment.value,
                 "expected": "accept" if expected_accept else "reject",
-                "result": "accepted" if last_accepted else "rejected",
+                "result": "accepted" if accepted else "rejected",
                 "failed_checks": ",".join(failed),
                 "runs": seeds, "ok_runs": ok_runs,
                 "as_expected": "yes" if ok_runs == seeds else "no",
@@ -360,13 +361,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DceaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (_Usage, DceaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

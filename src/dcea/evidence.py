@@ -127,7 +127,7 @@ def build_bundle(
 # JSON codec
 # ---------------------------------------------------------------------------
 
-def _cert_obj(cert: Certificate) -> dict:
+def cert_to_obj(cert: Certificate) -> dict:
     return {
         "subject_public": cert.subject_public.hex(),
         "issuer_id": cert.issuer_id,
@@ -137,7 +137,7 @@ def _cert_obj(cert: Certificate) -> dict:
 
 
 def _chain_obj(chain: CertChain) -> list:
-    return [_cert_obj(c) for c in chain.certs]
+    return [cert_to_obj(c) for c in chain.certs]
 
 
 def _entry_obj(entry: EventLogEntry) -> dict:
@@ -185,7 +185,7 @@ def bundle_to_obj(bundle: EvidenceBundle) -> dict:
         "td_report": _report_obj(bundle.td_report),
         "tpm_quote": _quote_obj(bundle.tpm_quote),
         "ek_cert_chain": _chain_obj(bundle.ek_cert_chain),
-        "ak_cert": _cert_obj(bundle.ak_cert) if bundle.ak_cert else None,
+        "ak_cert": cert_to_obj(bundle.ak_cert) if bundle.ak_cert else None,
         "event_log": [_entry_obj(e) for e in bundle.event_log],
         "nonces": {
             "td_nonce": bundle.nonces.td_nonce.hex(),
@@ -205,7 +205,14 @@ def serialize(bundle: EvidenceBundle) -> bytes:
     return json.dumps(bundle_to_obj(bundle), sort_keys=True, separators=(",", ":")).encode()
 
 
-class _Reader:
+# the JSON type each Python type check in Reader.get stands for
+_JSON_TYPES = {
+    str: "string", (int, float): "number", int: "integer",
+    dict: "object", list: "array", bool: "boolean",
+}
+
+
+class Reader:
     """Schema walker that turns any shape violation into ParseError."""
 
     def __init__(self, root):
@@ -230,7 +237,7 @@ class _Reader:
         if kind is not None and (
             not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
         ):
-            self.fail(f"{path}.{key}", f"expected {kind}")
+            self.fail(f"{path}.{key}", f"expected {_JSON_TYPES[kind]}")
         return value
 
     def number(self, obj, path, key) -> float:
@@ -246,13 +253,13 @@ class _Reader:
     @staticmethod
     def bytes_field(text, path, width=None):
         if not isinstance(text, str):
-            _Reader.fail(path, "expected hex string")
+            Reader.fail(path, "expected hex string")
         try:
             raw = bytes.fromhex(text)
         except ValueError:
-            _Reader.fail(path, "invalid hex")
+            Reader.fail(path, "invalid hex")
         if width is not None and len(raw) != width:
-            _Reader.fail(path, f"expected {width} bytes, got {len(raw)}")
+            Reader.fail(path, f"expected {width} bytes, got {len(raw)}")
         return raw
 
     @classmethod
@@ -260,7 +267,7 @@ class _Reader:
         return Digest(cls.bytes_field(text, path, crypto.DIGEST_LEN))
 
 
-def _parse_cert(obj, path, r: _Reader) -> Certificate:
+def parse_cert(obj, path, r: Reader) -> Certificate:
     claims = r.get(obj, path, "claims", dict)
     if not all(isinstance(k, str) and isinstance(v, str) for k, v in claims.items()):
         r.fail(f"{path}.claims", "claims must map strings to strings")
@@ -272,13 +279,13 @@ def _parse_cert(obj, path, r: _Reader) -> Certificate:
     )
 
 
-def _parse_chain(items, path, r: _Reader) -> CertChain:
+def _parse_chain(items, path, r: Reader) -> CertChain:
     if not isinstance(items, list):
         r.fail(path, "expected list of certificates")
-    return CertChain(tuple(_parse_cert(c, f"{path}[{i}]", r) for i, c in enumerate(items)))
+    return CertChain(tuple(parse_cert(c, f"{path}[{i}]", r) for i, c in enumerate(items)))
 
 
-def _parse_entry(obj, path, r: _Reader) -> EventLogEntry:
+def _parse_entry(obj, path, r: Reader) -> EventLogEntry:
     scope_text = r.get(obj, path, "scope", str)
     try:
         scope = Scope(scope_text)
@@ -298,7 +305,7 @@ def _parse_entry(obj, path, r: _Reader) -> EventLogEntry:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _parse_report(obj, path, r: _Reader) -> TdReport:
+def _parse_report(obj, path, r: Reader) -> TdReport:
     rtmrs = r.get(obj, path, "rtmrs", list)
     if len(rtmrs) != N_RTMRS:
         r.fail(f"{path}.rtmrs", f"expected {N_RTMRS} registers")
@@ -325,7 +332,7 @@ def _parse_report(obj, path, r: _Reader) -> TdReport:
     )
 
 
-def _parse_quote(obj, path, r: _Reader) -> TpmQuote:
+def _parse_quote(obj, path, r: Reader) -> TpmQuote:
     selection = r.get(obj, path, "selection", list)
     values = r.get(obj, path, "values", list)
     parsed_values = []
@@ -348,7 +355,7 @@ def _parse_quote(obj, path, r: _Reader) -> TpmQuote:
 
 
 def obj_to_bundle(obj) -> EvidenceBundle:
-    r = _Reader(obj)
+    r = Reader(obj)
     version = r.get(obj, "$", "format_version", int)
     if version != FORMAT_VERSION:
         r.fail("$.format_version", f"unsupported version {version}")
@@ -364,7 +371,7 @@ def obj_to_bundle(obj) -> EvidenceBundle:
         td_report=_parse_report(r.get(obj, "$", "td_report", dict), "$.td_report", r),
         tpm_quote=_parse_quote(r.get(obj, "$", "tpm_quote", dict), "$.tpm_quote", r),
         ek_cert_chain=_parse_chain(r.get(obj, "$", "ek_cert_chain"), "$.ek_cert_chain", r),
-        ak_cert=_parse_cert(ak_obj, "$.ak_cert", r) if ak_obj is not None else None,
+        ak_cert=parse_cert(ak_obj, "$.ak_cert", r) if ak_obj is not None else None,
         event_log=tuple(
             _parse_entry(e, f"$.event_log[{i}]", r) for i, e in enumerate(entries)
         ),

@@ -38,7 +38,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tupl
 from . import crypto, evidence, td, tpm
 from .crypto import CertChain, Certificate, Digest
 from .errors import DceaError
-from .evidence import EvidenceBundle, _Reader, _cert_obj, _parse_cert
+from .evidence import EvidenceBundle, Reader, cert_to_obj, parse_cert
 from .tpm import TpmKind
 
 CHECK_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
@@ -461,8 +461,8 @@ def policy_to_obj(policy: VerifierPolicy) -> dict:
     if policy.expected_pcr17_18 is not None:
         expected = {str(i): d.hex() for i, d in sorted(policy.expected_pcr17_18.items())}
     return {
-        "trusted_tee_roots": [_cert_obj(c) for c in policy.trusted_tee_roots],
-        "trusted_provider_roots": [_cert_obj(c) for c in policy.trusted_provider_roots],
+        "trusted_tee_roots": [cert_to_obj(c) for c in policy.trusted_tee_roots],
+        "trusted_provider_roots": [cert_to_obj(c) for c in policy.trusted_provider_roots],
         "expected_pcr17_18": expected,
         "rtt_threshold_ms": policy.rtt_threshold_ms,
         "require_ak_registry_uniqueness": policy.require_ak_registry_uniqueness,
@@ -472,7 +472,7 @@ def policy_to_obj(policy: VerifierPolicy) -> dict:
 
 
 def obj_to_policy(obj) -> VerifierPolicy:
-    r = _Reader(obj)
+    r = Reader(obj)
     tee = r.get(obj, "$", "trusted_tee_roots", list)
     provider = r.get(obj, "$", "trusted_provider_roots", list)
     expected_obj = r.get(obj, "$", "expected_pcr17_18", dict, optional=True)
@@ -493,10 +493,10 @@ def obj_to_policy(obj) -> VerifierPolicy:
         r.fail("$.provider_allowlist", "must be a list of provider names")
     return VerifierPolicy(
         trusted_tee_roots=tuple(
-            _parse_cert(c, f"$.trusted_tee_roots[{i}]", r) for i, c in enumerate(tee)
+            parse_cert(c, f"$.trusted_tee_roots[{i}]", r) for i, c in enumerate(tee)
         ),
         trusted_provider_roots=tuple(
-            _parse_cert(c, f"$.trusted_provider_roots[{i}]", r) for i, c in enumerate(provider)
+            parse_cert(c, f"$.trusted_provider_roots[{i}]", r) for i, c in enumerate(provider)
         ),
         expected_pcr17_18=expected,
         rtt_threshold_ms=r.number(obj, "$", "rtt_threshold_ms"),
@@ -517,7 +517,7 @@ def challenge_to_obj(challenge: Challenge) -> dict:
 
 
 def obj_to_challenge(obj) -> Challenge:
-    r = _Reader(obj)
+    r = Reader(obj)
     return Challenge(
         td_nonce=r.bytes_field(r.get(obj, "$", "td_nonce"), "$.td_nonce", evidence.NONCE_LEN),
         tpm_nonce=r.bytes_field(r.get(obj, "$", "tpm_nonce"), "$.tpm_nonce", evidence.NONCE_LEN),
@@ -533,7 +533,7 @@ def _entry_to_obj(entry: RegistryEntry) -> dict:
     }
 
 
-def _obj_to_entry(obj, path, r: _Reader) -> RegistryEntry:
+def _obj_to_entry(obj, path, r: Reader) -> RegistryEntry:
     return RegistryEntry(
         platform_id=r.get(obj, path, "platform_id", str),
         issuer=r.get(obj, path, "issuer", str),
@@ -552,7 +552,7 @@ def registry_to_obj(registry: AkRegistry) -> dict:
 
 
 def obj_to_registry(obj) -> AkRegistry:
-    r = _Reader(obj)
+    r = Reader(obj)
     entries_obj = r.get(obj, "$", "entries", dict)
     conflicts_obj = r.get(obj, "$", "conflicts", dict)
     registry = AkRegistry()

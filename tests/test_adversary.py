@@ -5,6 +5,8 @@ targeted check failing, and flipping that one check off makes the same
 bundle acceptable. That isolates what each check buys.
 """
 
+import hashlib
+
 import pytest
 
 from dcea import adversary, crypto, evidence, tpm, verifier
@@ -138,6 +140,58 @@ def test_disabling_targeted_check_flips_verdict(sid, dep):
         world_for(dep), sid, disabled_checks=frozenset({sc.targeted_check})
     )
     assert out.verdict.accepted
+
+
+# SHA-256 of serialize(bundle) for every live cell at world seed 0, with the
+# checks its verdict fails. Any change to keys, signatures, event order or
+# clock steps in the prover flows moves a digest.
+CELL_DIGESTS = {
+    ("honest", Deployment.S1):
+        ("8c73337e49f5a42fb8313f8babbc1279666ba5fee7251a639e6c3444d997e2b4", ()),
+    ("honest", Deployment.S2):
+        ("4d9936600b98080c20b6573e8af2a489df9197b2eda444fea71c41362d5b9acb", ()),
+    ("A1_quote_forgery", Deployment.S1):
+        ("080ad70341cbe2b76dcde3e71facfb6c6e3913cd0402aac3c6c46bb6813514a6", ("C2",)),
+    ("A1_quote_forgery", Deployment.S2):
+        ("953e48e46c15a0c5c32f6aa5fba796ad016dbec9d9cac826f2236a30bb5e20f4", ("C2",)),
+    ("A1_report_forgery", Deployment.S1):
+        ("53c2ba8126bf0043af49e5ec141a51eda94e8f5f3e31a5131e479e9fc27180ed", ("C1",)),
+    ("A1_report_forgery", Deployment.S2):
+        ("9c1b58d88259fa37c397bc85035e533efd925e906ec3fe9d68b2a4b577a60a1f", ("C1",)),
+    ("A2_mix_match", Deployment.S2):
+        ("07088244352e64842f0fbad200c1116d9893ad7f431dc26fbfd9360c9c26a834", ("C3",)),
+    ("A2_frankenstein", Deployment.S2):
+        ("b7b6a0fc082781393cb16c5fbd6ddcfdda68e4a80d8c27a63c5ec38273286634", ("C7",)),
+    ("A3_register_desync", Deployment.S1):
+        ("2aae33f0be0ac81c4d42bbe4b6ef3d09a441feee039187e5c9367f25d7cdb014", ("C5",)),
+    ("A3_register_desync", Deployment.S2):
+        ("889fc116aa8631388cae51c351d10990309edeb894d23e7679e76a222eb93778", ("C5",)),
+    ("A4_replay", Deployment.S2):
+        ("7757c01b3fd86734eb6acc308cfb2844ef7c06e99aee81245141a06406084adf", ("C4",)),
+    ("A5_ek_spoof", Deployment.S2):
+        ("f5ae7d72d5c71d0e925a91acd1b82f00dedd89da7022716319ccf1576f3352b6", ("C2",)),
+    ("A5_ak_substitute", Deployment.S2):
+        ("c3d0b1360d4f45211c0cdcf096493320c8a64b9e274d75cfac2752c7a429113d", ("C3",)),
+    ("A5_ak_clone", Deployment.S2):
+        ("c2cd29ab55a7a6318a578b9626a8196357437347b7589840e97704ea2ae374e9", ("C8",)),
+    ("A6_stack_downgrade", Deployment.S2):
+        ("5180956f26fee49e9fd37ac394da578c8e0e7c7fc1345412bc62b0d41f75335f", ("C6",)),
+}
+
+
+def test_cell_digests_cover_every_live_cell():
+    assert set(CELL_DIGESTS) == {("honest", d) for d in Deployment} | set(ALL_CASES)
+
+
+@pytest.mark.parametrize("sid,dep", sorted(CELL_DIGESTS, key=lambda c: (c[0], c[1].value)))
+def test_cell_evidence_is_pinned(sid, dep):
+    world = world_for(dep, seed=0)
+    if sid == "honest":
+        out = adversary.attest_honest(world)
+    else:
+        out = adversary.attest_attack(world, sid)
+    digest = hashlib.sha256(evidence.serialize(out.bundle)).hexdigest()
+    assert (digest, out.verdict.failed_checks()) == CELL_DIGESTS[(sid, dep)]
 
 
 # -- scenario-specific behavior ------------------------------------------------

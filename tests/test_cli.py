@@ -176,13 +176,14 @@ def test_matrix_counts_a_wrong_check_rejection_as_unexpected(monkeypatch, capsys
     by_key = {(r["scenario"], r["deployment"]): r for r in cli.matrix_rows(0, seeds=2)}
     row = by_key[("A4_replay", "S2")]
     assert row["result"] == "rejected"
+    assert row["failed_checks"] == "C4,C7"  # the broken run, not the last one
     assert row["ok_runs"] == 1
     assert row["as_expected"] == "no"
     others = [r for k, r in by_key.items() if k != ("A4_replay", "S2")]
     assert all(r["as_expected"] in ("yes", "n/a") for r in others)
     rc, out, _ = run_cli(capsys, "matrix", "--seed", "0", "--seeds", "2")
     assert rc == cli.EXIT_CONTRARY
-    assert "UNEXPECTED" in out
+    assert "UNEXPECTED: rejected (C4,C7) 1/2" in out
 
 
 def test_matrix_out_file(tmp_path, capsys):

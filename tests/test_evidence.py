@@ -168,7 +168,7 @@ def test_decoders_reject_bools_as_numbers_and_non_finite_numbers(document, path,
     [
         ({"event_digest": "zz"}, "$.event_log[3].event_digest: invalid hex"),
         ({"event_digest": "ab" * 47}, "$.event_log[3].event_digest: expected 48 bytes, got 47"),
-        ({"description": 5}, "$.event_log[3].description: expected <class 'str'>"),
+        ({"description": 5}, "$.event_log[3].description: expected string"),
         ({"scope": "bios"}, "$.event_log[3].scope: unknown scope 'bios'"),
         ({"pcr_index": 24}, "$.event_log[3]: pcr index 24 out of range"),
         ({"rtmr_index": 4}, "$.event_log[3]: rtmr index 4 out of range"),
