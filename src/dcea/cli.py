@@ -25,6 +25,7 @@ import io
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from . import evidence
@@ -37,15 +38,13 @@ from .adversary import (
     build_world,
 )
 from .errors import DceaError
+from .evidence import optional, record
 from .verifier import (
+    CHALLENGE,
+    POLICY,
+    REGISTRY,
     AkRegistry,
-    challenge_to_obj,
-    obj_to_challenge,
-    obj_to_policy,
-    obj_to_registry,
-    policy_to_obj,
     registry_register,
-    registry_to_obj,
     verify_bundle,
 )
 
@@ -94,6 +93,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+# a verification context file: what ``verify`` appraises a bundle against
+_CONTEXT = record(SimpleNamespace, {
+    "policy": POLICY,
+    "challenge": CHALLENGE,
+    "registry": optional(REGISTRY),
+})
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -102,11 +109,9 @@ def _context_obj(outcome, world) -> dict:
     registry = AkRegistry()
     for ak_pub, entry in world.registrations:
         registry_register(registry, ak_pub, entry)
-    return {
-        "policy": policy_to_obj(outcome.policy),
-        "challenge": challenge_to_obj(outcome.challenge),
-        "registry": registry_to_obj(registry),
-    }
+    return _CONTEXT.encode(
+        SimpleNamespace(policy=outcome.policy, challenge=outcome.challenge, registry=registry)
+    )
 
 
 def cmd_run(args) -> int:
@@ -151,25 +156,20 @@ def cmd_run(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _load_context(path: str):
+def _load_context(path: str) -> SimpleNamespace:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             ctx = json.load(fh)
         except json.JSONDecodeError as exc:
             raise _Usage(f"{path}: not valid JSON: {exc}")
-    if not isinstance(ctx, dict) or "policy" not in ctx or "challenge" not in ctx:
-        raise _Usage(f"{path}: context file needs 'policy' and 'challenge' objects")
-    policy = obj_to_policy(ctx["policy"])
-    challenge = obj_to_challenge(ctx["challenge"])
-    registry = obj_to_registry(ctx["registry"]) if ctx.get("registry") else None
-    return policy, challenge, registry
+    return _CONTEXT.decode(ctx, "$")
 
 
 def cmd_verify(args) -> int:
     with open(args.bundle, "rb") as fh:
         bundle = evidence.deserialize(fh.read())
-    policy, challenge, registry = _load_context(args.policy)
-    verdict = verify_bundle(bundle, policy, challenge, registry=registry)
+    ctx = _load_context(args.policy)
+    verdict = verify_bundle(bundle, ctx.policy, ctx.challenge, registry=ctx.registry)
     if args.format == "md":
         print(f"# {args.bundle}")
         print("\n".join(_verdict_md(verdict)))

@@ -58,10 +58,6 @@ class Digest:
     def hex(self) -> str:
         return self.data.hex()
 
-    @classmethod
-    def from_hex(cls, text: str) -> "Digest":
-        return cls(bytes.fromhex(text))
-
     def __repr__(self) -> str:  # keep test failures readable
         return f"Digest({self.data.hex()[:12]}..)"
 
@@ -222,16 +218,9 @@ class CertChain:
 
     certs: Tuple[Certificate, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.certs)
-
     @property
     def leaf(self) -> Certificate:
         return self.certs[0]
-
-    @property
-    def root(self) -> Certificate:
-        return self.certs[-1]
 
 
 class ChainStatus(Enum):

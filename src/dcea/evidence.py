@@ -3,9 +3,12 @@ and the register-consistency check between the two attestation views.
 
 Wire format (``*.dcea.json``): one canonical JSON object, keys sorted
 alphabetically at every level, byte fields hex-encoded, no whitespace.
-``format_version`` gates future schema changes. The full field-by-field
-layout is documented in the README and mirrored by the codec functions
-here; ``serialize(deserialize(x)) == x`` for every well-formed input.
+``format_version`` gates future schema changes. Each wire type is one
+table of field codecs below (``record`` and its combinators), which
+defines both directions, so encoder and decoder cannot drift apart; the
+README documents the same layout. A decoded object may carry no key
+outside its table. ``serialize(deserialize(x)) == x`` for every
+well-formed input.
 
 report_data layout (64 bytes):
 
@@ -22,7 +25,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from enum import Enum
+from operator import attrgetter
+from typing import (
+    Callable, ClassVar, Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple, Type,
+)
 
 from . import crypto
 from .crypto import CertChain, Certificate, Digest
@@ -84,6 +91,8 @@ class EvidenceBundle:
     timing: Timing
     scenario_meta: Mapping[str, str] = field(default_factory=dict)
 
+    format_version: ClassVar[int] = FORMAT_VERSION  # the wire generation it encodes as
+
 
 def build_bundle(
     td_report: Optional[TdReport],
@@ -124,272 +133,301 @@ def build_bundle(
 
 
 # ---------------------------------------------------------------------------
-# JSON codec
+# JSON codec: one table of field codecs per wire type
 # ---------------------------------------------------------------------------
 
-def cert_to_obj(cert: Certificate) -> dict:
-    return {
-        "subject_public": cert.subject_public.hex(),
-        "issuer_id": cert.issuer_id,
-        "claims": dict(cert.claims),
-        "signature": cert.signature.hex(),
-    }
+class Codec(NamedTuple):
+    """A wire form: ``encode`` maps a value to JSON and ``decode(obj, path)``
+    maps JSON back, raising ParseError that names where ``obj`` sits. A path
+    is ``"$"`` or a ``(parent path, key or index)`` pair, rendered only for
+    an error."""
+
+    encode: Callable
+    decode: Callable
+    optional: bool = False  # a record may omit the key, which reads as None
 
 
-def _chain_obj(chain: CertChain) -> list:
-    return [cert_to_obj(c) for c in chain.certs]
+def _json_path(path) -> str:
+    if isinstance(path, str):
+        return path
+    parent, key = path
+    return f"{_json_path(parent)}[{key}]" if isinstance(key, int) else f"{_json_path(parent)}.{key}"
 
 
-def _entry_obj(entry: EventLogEntry) -> dict:
-    return {
-        "scope": entry.scope.value,
-        "pcr_index": entry.pcr_index,
-        "rtmr_index": entry.rtmr_index,
-        "event_digest": entry.event_digest.hex(),
-        "description": entry.description,
-    }
+def _fail(path, why) -> NoReturn:
+    raise ParseError(f"{_json_path(path)}: {why}")
 
 
-def _report_obj(report: TdReport) -> dict:
-    return {
-        "mrtd": report.mrtd.hex(),
-        "rtmrs": [r.hex() for r in report.rtmrs],
-        "mrconfigid": report.mrconfigid.hex(),
-        "mrowner": report.mrowner.hex(),
-        "mrownerconfig": report.mrownerconfig.hex(),
-        "report_data": report.report_data.hex(),
-        "tee_tcb_svn": report.tee_tcb_svn.hex(),
-        "mrseam": report.mrseam.hex(),
-        "seam_attributes": report.seam_attributes.hex(),
-        "td_attributes": report.td_attributes.hex(),
-        "ppid": report.ppid,
-        "qe_signature": report.qe_signature.hex(),
-        "qe_chain": _chain_obj(report.qe_chain),
-    }
+def _same(value):
+    return value
 
 
-def _quote_obj(quote: TpmQuote) -> dict:
-    return {
-        "selection": list(quote.selection),
-        "values": [[idx, value.hex()] for idx, value in quote.values],
-        "nonce": quote.nonce.hex(),
-        "ak_public": quote.ak_public.hex(),
-        "signature": quote.signature.hex(),
-        "algorithm": quote.algorithm,
-    }
+def scalar(
+    kind: type, name: str, load: Optional[Callable] = None, encode: Callable = _same
+) -> Codec:
+    """A JSON string, number or boolean of Python type ``kind``, passed
+    through ``load(value, path)`` when given."""
+    # JSON true/false decode as bool, a subclass of int: only a bool field
+    # takes them
+    takes_bool = kind is bool
+
+    def decode(obj, path):
+        if not isinstance(obj, kind) or ((obj is True or obj is False) and not takes_bool):
+            _fail(path, f"expected {name}")
+        return obj if load is None else load(obj, path)
+
+    return Codec(encode, decode)
+
+
+def _finite(number, path) -> float:
+    try:
+        if math.isfinite(number):
+            return float(number)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    _fail(path, "expected a finite number")
+
+
+STRING = scalar(str, "string")
+INTEGER = scalar(int, "integer")
+BOOLEAN = scalar(bool, "boolean")
+NUMBER = scalar((int, float), "number", _finite)
+
+
+def hex_bytes(width: Optional[int] = None) -> Codec:
+    """Bytes as hex text; exactly ``width`` of them when given."""
+
+    def load(text, path):
+        try:
+            raw = bytes.fromhex(text)
+        except ValueError:
+            _fail(path, "invalid hex")
+        if width is not None and len(raw) != width:
+            _fail(path, f"expected {width} bytes, got {len(raw)}")
+        return raw
+
+    return scalar(str, "hex string", load, bytes.hex)
+
+
+def enum_of(cls: Type[Enum], what: str) -> Codec:
+    """An Enum member as its string value."""
+
+    def load(text, path):
+        try:
+            return cls(text)
+        except ValueError:
+            _fail(path, f"unknown {what} {text!r}")
+
+    return scalar(str, "string", load, attrgetter("value"))
+
+
+def checked(codec: Codec, ok: Callable, why: Callable) -> Codec:
+    """``codec`` for the decoded values ``ok`` accepts; ``why(value)`` says
+    what is wrong with any other."""
+
+    def decode(obj, path):
+        value = codec.decode(obj, path)
+        if not ok(value):
+            _fail(path, why(value))
+        return value
+
+    return codec._replace(decode=decode)
+
+
+def exactly(codec: Codec, want, what: str) -> Codec:
+    """``codec`` for the one value ``want``."""
+    return checked(codec, lambda value: value == want, lambda v: f"unsupported {what} {v!r}")
+
+
+def wrap(codec: Codec, build: Callable, unwrap: Callable) -> Codec:
+    """``codec``'s wire form for what ``build`` makes of its decoded value."""
+    return Codec(lambda v: codec.encode(unwrap(v)), lambda o, path: build(codec.decode(o, path)))
+
+
+def optional(codec: Codec) -> Codec:
+    """``codec`` or null, which reads as None."""
+    encode = codec.encode
+    return Codec(
+        encode if encode is _same else lambda value: None if value is None else encode(value),
+        lambda obj, path: None if obj is None else codec.decode(obj, path),
+        optional=True,
+    )
+
+
+def list_of(item: Codec) -> Codec:
+    """A JSON array of ``item``, read as a tuple."""
+
+    def decode(obj, path):
+        if not isinstance(obj, list):
+            _fail(path, "expected array")
+        return tuple([item.decode(x, (path, i)) for i, x in enumerate(obj)])
+
+    encode = item.encode
+    return Codec(list if encode is _same else lambda values: [encode(v) for v in values], decode)
+
+
+def pair_of(first: Codec, second: Codec) -> Codec:
+    """A two-item JSON array, read as a 2-tuple."""
+
+    def decode(obj, path):
+        if not (isinstance(obj, list) and len(obj) == 2):
+            _fail(path, "expected a two-item array")
+        return first.decode(obj[0], (path, 0)), second.decode(obj[1], (path, 1))
+
+    return Codec(lambda pair: [first.encode(pair[0]), second.encode(pair[1])], decode)
+
+
+def map_of(key: Codec, value: Codec) -> Codec:
+    """A JSON object with any keys, read as a dict; ``key`` is the codec
+    between a dict key and its JSON string."""
+
+    def decode(obj, path):
+        if not isinstance(obj, dict):
+            _fail(path, "expected object")
+        return {key.decode(k, (path, k)): value.decode(v, (path, k)) for k, v in obj.items()}
+
+    return Codec(lambda m: {key.encode(k): value.encode(v) for k, v in m.items()}, decode)
+
+
+def _string_map(obj, path) -> dict:
+    if not isinstance(obj, dict):
+        _fail(path, "expected object")
+    if not all(isinstance(k, str) and isinstance(v, str) for k, v in obj.items()):
+        _fail(path, "must map strings to strings")
+    return dict(obj)
+
+
+STRING_MAP = Codec(dict, _string_map)
+
+
+def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
+    """A JSON object with exactly the keys of ``fields``: written from the
+    value's attributes of those names, read as ``make(**values)``. An
+    InvalidEntry or ValueError from ``make`` fails at the object's path."""
+    names = frozenset(fields)
+    required = frozenset(name for name, codec in fields.items() if not codec.optional)
+    decoders = tuple((name, codec.decode) for name, codec in fields.items())
+    encoders = tuple((name, codec.encode) for name, codec in fields.items())
+
+    def decode(obj, path):
+        if not isinstance(obj, dict):
+            _fail(path, "expected object")
+        if obj.keys() != names:
+            if not obj.keys() <= names:
+                _fail(path, f"unknown field {min(obj.keys() - names)!r}")
+            if not required <= obj.keys():
+                _fail(path, f"missing field {min(required - obj.keys())!r}")
+        values = {name: dec(obj.get(name), (path, name)) for name, dec in decoders}
+        try:
+            return make(**values)
+        except (InvalidEntry, ValueError) as exc:
+            _fail(path, exc)
+
+    def encode(value):
+        # a field whose wire form is its value skips the call
+        return {
+            name: getattr(value, name) if enc is _same else enc(getattr(value, name))
+            for name, enc in encoders
+        }
+
+    return Codec(encode, decode)
+
+
+# -- the bundle's wire types; the README documents the same layout ----------
+
+DIGEST = wrap(hex_bytes(crypto.DIGEST_LEN), Digest, attrgetter("data"))
+NONCE = hex_bytes(NONCE_LEN)
+
+CERT = record(Certificate, {
+    "subject_public": hex_bytes(),
+    "issuer_id": STRING,
+    "claims": wrap(STRING_MAP, lambda claims: tuple(sorted(claims.items())), dict),
+    "signature": hex_bytes(),
+})
+
+_CHAIN = wrap(list_of(CERT), CertChain, attrgetter("certs"))
+
+
+def _pcr_index(index, path) -> int:
+    if not 0 <= index < N_PCRS:
+        _fail(path, f"pcr index {index} out of range")
+    return index
+
+
+_PCR_INDEX = scalar(int, "integer", _pcr_index)
+
+
+def _quote(selection, values, **rest) -> TpmQuote:
+    if selection != tuple(index for index, _ in values):
+        raise ValueError("selection must list exactly the indices of values")
+    return TpmQuote(selection=selection, values=values, **rest)
+
+
+def _bundle(format_version: int, **parts) -> EvidenceBundle:
+    return EvidenceBundle(**parts)  # the version is checked by its codec
+
+
+_BUNDLE = record(_bundle, {
+    "format_version": exactly(INTEGER, FORMAT_VERSION, "version"),
+    "td_report": record(TdReport, {
+        "mrtd": DIGEST,
+        "rtmrs": checked(
+            list_of(DIGEST), lambda rtmrs: len(rtmrs) == N_RTMRS,
+            lambda rtmrs: f"expected {N_RTMRS} registers, got {len(rtmrs)}",
+        ),
+        "mrconfigid": hex_bytes(48),
+        "mrowner": hex_bytes(48),
+        "mrownerconfig": hex_bytes(48),
+        "report_data": hex_bytes(REPORT_DATA_LEN),
+        "tee_tcb_svn": hex_bytes(),
+        "mrseam": hex_bytes(),
+        "seam_attributes": hex_bytes(),
+        "td_attributes": hex_bytes(),
+        "ppid": STRING,
+        "qe_signature": hex_bytes(),
+        "qe_chain": _CHAIN,
+    }),
+    "tpm_quote": record(_quote, {
+        "selection": list_of(_PCR_INDEX),
+        "values": list_of(pair_of(_PCR_INDEX, DIGEST)),
+        "nonce": NONCE,
+        "ak_public": hex_bytes(),
+        "signature": hex_bytes(),
+        "algorithm": exactly(STRING, crypto.SIGNATURE_ALGORITHM, "algorithm"),
+    }),
+    "ek_cert_chain": _CHAIN,
+    "ak_cert": optional(CERT),
+    "event_log": list_of(record(EventLogEntry, {
+        "scope": enum_of(Scope, "scope"),
+        "pcr_index": optional(INTEGER),
+        "rtmr_index": optional(INTEGER),
+        "event_digest": DIGEST,
+        "description": STRING,
+    })),
+    "nonces": record(Nonces, {
+        "td_nonce": NONCE,
+        "tpm_nonce": NONCE,
+    }),
+    "timing": record(Timing, {
+        "challenge_sent": NUMBER,
+        "td_received": NUMBER,
+        "quote_received": NUMBER,
+    }),
+    "scenario_meta": STRING_MAP,
+})
 
 
 def bundle_to_obj(bundle: EvidenceBundle) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "td_report": _report_obj(bundle.td_report),
-        "tpm_quote": _quote_obj(bundle.tpm_quote),
-        "ek_cert_chain": _chain_obj(bundle.ek_cert_chain),
-        "ak_cert": cert_to_obj(bundle.ak_cert) if bundle.ak_cert else None,
-        "event_log": [_entry_obj(e) for e in bundle.event_log],
-        "nonces": {
-            "td_nonce": bundle.nonces.td_nonce.hex(),
-            "tpm_nonce": bundle.nonces.tpm_nonce.hex(),
-        },
-        "timing": {
-            "challenge_sent": bundle.timing.challenge_sent,
-            "td_received": bundle.timing.td_received,
-            "quote_received": bundle.timing.quote_received,
-        },
-        "scenario_meta": dict(bundle.scenario_meta),
-    }
+    return _BUNDLE.encode(bundle)
+
+
+def obj_to_bundle(obj) -> EvidenceBundle:
+    return _BUNDLE.decode(obj, "$")
 
 
 def serialize(bundle: EvidenceBundle) -> bytes:
     """Canonical bytes: sorted keys, compact separators, UTF-8."""
     return json.dumps(bundle_to_obj(bundle), sort_keys=True, separators=(",", ":")).encode()
-
-
-# the JSON type each Python type check in Reader.get stands for
-_JSON_TYPES = {
-    str: "string", (int, float): "number", int: "integer",
-    dict: "object", list: "array", bool: "boolean",
-}
-
-
-class Reader:
-    """Schema walker that turns any shape violation into ParseError."""
-
-    def __init__(self, root):
-        self.root = root
-
-    @staticmethod
-    def fail(path: str, why: str):
-        raise ParseError(f"{path}: {why}")
-
-    def get(self, obj, path, key, kind=None, optional=False):
-        if not isinstance(obj, dict):
-            self.fail(path, "expected object")
-        if key not in obj:
-            if optional:
-                return None
-            self.fail(path, f"missing field {key!r}")
-        value = obj[key]
-        if value is None and optional:
-            return None
-        # JSON true/false decode as bool, a subclass of int: only a bool
-        # field takes them
-        if kind is not None and (
-            not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
-        ):
-            self.fail(f"{path}.{key}", f"expected {_JSON_TYPES[kind]}")
-        return value
-
-    def number(self, obj, path, key) -> float:
-        """A finite number field as a float; NaN and infinities fail."""
-        try:
-            value = float(self.get(obj, path, key, (int, float)))
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            self.fail(f"{path}.{key}", "expected a finite number")
-        return value
-
-    @staticmethod
-    def bytes_field(text, path, width=None):
-        if not isinstance(text, str):
-            Reader.fail(path, "expected hex string")
-        try:
-            raw = bytes.fromhex(text)
-        except ValueError:
-            Reader.fail(path, "invalid hex")
-        if width is not None and len(raw) != width:
-            Reader.fail(path, f"expected {width} bytes, got {len(raw)}")
-        return raw
-
-    @classmethod
-    def digest_field(cls, text, path) -> Digest:
-        return Digest(cls.bytes_field(text, path, crypto.DIGEST_LEN))
-
-
-def parse_cert(obj, path, r: Reader) -> Certificate:
-    claims = r.get(obj, path, "claims", dict)
-    if not all(isinstance(k, str) and isinstance(v, str) for k, v in claims.items()):
-        r.fail(f"{path}.claims", "claims must map strings to strings")
-    return Certificate(
-        subject_public=r.bytes_field(r.get(obj, path, "subject_public"), f"{path}.subject_public"),
-        issuer_id=r.get(obj, path, "issuer_id", str),
-        claims=tuple(sorted(claims.items())),
-        signature=r.bytes_field(r.get(obj, path, "signature"), f"{path}.signature"),
-    )
-
-
-def _parse_chain(items, path, r: Reader) -> CertChain:
-    if not isinstance(items, list):
-        r.fail(path, "expected list of certificates")
-    return CertChain(tuple(parse_cert(c, f"{path}[{i}]", r) for i, c in enumerate(items)))
-
-
-def _parse_entry(obj, path, r: Reader) -> EventLogEntry:
-    scope_text = r.get(obj, path, "scope", str)
-    try:
-        scope = Scope(scope_text)
-    except ValueError:
-        r.fail(f"{path}.scope", f"unknown scope {scope_text!r}")
-    pcr = r.get(obj, path, "pcr_index", int, optional=True)
-    rtmr = r.get(obj, path, "rtmr_index", int, optional=True)
-    try:
-        return EventLogEntry(
-            pcr_index=pcr,
-            event_digest=r.digest_field(r.get(obj, path, "event_digest"), f"{path}.event_digest"),
-            description=r.get(obj, path, "description", str),
-            scope=scope,
-            rtmr_index=rtmr,
-        )
-    except InvalidEntry as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _parse_report(obj, path, r: Reader) -> TdReport:
-    rtmrs = r.get(obj, path, "rtmrs", list)
-    if len(rtmrs) != N_RTMRS:
-        r.fail(f"{path}.rtmrs", f"expected {N_RTMRS} registers")
-    return TdReport(
-        mrtd=r.digest_field(r.get(obj, path, "mrtd"), f"{path}.mrtd"),
-        rtmrs=tuple(r.digest_field(t, f"{path}.rtmrs[{i}]") for i, t in enumerate(rtmrs)),
-        mrconfigid=r.bytes_field(r.get(obj, path, "mrconfigid"), f"{path}.mrconfigid", 48),
-        mrowner=r.bytes_field(r.get(obj, path, "mrowner"), f"{path}.mrowner", 48),
-        mrownerconfig=r.bytes_field(
-            r.get(obj, path, "mrownerconfig"), f"{path}.mrownerconfig", 48
-        ),
-        report_data=r.bytes_field(
-            r.get(obj, path, "report_data"), f"{path}.report_data", REPORT_DATA_LEN
-        ),
-        tee_tcb_svn=r.bytes_field(r.get(obj, path, "tee_tcb_svn"), f"{path}.tee_tcb_svn"),
-        mrseam=r.bytes_field(r.get(obj, path, "mrseam"), f"{path}.mrseam"),
-        seam_attributes=r.bytes_field(
-            r.get(obj, path, "seam_attributes"), f"{path}.seam_attributes"
-        ),
-        td_attributes=r.bytes_field(r.get(obj, path, "td_attributes"), f"{path}.td_attributes"),
-        ppid=r.get(obj, path, "ppid", str),
-        qe_signature=r.bytes_field(r.get(obj, path, "qe_signature"), f"{path}.qe_signature"),
-        qe_chain=_parse_chain(r.get(obj, path, "qe_chain"), f"{path}.qe_chain", r),
-    )
-
-
-def _parse_quote(obj, path, r: Reader) -> TpmQuote:
-    selection = r.get(obj, path, "selection", list)
-    values = r.get(obj, path, "values", list)
-    parsed_values = []
-    for i, pair in enumerate(values):
-        if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int):
-            r.fail(f"{path}.values[{i}]", "expected [index, hex] pair")
-        if not 0 <= pair[0] < N_PCRS:
-            r.fail(f"{path}.values[{i}]", f"pcr index {pair[0]} out of range")
-        parsed_values.append((pair[0], r.digest_field(pair[1], f"{path}.values[{i}]")))
-    if not all(type(s) is int and 0 <= s < N_PCRS for s in selection):
-        r.fail(f"{path}.selection", "selection must hold pcr indices")
-    return TpmQuote(
-        selection=tuple(selection),
-        values=tuple(parsed_values),
-        nonce=r.bytes_field(r.get(obj, path, "nonce"), f"{path}.nonce", NONCE_LEN),
-        ak_public=r.bytes_field(r.get(obj, path, "ak_public"), f"{path}.ak_public"),
-        signature=r.bytes_field(r.get(obj, path, "signature"), f"{path}.signature"),
-        algorithm=r.get(obj, path, "algorithm", str),
-    )
-
-
-def obj_to_bundle(obj) -> EvidenceBundle:
-    r = Reader(obj)
-    version = r.get(obj, "$", "format_version", int)
-    if version != FORMAT_VERSION:
-        r.fail("$.format_version", f"unsupported version {version}")
-    nonces_obj = r.get(obj, "$", "nonces", dict)
-    timing_obj = r.get(obj, "$", "timing", dict)
-    meta = r.get(obj, "$", "scenario_meta", dict)
-    if not all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items()):
-        r.fail("$.scenario_meta", "must map strings to strings")
-    entries = r.get(obj, "$", "event_log", list)
-    ak_obj = r.get(obj, "$", "ak_cert", dict, optional=True)
-
-    return EvidenceBundle(
-        td_report=_parse_report(r.get(obj, "$", "td_report", dict), "$.td_report", r),
-        tpm_quote=_parse_quote(r.get(obj, "$", "tpm_quote", dict), "$.tpm_quote", r),
-        ek_cert_chain=_parse_chain(r.get(obj, "$", "ek_cert_chain"), "$.ek_cert_chain", r),
-        ak_cert=parse_cert(ak_obj, "$.ak_cert", r) if ak_obj is not None else None,
-        event_log=tuple(
-            _parse_entry(e, f"$.event_log[{i}]", r) for i, e in enumerate(entries)
-        ),
-        nonces=Nonces(
-            td_nonce=r.bytes_field(
-                r.get(nonces_obj, "$.nonces", "td_nonce"), "$.nonces.td_nonce", NONCE_LEN
-            ),
-            tpm_nonce=r.bytes_field(
-                r.get(nonces_obj, "$.nonces", "tpm_nonce"), "$.nonces.tpm_nonce", NONCE_LEN
-            ),
-        ),
-        timing=Timing(
-            challenge_sent=r.number(timing_obj, "$.timing", "challenge_sent"),
-            td_received=r.number(timing_obj, "$.timing", "td_received"),
-            quote_received=r.number(timing_obj, "$.timing", "quote_received"),
-        ),
-        scenario_meta=dict(meta),
-    )
 
 
 def deserialize(data: bytes) -> EvidenceBundle:
@@ -401,8 +439,6 @@ def deserialize(data: bytes) -> EvidenceBundle:
         raise ParseError(f"not valid JSON: {exc.msg}", offset=exc.pos) from exc
     except UnicodeDecodeError as exc:
         raise ParseError("not valid UTF-8", offset=exc.start) from exc
-    if not isinstance(obj, dict):
-        raise ParseError("top level must be an object")
     return obj_to_bundle(obj)
 
 

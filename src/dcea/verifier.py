@@ -38,7 +38,23 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tupl
 from . import crypto, evidence, td, tpm
 from .crypto import CertChain, Certificate, Digest
 from .errors import DceaError
-from .evidence import EvidenceBundle, Reader, cert_to_obj, parse_cert
+from .evidence import (
+    BOOLEAN,
+    CERT,
+    DIGEST,
+    NONCE,
+    NUMBER,
+    STRING,
+    EvidenceBundle,
+    checked,
+    enum_of,
+    hex_bytes,
+    list_of,
+    map_of,
+    optional,
+    record,
+    wrap,
+)
 from .tpm import TpmKind
 
 CHECK_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
@@ -68,14 +84,6 @@ CHECK_ATTACKS: Mapping[str, Tuple[str, ...]] = {
 }
 
 GOALS = ("AB", "F", "MC", "CV", "PO")
-
-GOAL_NAMES: Mapping[str, str] = {
-    "AB": "attestation binding",
-    "F": "freshness",
-    "MC": "measurement correctness",
-    "CV": "composite validity",
-    "PO": "platform origin",
-}
 
 # Which security goals each attack class undermines when it succeeds.
 ATTACK_GOALS: Mapping[str, FrozenSet[str]] = {
@@ -456,114 +464,62 @@ class Verifier:
 # JSON codecs for policies, challenges, and registries (CLI files)
 # ---------------------------------------------------------------------------
 
+# a PCR index as the key of a JSON object: decimal digits
+_PCR_KEY = wrap(
+    checked(
+        STRING, lambda key: key.isascii() and key.isdigit(), lambda key: f"bad pcr index {key!r}"
+    ),
+    int,
+    str,
+)
+
+POLICY = record(VerifierPolicy, {
+    "trusted_tee_roots": list_of(CERT),
+    "trusted_provider_roots": list_of(CERT),
+    "expected_pcr17_18": optional(map_of(_PCR_KEY, DIGEST)),
+    "rtt_threshold_ms": NUMBER,
+    "require_ak_registry_uniqueness": BOOLEAN,
+    "binding_channel": enum_of(BindingChannel, "channel"),
+    "provider_allowlist": list_of(STRING),
+})
+
+CHALLENGE = record(Challenge, {
+    "td_nonce": NONCE,
+    "tpm_nonce": NONCE,
+    "issued_at": NUMBER,
+})
+
+_REGISTRY_ENTRY = record(RegistryEntry, {
+    "platform_id": STRING,
+    "issuer": STRING,
+    "registered_at": NUMBER,
+})
+
+REGISTRY = record(AkRegistry, {
+    "entries": map_of(hex_bytes(), _REGISTRY_ENTRY),
+    "conflicts": map_of(hex_bytes(), list_of(_REGISTRY_ENTRY)),
+})
+
+
 def policy_to_obj(policy: VerifierPolicy) -> dict:
-    expected = None
-    if policy.expected_pcr17_18 is not None:
-        expected = {str(i): d.hex() for i, d in sorted(policy.expected_pcr17_18.items())}
-    return {
-        "trusted_tee_roots": [cert_to_obj(c) for c in policy.trusted_tee_roots],
-        "trusted_provider_roots": [cert_to_obj(c) for c in policy.trusted_provider_roots],
-        "expected_pcr17_18": expected,
-        "rtt_threshold_ms": policy.rtt_threshold_ms,
-        "require_ak_registry_uniqueness": policy.require_ak_registry_uniqueness,
-        "binding_channel": policy.binding_channel.value,
-        "provider_allowlist": list(policy.provider_allowlist),
-    }
+    return POLICY.encode(policy)
 
 
 def obj_to_policy(obj) -> VerifierPolicy:
-    r = Reader(obj)
-    tee = r.get(obj, "$", "trusted_tee_roots", list)
-    provider = r.get(obj, "$", "trusted_provider_roots", list)
-    expected_obj = r.get(obj, "$", "expected_pcr17_18", dict, optional=True)
-    expected = None
-    if expected_obj is not None:
-        expected = {}
-        for key, text in expected_obj.items():
-            if not (isinstance(key, str) and key.isdigit()):
-                r.fail("$.expected_pcr17_18", f"bad pcr index {key!r}")
-            expected[int(key)] = r.digest_field(text, f"$.expected_pcr17_18.{key}")
-    channel_text = r.get(obj, "$", "binding_channel", str)
-    try:
-        channel = BindingChannel(channel_text)
-    except ValueError:
-        r.fail("$.binding_channel", f"unknown channel {channel_text!r}")
-    allowlist = r.get(obj, "$", "provider_allowlist", list)
-    if not all(isinstance(p, str) for p in allowlist):
-        r.fail("$.provider_allowlist", "must be a list of provider names")
-    return VerifierPolicy(
-        trusted_tee_roots=tuple(
-            parse_cert(c, f"$.trusted_tee_roots[{i}]", r) for i, c in enumerate(tee)
-        ),
-        trusted_provider_roots=tuple(
-            parse_cert(c, f"$.trusted_provider_roots[{i}]", r) for i, c in enumerate(provider)
-        ),
-        expected_pcr17_18=expected,
-        rtt_threshold_ms=r.number(obj, "$", "rtt_threshold_ms"),
-        require_ak_registry_uniqueness=bool(
-            r.get(obj, "$", "require_ak_registry_uniqueness", bool)
-        ),
-        binding_channel=channel,
-        provider_allowlist=tuple(allowlist),
-    )
+    return POLICY.decode(obj, "$")
 
 
 def challenge_to_obj(challenge: Challenge) -> dict:
-    return {
-        "td_nonce": challenge.td_nonce.hex(),
-        "tpm_nonce": challenge.tpm_nonce.hex(),
-        "issued_at": challenge.issued_at,
-    }
+    return CHALLENGE.encode(challenge)
 
 
 def obj_to_challenge(obj) -> Challenge:
-    r = Reader(obj)
-    return Challenge(
-        td_nonce=r.bytes_field(r.get(obj, "$", "td_nonce"), "$.td_nonce", evidence.NONCE_LEN),
-        tpm_nonce=r.bytes_field(r.get(obj, "$", "tpm_nonce"), "$.tpm_nonce", evidence.NONCE_LEN),
-        issued_at=r.number(obj, "$", "issued_at"),
-    )
-
-
-def _entry_to_obj(entry: RegistryEntry) -> dict:
-    return {
-        "platform_id": entry.platform_id,
-        "issuer": entry.issuer,
-        "registered_at": entry.registered_at,
-    }
-
-
-def _obj_to_entry(obj, path, r: Reader) -> RegistryEntry:
-    return RegistryEntry(
-        platform_id=r.get(obj, path, "platform_id", str),
-        issuer=r.get(obj, path, "issuer", str),
-        registered_at=r.number(obj, path, "registered_at"),
-    )
+    return CHALLENGE.decode(obj, "$")
 
 
 def registry_to_obj(registry: AkRegistry) -> dict:
-    return {
-        "entries": {ak.hex(): _entry_to_obj(e) for ak, e in sorted(registry.entries.items())},
-        "conflicts": {
-            ak.hex(): [_entry_to_obj(e) for e in entries]
-            for ak, entries in sorted(registry.conflicts.items())
-        },
-    }
+    return REGISTRY.encode(registry)
 
 
 def obj_to_registry(obj) -> AkRegistry:
-    r = Reader(obj)
-    entries_obj = r.get(obj, "$", "entries", dict)
-    conflicts_obj = r.get(obj, "$", "conflicts", dict)
-    registry = AkRegistry()
-    for ak_hex, entry in entries_obj.items():
-        ak = r.bytes_field(ak_hex, "$.entries key")
-        registry.entries[ak] = _obj_to_entry(entry, f"$.entries.{ak_hex}", r)
-    for ak_hex, items in conflicts_obj.items():
-        ak = r.bytes_field(ak_hex, "$.conflicts key")
-        if not isinstance(items, list):
-            r.fail(f"$.conflicts.{ak_hex}", "expected list")
-        registry.conflicts[ak] = tuple(
-            _obj_to_entry(e, f"$.conflicts.{ak_hex}[{i}]", r) for i, e in enumerate(items)
-        )
-    return registry
+    return REGISTRY.decode(obj, "$")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,75 @@ def test_verify_garbage_bundle_is_usage_error(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "verify", str(bundle), "--policy", str(policy))
     assert rc == 2
     assert "offset" in err or "JSON" in err
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _json_path(path):
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
+@pytest.mark.parametrize(
+    "pair, document, path",
+    [
+        ("honest_s1", "dcea", ()),
+        ("honest_s1", "dcea", ("td_report",)),
+        ("honest_s1", "dcea", ("td_report", "qe_chain", 1)),
+        ("honest_s1", "dcea", ("tpm_quote",)),
+        ("honest_s1", "dcea", ("ek_cert_chain", 0)),
+        ("honest_s1", "dcea", ("ak_cert",)),
+        ("honest_s1", "dcea", ("event_log", 0)),
+        ("honest_s1", "dcea", ("nonces",)),
+        ("honest_s1", "dcea", ("timing",)),
+        ("honest_s1", "policy", ()),
+        ("honest_s1", "policy", ("policy",)),
+        ("honest_s1", "policy", ("policy", "trusted_tee_roots", 0)),
+        ("honest_s1", "policy", ("challenge",)),
+        ("a5_ak_clone", "policy", ("registry",)),
+        ("a5_ak_clone", "policy", ("registry", "entries", "<first>")),
+        ("a5_ak_clone", "policy", ("registry", "conflicts", "<first>", 0)),
+    ],
+)
+def test_verify_rejects_unknown_fields(tmp_path, capsys, pair, document, path):
+    files = {kind: FIXTURES / f"{pair}.{kind}.json" for kind in ("dcea", "policy")}
+    obj = json.loads(files[document].read_text())
+    target, at = obj, []
+    for key in path:
+        key = next(iter(target)) if key == "<first>" else key
+        target = target[key]
+        at.append(key)
+    target["extra"] = 1
+    files[document] = tmp_path / files[document].name
+    files[document].write_text(json.dumps(obj))
+    rc, _, err = run_cli(capsys, "verify", str(files["dcea"]), "--policy", str(files["policy"]))
+    assert rc == cli.EXIT_USAGE
+    assert f"{_json_path(at)}: unknown field 'extra'" in err
+
+
+def test_string_maps_take_any_key(tmp_path, capsys):
+    obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
+    obj["scenario_meta"]["extra"] = "1"
+    bundle = tmp_path / "meta.dcea.json"
+    bundle.write_text(json.dumps(obj))
+    policy = str(FIXTURES / "honest_s1.policy.json")
+    rc, _, _ = run_cli(capsys, "verify", str(bundle), "--policy", policy)
+    assert rc == cli.EXIT_OK
+    obj["ek_cert_chain"][0]["claims"]["extra"] = "1"
+    bundle.write_text(json.dumps(obj))
+    rc, out, _ = run_cli(capsys, "verify", str(bundle), "--policy", policy)
+    assert rc == cli.EXIT_CONTRARY  # decoded; the altered claims break the signature
+    assert json.loads(out)["failed_checks"] == ["C2"]
+
+
+def test_verify_golden_pairs(capsys):
+    for pair, want in (("honest_s1", 0), ("honest_s2", 0), ("a5_ak_clone", 1)):
+        rc, out, _ = run_cli(
+            capsys, "verify", str(FIXTURES / f"{pair}.dcea.json"),
+            "--policy", str(FIXTURES / f"{pair}.policy.json"),
+        )
+        assert rc == want
+        assert json.loads(out)["failed_checks"] == ([] if want == 0 else ["C8"])
 
 
 def test_list_scenarios(capsys):

@@ -183,6 +183,26 @@ def test_event_log_parse_error_names_the_path_once(changes, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"selection": [0]}, "$.tpm_quote: selection must list exactly the indices of values"),
+        (
+            {"selection": list(range(16)) + [17, 18, 23]},
+            "$.tpm_quote: selection must list exactly the indices of values",
+        ),
+        ({"algorithm": "rsa"}, "$.tpm_quote.algorithm: unsupported algorithm 'rsa'"),
+    ],
+)
+def test_quote_decoder_rejects_a_selection_or_algorithm_it_cannot_vouch_for(changes, message):
+    obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
+    evidence.obj_to_bundle(obj)
+    obj["tpm_quote"].update(changes)
+    with pytest.raises(ParseError) as exc:
+        evidence.obj_to_bundle(obj)
+    assert str(exc.value) == message
+
+
 def test_build_bundle_missing_mandatory():
     bundle = honest_bundle()
     with pytest.raises(IncompleteBundle):

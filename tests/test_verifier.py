@@ -293,6 +293,36 @@ def test_policy_roundtrip():
     assert back == policy
 
 
+def test_policy_roundtrip_without_anchors_allowlist_or_mrconfigid_binding():
+    policy = replace(
+        honest_policy(),
+        expected_pcr17_18=None,
+        provider_allowlist=(),
+        binding_channel=verifier.BindingChannel.REPORT_DATA,
+        require_ak_registry_uniqueness=True,
+    )
+    obj = verifier.policy_to_obj(policy)
+    assert obj["expected_pcr17_18"] is None and obj["provider_allowlist"] == []
+    assert verifier.obj_to_policy(obj) == policy
+
+
+def test_challenge_roundtrip():
+    challenge = verifier.Challenge(td_nonce=TD_NONCE, tpm_nonce=TPM_NONCE, issued_at=12.5)
+    assert verifier.obj_to_challenge(verifier.challenge_to_obj(challenge)) == challenge
+
+
+def test_registry_roundtrip_keeps_conflicts():
+    registry = verifier.AkRegistry()
+    first = verifier.RegistryEntry("plat-A", issuer="ca-1", registered_at=1.0)
+    verifier.registry_register(registry, b"\x01" * 32, first)
+    verifier.registry_register(registry, b"\x02" * 32, verifier.RegistryEntry("plat-B"))
+    clone = verifier.RegistryEntry("plat-C", issuer="ca-2", registered_at=2.5)
+    assert verifier.registry_register(registry, b"\x01" * 32, clone).status == "duplicate"
+    assert registry.conflicts == {b"\x01" * 32: (clone,)}
+    back = verifier.obj_to_registry(verifier.registry_to_obj(registry))
+    assert back == registry
+
+
 # -- the verified-link memo of a long-lived Verifier --------------------------
 
 ALL_CHECKS = frozenset(verifier.CHECK_IDS)
