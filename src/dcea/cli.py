@@ -44,8 +44,8 @@ from .verifier import (
     POLICY,
     REGISTRY,
     AkRegistry,
+    Verifier,
     registry_register,
-    verify_bundle,
 )
 
 EXIT_OK = 0
@@ -169,7 +169,11 @@ def cmd_verify(args) -> int:
     with open(args.bundle, "rb") as fh:
         bundle = evidence.deserialize(fh.read())
     ctx = _load_context(args.policy)
-    verdict = verify_bundle(bundle, ctx.policy, ctx.challenge, registry=ctx.registry)
+    verifier = Verifier(ctx.policy)
+    if ctx.registry is not None:
+        verifier.registry = ctx.registry
+    verifier.adopt_challenge(ctx.challenge)
+    verdict = verifier.verify(bundle, ctx.challenge)
     if args.format == "md":
         print(f"# {args.bundle}")
         print("\n".join(_verdict_md(verdict)))

@@ -267,7 +267,7 @@ Link = Tuple[Certificate, bytes]
 def verify_chain(
     chain: CertChain,
     trusted_roots: Iterable[Certificate],
-    known_links: Optional[Set[Link]] = None,
+    known_links: Set[Link],
 ) -> ChainVerdict:
     """Walk leaf to root; every link must verify and the root must be trusted.
 
@@ -290,14 +290,13 @@ def verify_chain(
         for i, cert in enumerate(certs)
     ]
     for i, link in enumerate(links):
-        if known_links is not None and link in known_links:
+        if link in known_links:
             continue
         if not _cert_signature_valid(*link):
             return ChainVerdict(ChainStatus.BROKEN_LINK, broken_index=i)
     if certs[-1] not in set(trusted_roots):
         return ChainVerdict(ChainStatus.UNTRUSTED_ROOT)
-    if known_links is not None:
-        if len(known_links) + len(links) > MAX_KNOWN_LINKS:
-            known_links.clear()
-        known_links.update(links)
+    if len(known_links) + len(links) > MAX_KNOWN_LINKS:
+        known_links.clear()
+    known_links.update(links)
     return ChainVerdict(ChainStatus.VALID)

@@ -303,7 +303,8 @@ STRING_MAP = Codec(dict, _string_map)
 def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
     """A JSON object with exactly the keys of ``fields``: written from the
     value's attributes of those names, read as ``make(**values)``. An
-    InvalidEntry or ValueError from ``make`` fails at the object's path."""
+    InvalidEntry, IncompleteBundle or ValueError from ``make`` fails at the
+    object's path."""
     names = frozenset(fields)
     required = frozenset(name for name, codec in fields.items() if not codec.optional)
     decoders = tuple((name, codec.decode) for name, codec in fields.items())
@@ -320,7 +321,7 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
         values = {name: dec(obj.get(name), (path, name)) for name, dec in decoders}
         try:
             return make(**values)
-        except (InvalidEntry, ValueError) as exc:
+        except (InvalidEntry, IncompleteBundle, ValueError) as exc:
             _fail(path, exc)
 
     def encode(value):
@@ -364,7 +365,7 @@ def _quote(selection, values, **rest) -> TpmQuote:
 
 
 def _bundle(format_version: int, **parts) -> EvidenceBundle:
-    return EvidenceBundle(**parts)  # the version is checked by its codec
+    return build_bundle(**parts)  # the version is checked by its codec
 
 
 _BUNDLE = record(_bundle, {

@@ -212,16 +212,12 @@ def registry_register(
     return RegisterResult(status="duplicate", existing=existing)
 
 
-def registry_lookup(registry: AkRegistry, ak_public: bytes) -> Optional[RegistryEntry]:
-    return registry.entries.get(ak_public)
-
-
 # ---------------------------------------------------------------------------
 # the eight checks
 # ---------------------------------------------------------------------------
 
 def _check_c1(
-    bundle: EvidenceBundle, policy: VerifierPolicy, known_links: Optional[Set[crypto.Link]]
+    bundle: EvidenceBundle, policy: VerifierPolicy, known_links: Set[crypto.Link]
 ) -> Tuple[bool, str]:
     verdict = crypto.verify_chain(
         bundle.td_report.qe_chain, policy.trusted_tee_roots, known_links
@@ -236,8 +232,8 @@ def _check_c1(
 def _check_c2(
     bundle: EvidenceBundle,
     policy: VerifierPolicy,
-    registry: Optional[AkRegistry],
-    known_links: Optional[Set[crypto.Link]],
+    registry: AkRegistry,
+    known_links: Set[crypto.Link],
 ) -> Tuple[bool, str]:
     quote = bundle.tpm_quote
     if not tpm.verify_quote_signature(quote):
@@ -258,7 +254,7 @@ def _check_c2(
     verdict = crypto.verify_chain(ek_chain, policy.trusted_provider_roots, known_links)
     if not verdict.ok:
         return False, f"EK chain: {verdict.status.value}"
-    if registry is not None and registry_lookup(registry, quote.ak_public) is not None:
+    if quote.ak_public in registry.entries:
         return True, "quote verified; AK known to the registry"
     return False, "no AK certificate and the quoting key is not registered"
 
@@ -276,13 +272,11 @@ def _check_c3(bundle: EvidenceBundle, policy: VerifierPolicy) -> Tuple[bool, str
 
 
 def _check_c4(
-    bundle: EvidenceBundle,
-    challenge: Challenge,
-    spent: Optional[Set[Tuple[bytes, bytes]]],
-    challenge_known: bool,
+    bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier
 ) -> Tuple[bool, str]:
+    key = _challenge_key(challenge)
     problems: List[str] = []
-    if not challenge_known:
+    if key not in verifier._outstanding:
         problems.append("challenge was not issued by this verifier")
     if bundle.td_report.report_data[evidence.RD_NONCE] != challenge.td_nonce:
         problems.append("TD report echoes a different nonce")
@@ -293,7 +287,7 @@ def _check_c4(
         or bundle.nonces.tpm_nonce != challenge.tpm_nonce
     ):
         problems.append("bundle nonce record differs from the challenge")
-    if spent is not None and _challenge_key(challenge) in spent:
+    if key in verifier._spent:
         problems.append("challenge already consumed")
     if problems:
         return False, "; ".join(problems)
@@ -333,14 +327,12 @@ def _check_c7(bundle: EvidenceBundle, policy: VerifierPolicy) -> Tuple[bool, str
 
 
 def _check_c8(
-    bundle: EvidenceBundle, policy: VerifierPolicy, registry: Optional[AkRegistry]
+    bundle: EvidenceBundle, policy: VerifierPolicy, registry: AkRegistry
 ) -> Tuple[bool, str]:
     if not policy.require_ak_registry_uniqueness:
         return True, "registry uniqueness not required by policy"
-    if registry is None:
-        return False, "policy requires an AK registry but none is available"
     ak = bundle.tpm_quote.ak_public
-    entry = registry_lookup(registry, ak)
+    entry = registry.entries.get(ak)
     if entry is None:
         return False, "quoting key is absent from the AK registry"
     if registry.conflicts.get(ak):
@@ -350,33 +342,28 @@ def _check_c8(
 
 def verify_bundle(
     bundle: EvidenceBundle,
-    policy: VerifierPolicy,
     challenge: Challenge,
-    *,
-    registry: Optional[AkRegistry] = None,
-    spent: Optional[Set[Tuple[bytes, bytes]]] = None,
-    known_links: Optional[Set[crypto.Link]] = None,
+    verifier: Verifier,
     disabled_checks: FrozenSet[str] = frozenset(),
-    challenge_known: bool = True,
 ) -> Verdict:
     """Run every check and fold the outcomes into a verdict.
 
-    ``disabled_checks`` is a diagnostic hook for ablation runs; a disabled
-    check is reported as passed without being evaluated. ``spent`` is the
-    caller's consumed-challenge ledger (the ``Verifier`` class maintains
-    one); ``known_links`` is its memo of verified certificate links (see
-    ``crypto.verify_chain``); ``challenge_known`` is False when the
-    challenge was never issued by the calling verifier.
+    The checks read the policy, the AK registry, the memo of verified
+    certificate links and the challenge ledger of ``verifier``; none of
+    them writes the ledger (``Verifier.verify`` consumes the challenge
+    afterwards). ``disabled_checks`` is a diagnostic hook for ablation
+    runs; a disabled check is reported as passed without being evaluated.
     """
+    policy = verifier.policy
     evaluators: Mapping[str, Callable[[], Tuple[bool, str]]] = {
-        "C1": lambda: _check_c1(bundle, policy, known_links),
-        "C2": lambda: _check_c2(bundle, policy, registry, known_links),
+        "C1": lambda: _check_c1(bundle, policy, verifier._known_links),
+        "C2": lambda: _check_c2(bundle, policy, verifier.registry, verifier._known_links),
         "C3": lambda: _check_c3(bundle, policy),
-        "C4": lambda: _check_c4(bundle, challenge, spent, challenge_known),
+        "C4": lambda: _check_c4(bundle, challenge, verifier),
         "C5": lambda: _check_c5(bundle),
         "C6": lambda: _check_c6(bundle, policy),
         "C7": lambda: _check_c7(bundle, policy),
-        "C8": lambda: _check_c8(bundle, policy, registry),
+        "C8": lambda: _check_c8(bundle, policy, verifier.registry),
     }
     checks = []
     for check_id in CHECK_IDS:
@@ -407,7 +394,8 @@ class Verifier:
     """Stateful relying party: issues single-use challenges and keeps the
     consumed-challenge ledger, the AK registry and a bounded memo of
     certificate links verified under its pinned roots across
-    verifications."""
+    verifications. Every appraisal runs through one; a one-shot appraisal
+    (``dcea verify``) adopts its challenge into a fresh Verifier."""
 
     def __init__(
         self,
@@ -442,19 +430,9 @@ class Verifier:
         challenge: Challenge,
         disabled_checks: FrozenSet[str] = frozenset(),
     ) -> Verdict:
-        key = _challenge_key(challenge)
-        known = key in self._outstanding
-        verdict = verify_bundle(
-            bundle,
-            self.policy,
-            challenge,
-            registry=self.registry,
-            spent=self._spent,
-            known_links=self._known_links,
-            disabled_checks=disabled_checks,
-            challenge_known=known,
-        )
+        verdict = verify_bundle(bundle, challenge, self, disabled_checks)
         # one shot per challenge, success or not
+        key = _challenge_key(challenge)
         self._outstanding.pop(key, None)
         self._spent.add(key)
         return verdict
@@ -499,27 +477,3 @@ REGISTRY = record(AkRegistry, {
     "entries": map_of(hex_bytes(), _REGISTRY_ENTRY),
     "conflicts": map_of(hex_bytes(), list_of(_REGISTRY_ENTRY)),
 })
-
-
-def policy_to_obj(policy: VerifierPolicy) -> dict:
-    return POLICY.encode(policy)
-
-
-def obj_to_policy(obj) -> VerifierPolicy:
-    return POLICY.decode(obj, "$")
-
-
-def challenge_to_obj(challenge: Challenge) -> dict:
-    return CHALLENGE.encode(challenge)
-
-
-def obj_to_challenge(obj) -> Challenge:
-    return CHALLENGE.decode(obj, "$")
-
-
-def registry_to_obj(registry: AkRegistry) -> dict:
-    return REGISTRY.encode(registry)
-
-
-def obj_to_registry(obj) -> AkRegistry:
-    return REGISTRY.decode(obj, "$")

@@ -2,12 +2,23 @@
 
 random_bundle produces structurally valid bundles without any real key
 material, so serialization properties can run by the thousand without
-paying for signatures.
+paying for signatures. verify_once appraises a bundle the way
+``dcea verify`` does, through a fresh Verifier.
 """
 
 import random
 
-from dcea import crypto, evidence, td, tpm
+from dcea import crypto, evidence, td, tpm, verifier
+
+
+def verify_once(bundle, policy, challenge, registry=None, disabled_checks=frozenset()):
+    """A one-shot appraisal: a fresh Verifier that has issued ``challenge``
+    and holds ``registry`` (an empty one when None)."""
+    v = verifier.Verifier(policy)
+    if registry is not None:
+        v.registry = registry
+    v.adopt_challenge(challenge)
+    return v.verify(bundle, challenge, disabled_checks)
 
 
 def rand_digest(rng):

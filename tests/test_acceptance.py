@@ -29,7 +29,7 @@ from dcea.platform import HostStack, instantiate_vtpm, measured_launch
 from dcea.tpm import Scope
 from dcea.verifier import BindingChannel
 
-from support import random_bundle
+from support import random_bundle, verify_once
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -282,7 +282,7 @@ def test_criterion_6_replay_freshness(capsys):
                 tpm_nonce=rng.randbytes(32),
                 issued_at=out.challenge.issued_at + 1000.0,
             )
-            replayed = verifier.verify_bundle(out.bundle, out.policy, fresh)
+            replayed = verify_once(out.bundle, out.policy, fresh)
             assert not replayed.accepted
             assert replayed.failed_checks() == ("C4",)
         info["detail"] = "250 staged + 250 direct replays all rejected via C4"
@@ -303,7 +303,7 @@ def test_criterion_7_registry_uniqueness(capsys):
         assert again.status == "registered"  # same owner is idempotent
         assert clash.status == "duplicate"
         assert clash.existing is not None and clash.existing.platform_id == "plat-X"
-        assert verifier.registry_lookup(registry, ak).platform_id == "plat-X"
+        assert registry.entries[ak].platform_id == "plat-X"
         assert registry.conflicts[ak][0].platform_id == "plat-Y"
 
         seeds = 50

@@ -6,6 +6,7 @@ bundle acceptable. That isolates what each check buys.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -183,15 +184,37 @@ def test_cell_digests_cover_every_live_cell():
     assert set(CELL_DIGESTS) == {("honest", d) for d in Deployment} | set(ALL_CASES)
 
 
+def attest_cell(sid, dep, seed):
+    world = world_for(dep, seed=seed)
+    if sid == "honest":
+        return adversary.attest_honest(world)
+    return adversary.attest_attack(world, sid)
+
+
 @pytest.mark.parametrize("sid,dep", sorted(CELL_DIGESTS, key=lambda c: (c[0], c[1].value)))
 def test_cell_evidence_is_pinned(sid, dep):
-    world = world_for(dep, seed=0)
-    if sid == "honest":
-        out = adversary.attest_honest(world)
-    else:
-        out = adversary.attest_attack(world, sid)
+    out = attest_cell(sid, dep, seed=0)
     digest = hashlib.sha256(evidence.serialize(out.bundle)).hexdigest()
     assert (digest, out.verdict.failed_checks()) == CELL_DIGESTS[(sid, dep)]
+
+
+# SHA-256 over serialize(bundle), and over the sorted-key JSON of each
+# verdict, for every live cell at world seeds 0..49: cells in matrix order
+# (honest, then the scenario catalog), S1 before S2, then seed. A refactor
+# of the prover or verifier that moves any byte or verdict moves a digest.
+MATRIX_BUNDLES_SHA256 = "66c959e431c2fa74c1fe41287d4ee81a3c07aab202cc0c3bfc522412a64885b1"
+MATRIX_VERDICTS_SHA256 = "d7b93d8367465b10662aeb319a0eba9a62c719a1443d7117117a05985d81a72f"
+
+
+def test_fifty_seed_matrix_bytes_and_verdicts_are_pinned():
+    bundles, verdicts = hashlib.sha256(), hashlib.sha256()
+    for sid, dep in [("honest", Deployment.S1), ("honest", Deployment.S2)] + ALL_CASES:
+        for seed in range(50):
+            out = attest_cell(sid, dep, seed)
+            bundles.update(evidence.serialize(out.bundle))
+            verdicts.update(json.dumps(out.verdict.to_obj(), sort_keys=True).encode())
+    assert bundles.hexdigest() == MATRIX_BUNDLES_SHA256
+    assert verdicts.hexdigest() == MATRIX_VERDICTS_SHA256
 
 
 # -- scenario-specific behavior ------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dcea import cli
+from dcea.adversary import SCENARIOS
 
 
 def run_cli(capsys, *argv):
@@ -71,17 +72,26 @@ def test_run_writes_deterministic_bundle(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_run_then_verify_roundtrip(tmp_path, capsys):
-    bundle = tmp_path / "honest.dcea.json"
-    policy = tmp_path / "honest.policy.json"
-    rc, _, _ = run_cli(
-        capsys, "run", "--scenario", "honest", "--seed", "5",
+LIVE_CELLS = [("honest", dep) for dep in ("S1", "S2")] + [
+    (sid, dep.value) for sid, sc in SCENARIOS.items() for dep in sc.deployments
+]
+
+
+@pytest.mark.parametrize("scenario, deployment", LIVE_CELLS)
+def test_run_then_verify_roundtrip(tmp_path, capsys, scenario, deployment):
+    bundle = tmp_path / "cell.dcea.json"
+    policy = tmp_path / "cell.policy.json"
+    rc, out, _ = run_cli(
+        capsys, "run", "--scenario", scenario, "--deployment", deployment, "--seed", "5",
         "--out", str(bundle), "--policy", str(policy),
     )
-    assert rc == 0
+    assert rc == cli.EXIT_OK
+    ran = json.loads(out)
     rc, out, _ = run_cli(capsys, "verify", str(bundle), "--policy", str(policy))
-    assert rc == 0
-    assert json.loads(out)["accepted"] is True
+    verified = json.loads(out)
+    assert rc == (cli.EXIT_OK if scenario == "honest" else cli.EXIT_CONTRARY)
+    for key in ("accepted", "checks", "attack_flags", "goals", "failed_checks"):
+        assert verified[key] == ran[key], key
 
 
 def test_verify_rejects_attack_bundle(tmp_path, capsys):
@@ -174,6 +184,18 @@ def test_string_maps_take_any_key(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "verify", str(bundle), "--policy", policy)
     assert rc == cli.EXIT_CONTRARY  # decoded; the altered claims break the signature
     assert json.loads(out)["failed_checks"] == ["C2"]
+
+
+def test_verify_empty_ek_chain_is_parse_error(tmp_path, capsys):
+    obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
+    obj["ek_cert_chain"] = []
+    bundle = tmp_path / "empty_ek.dcea.json"
+    bundle.write_text(json.dumps(obj))
+    policy = str(FIXTURES / "honest_s1.policy.json")  # has a provider allowlist
+    rc, out, err = run_cli(capsys, "verify", str(bundle), "--policy", policy)
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    assert "$: ek_cert_chain must hold at least one certificate" in err
 
 
 def test_verify_golden_pairs(capsys):

@@ -176,7 +176,7 @@ def _chain(*, break_middle=False):
 
 def test_verify_chain_valid():
     chain, root = _chain()
-    verdict = crypto.verify_chain(chain, [root])
+    verdict = crypto.verify_chain(chain, [root], set())
     assert verdict.status is crypto.ChainStatus.VALID
     assert verdict.ok
 
@@ -185,24 +185,24 @@ def test_verify_chain_untrusted_root():
     chain, _ = _chain()
     other = crypto.keygen(b"other-root", crypto.KeyKind.CA)
     other_cert = crypto.issue_cert(other, other.public, {"role": "root"})
-    verdict = crypto.verify_chain(chain, [other_cert])
+    verdict = crypto.verify_chain(chain, [other_cert], set())
     assert verdict.status is crypto.ChainStatus.UNTRUSTED_ROOT
     assert not verdict.ok
 
 
 def test_verify_chain_broken_middle_link_index_1():
     chain, root = _chain(break_middle=True)
-    verdict = crypto.verify_chain(chain, [root])
+    verdict = crypto.verify_chain(chain, [root], set())
     assert verdict.status is crypto.ChainStatus.BROKEN_LINK
     assert verdict.broken_index == 1
 
 
 def test_verify_chain_empty_rejected():
     with pytest.raises(EmptyChain):
-        crypto.verify_chain(crypto.CertChain(()), [])
+        crypto.verify_chain(crypto.CertChain(()), [], set())
 
 
 def test_self_signed_single_cert_chain():
     ca = crypto.keygen(b"solo", crypto.KeyKind.CA)
     root = crypto.issue_cert(ca, ca.public, {"role": "root"})
-    assert crypto.verify_chain(crypto.CertChain((root,)), [root]).ok
+    assert crypto.verify_chain(crypto.CertChain((root,)), [root], set()).ok

@@ -121,6 +121,12 @@ def test_parse_error_on_schema_violations():
     with pytest.raises(ParseError):
         evidence.deserialize(json.dumps(obj3).encode())
 
+    # the decoder keeps build_bundle's invariants
+    obj4 = json.loads(evidence.serialize(honest_bundle()))
+    obj4["ek_cert_chain"] = []
+    with pytest.raises(ParseError, match=r"^\$: ek_cert_chain must hold at least one certificate$"):
+        evidence.deserialize(json.dumps(obj4).encode())
+
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -128,8 +134,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 DECODERS = {
     "honest_s1.dcea.json": evidence.obj_to_bundle,
     "honest_s1.policy.json": lambda ctx: (
-        verifier.obj_to_policy(ctx["policy"]),
-        verifier.obj_to_challenge(ctx["challenge"]),
+        verifier.POLICY.decode(ctx["policy"], "$"),
+        verifier.CHALLENGE.decode(ctx["challenge"], "$"),
     ),
 }
 

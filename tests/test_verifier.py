@@ -8,6 +8,7 @@ import pytest
 from dcea import adversary, crypto, evidence, td, tpm, verifier
 from dcea.tpm import TpmKind
 
+from support import verify_once
 from test_evidence import honest_bundle, honest_pieces
 from test_td import make_qe
 
@@ -39,7 +40,7 @@ def test_default_rtt_threshold_values():
 
 
 def test_honest_bundle_accepted():
-    verdict = verifier.verify_bundle(honest_bundle(), honest_policy(), honest_challenge())
+    verdict = verify_once(honest_bundle(), honest_policy(), honest_challenge())
     failed = [c for c in verdict.checks if not c.passed]
     assert verdict.accepted, failed
     assert len(verdict.checks) == 8
@@ -48,8 +49,8 @@ def test_honest_bundle_accepted():
 
 
 def test_verdict_deterministic():
-    a = verifier.verify_bundle(honest_bundle(), honest_policy(), honest_challenge())
-    b = verifier.verify_bundle(honest_bundle(), honest_policy(), honest_challenge())
+    a = verify_once(honest_bundle(), honest_policy(), honest_challenge())
+    b = verify_once(honest_bundle(), honest_policy(), honest_challenge())
     assert a == b
 
 
@@ -70,7 +71,7 @@ def test_c1_untrusted_qe_root():
 
     signed = replace(report, qe_signature=crypto.sign(fake_qe, td_mod.report_signing_payload(report)))
     bundle = replace(bundle, td_report=signed)
-    verdict = verifier.verify_bundle(bundle, honest_policy(), honest_challenge())
+    verdict = verify_once(bundle, honest_policy(), honest_challenge())
     assert _failed_ids(verdict) == {"C1"}
     assert verdict.attack_flags == frozenset({"A1"})
     assert not verdict.accepted
@@ -79,7 +80,7 @@ def test_c1_untrusted_qe_root():
 def test_c2_broken_quote_signature():
     bundle = honest_bundle()
     quote = replace(bundle.tpm_quote, signature=bytes(64))
-    verdict = verifier.verify_bundle(replace(bundle, tpm_quote=quote), honest_policy(), honest_challenge())
+    verdict = verify_once(replace(bundle, tpm_quote=quote), honest_policy(), honest_challenge())
     assert "C2" in _failed_ids(verdict)
     assert {"A1", "A5"} <= verdict.attack_flags
 
@@ -88,7 +89,7 @@ def test_c2_registry_fallback_without_ak_cert():
     bundle = honest_bundle()
     stripped = replace(bundle, ak_cert=None)
     policy = honest_policy()
-    verdict = verifier.verify_bundle(stripped, policy, honest_challenge())
+    verdict = verify_once(stripped, policy, honest_challenge())
     assert "C2" in _failed_ids(verdict)
 
     registry = verifier.AkRegistry()
@@ -97,7 +98,7 @@ def test_c2_registry_fallback_without_ak_cert():
         bundle.tpm_quote.ak_public,
         verifier.RegistryEntry(platform_id="plat-1", issuer="examplecloud"),
     )
-    verdict = verifier.verify_bundle(stripped, policy, honest_challenge(), registry=registry)
+    verdict = verify_once(stripped, policy, honest_challenge(), registry=registry)
     assert verdict.accepted
 
 
@@ -111,7 +112,7 @@ def test_c3_binding_mismatch():
 
     unsigned = replace(report, qe_signature=b"")
     signed = replace(unsigned, qe_signature=crypto.sign(qe, td_mod.report_signing_payload(unsigned)))
-    verdict = verifier.verify_bundle(replace(bundle, td_report=signed), honest_policy(), honest_challenge())
+    verdict = verify_once(replace(bundle, td_report=signed), honest_policy(), honest_challenge())
     assert _failed_ids(verdict) == {"C3"}
     assert verdict.attack_flags == frozenset({"A2", "A5"})
     assert verdict.goals["AB"] is False and verdict.goals["PO"] is False
@@ -138,16 +139,16 @@ def test_c3_report_data_channel():
         timing=evidence.Timing(0.0, 374.0, 324.0),
     )
     policy = replace(honest_policy(), binding_channel=verifier.BindingChannel.REPORT_DATA)
-    verdict = verifier.verify_bundle(bundle, policy, honest_challenge())
+    verdict = verify_once(bundle, policy, honest_challenge())
     assert verdict.accepted
     # same bundle under the default channel binds via MRCONFIGID and also passes
-    assert verifier.verify_bundle(bundle, honest_policy(), honest_challenge()).accepted
+    assert verify_once(bundle, honest_policy(), honest_challenge()).accepted
 
 
 def test_c4_nonce_mismatch():
     bundle = honest_bundle()
     stale = verifier.Challenge(td_nonce=b"\x01" * 32, tpm_nonce=b"\x02" * 32, issued_at=0.0)
-    verdict = verifier.verify_bundle(bundle, honest_policy(), stale)
+    verdict = verify_once(bundle, honest_policy(), stale)
     assert _failed_ids(verdict) == {"C4"}
     assert {"A1", "A4"} <= verdict.attack_flags
 
@@ -159,7 +160,7 @@ def test_c5_event_log_tamper():
         if entry.scope is tpm.Scope.GUEST and entry.rtmr_index is not None:
             log[i] = replace(entry, event_digest=crypto.digest(b"doctored"))
             break
-    verdict = verifier.verify_bundle(replace(bundle, event_log=tuple(log)), honest_policy(), honest_challenge())
+    verdict = verify_once(replace(bundle, event_log=tuple(log)), honest_policy(), honest_challenge())
     assert _failed_ids(verdict) == {"C5"}
     assert verdict.attack_flags == frozenset({"A3"})
 
@@ -167,42 +168,43 @@ def test_c5_event_log_tamper():
 def test_c6_anchor_pin_mismatch():
     policy = honest_policy()
     pinned = replace(policy, expected_pcr17_18={17: crypto.digest(b"x"), 18: crypto.digest(b"y")})
-    verdict = verifier.verify_bundle(honest_bundle(), pinned, honest_challenge())
+    verdict = verify_once(honest_bundle(), pinned, honest_challenge())
     assert _failed_ids(verdict) == {"C6"}
     assert verdict.attack_flags == frozenset({"A6"})
 
 
 def test_c6_unpinned_passes():
     policy = replace(honest_policy(), expected_pcr17_18=None)
-    verdict = verifier.verify_bundle(honest_bundle(), policy, honest_challenge())
+    verdict = verify_once(honest_bundle(), policy, honest_challenge())
     assert verdict.accepted
 
 
 def test_c7_rtt_exceeded():
     bundle = honest_bundle()
     slow = replace(bundle, timing=evidence.Timing(0.0, 374.0, 324.0 + 50.0))
-    verdict = verifier.verify_bundle(slow, honest_policy(), honest_challenge())
+    verdict = verify_once(slow, honest_policy(), honest_challenge())
     assert _failed_ids(verdict) == {"C7"}
     assert verdict.attack_flags == frozenset({"A2"})
 
 
 def test_c7_exact_threshold_passes():
-    verdict = verifier.verify_bundle(honest_bundle(), honest_policy(), honest_challenge())
+    verdict = verify_once(honest_bundle(), honest_policy(), honest_challenge())
     assert verdict.checks_by_id()["C7"].passed
 
 
 def test_c8_registry_required():
     policy = replace(honest_policy(), require_ak_registry_uniqueness=True)
     bundle = honest_bundle()
-    verdict = verifier.verify_bundle(bundle, policy, honest_challenge())
+    verdict = verify_once(bundle, policy, honest_challenge())
     assert _failed_ids(verdict) == {"C8"}
     assert verdict.attack_flags == frozenset({"A5"})
+    assert verdict.checks_by_id()["C8"].detail == "quoting key is absent from the AK registry"
 
     registry = verifier.AkRegistry()
     verifier.registry_register(
         registry, bundle.tpm_quote.ak_public, verifier.RegistryEntry(platform_id="plat-1")
     )
-    verdict = verifier.verify_bundle(bundle, policy, honest_challenge(), registry=registry)
+    verdict = verify_once(bundle, policy, honest_challenge(), registry=registry)
     assert verdict.accepted
 
     clash = verifier.registry_register(
@@ -210,7 +212,7 @@ def test_c8_registry_required():
     )
     assert clash.status == "duplicate"
     assert clash.existing.platform_id == "plat-1"
-    verdict = verifier.verify_bundle(bundle, policy, honest_challenge(), registry=registry)
+    verdict = verify_once(bundle, policy, honest_challenge(), registry=registry)
     assert _failed_ids(verdict) == {"C8"}
 
 
@@ -219,15 +221,14 @@ def test_registry_same_platform_idempotent():
     entry = verifier.RegistryEntry(platform_id="plat-1")
     assert verifier.registry_register(registry, b"\x01" * 32, entry).status == "registered"
     assert verifier.registry_register(registry, b"\x01" * 32, entry).status == "registered"
-    assert verifier.registry_lookup(registry, b"\x01" * 32) == entry
-    assert verifier.registry_lookup(registry, b"\x02" * 32) is None
+    assert registry.entries == {b"\x01" * 32: entry}
 
 
 def test_no_short_circuit_all_checks_evaluated():
     bundle = honest_bundle()
     stale = verifier.Challenge(td_nonce=b"\x01" * 32, tpm_nonce=b"\x02" * 32, issued_at=0.0)
     slow = replace(bundle, timing=evidence.Timing(0.0, 374.0, 999.0))
-    verdict = verifier.verify_bundle(slow, honest_policy(), stale)
+    verdict = verify_once(slow, honest_policy(), stale)
     assert _failed_ids(verdict) == {"C4", "C7"}
     assert len(verdict.checks) == 8
 
@@ -235,9 +236,9 @@ def test_no_short_circuit_all_checks_evaluated():
 def test_disabled_check_hook_flips_verdict():
     policy = honest_policy()
     pinned = replace(policy, expected_pcr17_18={17: crypto.digest(b"x"), 18: crypto.digest(b"y")})
-    rejected = verifier.verify_bundle(honest_bundle(), pinned, honest_challenge())
+    rejected = verify_once(honest_bundle(), pinned, honest_challenge())
     assert not rejected.accepted
-    accepted = verifier.verify_bundle(
+    accepted = verify_once(
         honest_bundle(), pinned, honest_challenge(), disabled_checks=frozenset({"C6"})
     )
     assert accepted.accepted
@@ -268,18 +269,22 @@ def test_verifier_marks_challenge_spent():
     assert first.accepted
     second = v.verify(bundle, ch)
     assert not second.accepted
-    assert "C4" in {c.check_id for c in second.checks if not c.passed}
+    assert second.failed_checks() == ("C4",)
+    assert second.checks_by_id()["C4"].detail == (
+        "challenge was not issued by this verifier; challenge already consumed"
+    )
 
 
 def test_verifier_rejects_foreign_challenge():
     v = verifier.Verifier(honest_policy(), rng=random.Random(1))
     verdict = v.verify(honest_bundle(), honest_challenge())
     assert not verdict.accepted
-    assert "C4" in {c.check_id for c in verdict.checks if not c.passed}
+    assert verdict.failed_checks() == ("C4",)
+    assert verdict.checks_by_id()["C4"].detail == "challenge was not issued by this verifier"
 
 
 def test_verdict_to_obj_shape():
-    verdict = verifier.verify_bundle(honest_bundle(), honest_policy(), honest_challenge())
+    verdict = verify_once(honest_bundle(), honest_policy(), honest_challenge())
     obj = verdict.to_obj()
     assert obj["accepted"] is True
     assert [c["id"] for c in obj["checks"]] == [f"C{i}" for i in range(1, 9)]
@@ -288,8 +293,8 @@ def test_verdict_to_obj_shape():
 
 def test_policy_roundtrip():
     policy = honest_policy()
-    obj = verifier.policy_to_obj(policy)
-    back = verifier.obj_to_policy(obj)
+    obj = verifier.POLICY.encode(policy)
+    back = verifier.POLICY.decode(obj, "$")
     assert back == policy
 
 
@@ -301,14 +306,14 @@ def test_policy_roundtrip_without_anchors_allowlist_or_mrconfigid_binding():
         binding_channel=verifier.BindingChannel.REPORT_DATA,
         require_ak_registry_uniqueness=True,
     )
-    obj = verifier.policy_to_obj(policy)
+    obj = verifier.POLICY.encode(policy)
     assert obj["expected_pcr17_18"] is None and obj["provider_allowlist"] == []
-    assert verifier.obj_to_policy(obj) == policy
+    assert verifier.POLICY.decode(obj, "$") == policy
 
 
 def test_challenge_roundtrip():
     challenge = verifier.Challenge(td_nonce=TD_NONCE, tpm_nonce=TPM_NONCE, issued_at=12.5)
-    assert verifier.obj_to_challenge(verifier.challenge_to_obj(challenge)) == challenge
+    assert verifier.CHALLENGE.decode(verifier.CHALLENGE.encode(challenge), "$") == challenge
 
 
 def test_registry_roundtrip_keeps_conflicts():
@@ -319,7 +324,7 @@ def test_registry_roundtrip_keeps_conflicts():
     clone = verifier.RegistryEntry("plat-C", issuer="ca-2", registered_at=2.5)
     assert verifier.registry_register(registry, b"\x01" * 32, clone).status == "duplicate"
     assert registry.conflicts == {b"\x01" * 32: (clone,)}
-    back = verifier.obj_to_registry(verifier.registry_to_obj(registry))
+    back = verifier.REGISTRY.decode(verifier.REGISTRY.encode(registry), "$")
     assert back == registry
 
 
@@ -438,7 +443,7 @@ def test_warm_appraisal_makes_two_verifies(monkeypatch):
 
     assert verifies(warm.verify, b0, c0) == 2
     assert verifies(fresh.verify, b1, c1) == 7
-    assert verifies(lambda b, c: verifier.verify_bundle(b, warm.policy, c), b2, c2) == 7
+    assert verifies(lambda b, c: verify_once(b, warm.policy, c), b2, c2) == 7
 
 
 def test_memo_never_grows_past_its_bound(monkeypatch):
