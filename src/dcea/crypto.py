@@ -239,6 +239,9 @@ class ChainVerdict:
         return self.status is ChainStatus.VALID
 
 
+_VALID = ChainVerdict(ChainStatus.VALID)
+
+
 def issue_cert(issuer: KeyPair, subject_public: bytes, claims: ClaimsLike) -> Certificate:
     """Sign a claims map over a subject key. Self-signed when subject is issuer."""
     normalized = _normalize_claims(claims)
@@ -285,18 +288,19 @@ def verify_chain(
     certs = chain.certs
     if not certs:
         raise EmptyChain("certificate chain is empty")
-    links = [
-        (cert, certs[i + 1].subject_public if i + 1 < len(certs) else cert.subject_public)
-        for i, cert in enumerate(certs)
-    ]
+    signers = [cert.subject_public for cert in certs[1:]]
+    signers.append(certs[-1].subject_public)
+    links = list(zip(certs, signers))
+    unknown = []
     for i, link in enumerate(links):
-        if link in known_links:
-            continue
-        if not _cert_signature_valid(*link):
-            return ChainVerdict(ChainStatus.BROKEN_LINK, broken_index=i)
-    if certs[-1] not in set(trusted_roots):
+        if link not in known_links:
+            if not _cert_signature_valid(*link):
+                return ChainVerdict(ChainStatus.BROKEN_LINK, broken_index=i)
+            unknown.append(link)
+    if certs[-1] not in trusted_roots:
         return ChainVerdict(ChainStatus.UNTRUSTED_ROOT)
     if len(known_links) + len(links) > MAX_KNOWN_LINKS:
         known_links.clear()
-    known_links.update(links)
-    return ChainVerdict(ChainStatus.VALID)
+        unknown = links
+    known_links.update(unknown)
+    return _VALID

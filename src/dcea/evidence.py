@@ -2,13 +2,14 @@
 and the register-consistency check between the two attestation views.
 
 Wire format (``*.dcea.json``): one canonical JSON object, keys sorted
-alphabetically at every level, byte fields hex-encoded, no whitespace.
-``format_version`` gates future schema changes. Each wire type is one
-table of field codecs below (``record`` and its combinators), which
-defines both directions, so encoder and decoder cannot drift apart; the
-README documents the same layout. A decoded object may carry no key
-outside its table. ``serialize(deserialize(x)) == x`` for every
-well-formed input.
+alphabetically at every level, byte fields lowercase hex (the only hex
+spelling decoded), no whitespace. ``format_version`` gates future schema
+changes. Each wire type is one table of field codecs below (``record`` and
+its combinators; the quote's PCR list and the event log each decode in one
+flat loop), and each codec defines both directions, so encoder and decoder
+cannot drift apart; the README documents the same layout. A decoded object
+may carry no key outside its table. ``serialize(deserialize(x)) == x`` for
+every well-formed input.
 
 report_data layout (64 bytes):
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from binascii import unhexlify
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -162,11 +164,8 @@ def _same(value):
     return value
 
 
-def scalar(
-    kind: type, name: str, load: Optional[Callable] = None, encode: Callable = _same
-) -> Codec:
-    """A JSON string, number or boolean of Python type ``kind``, passed
-    through ``load(value, path)`` when given."""
+def scalar(kind: type, name: str) -> Codec:
+    """A JSON string, integer or boolean of Python type ``kind``."""
     # JSON true/false decode as bool, a subclass of int: only a bool field
     # takes them
     takes_bool = kind is bool
@@ -174,15 +173,17 @@ def scalar(
     def decode(obj, path):
         if not isinstance(obj, kind) or ((obj is True or obj is False) and not takes_bool):
             _fail(path, f"expected {name}")
-        return obj if load is None else load(obj, path)
+        return obj
 
-    return Codec(encode, decode)
+    return Codec(_same, decode)
 
 
-def _finite(number, path) -> float:
+def _number(obj, path) -> float:
+    if obj.__class__ is not float and obj.__class__ is not int:
+        _fail(path, "expected number")
     try:
-        if math.isfinite(number):
-            return float(number)
+        if math.isfinite(obj):
+            return float(obj)
     except OverflowError:  # an integer beyond the float range
         pass
     _fail(path, "expected a finite number")
@@ -191,34 +192,44 @@ def _finite(number, path) -> float:
 STRING = scalar(str, "string")
 INTEGER = scalar(int, "integer")
 BOOLEAN = scalar(bool, "boolean")
-NUMBER = scalar((int, float), "number", _finite)
+NUMBER = Codec(_same, _number)
 
 
-def hex_bytes(width: Optional[int] = None) -> Codec:
-    """Bytes as hex text; exactly ``width`` of them when given."""
+def hex_bytes(width: Optional[int] = None, build: Optional[Callable] = None) -> Codec:
+    """Bytes as hex text in the one spelling ``bytes.hex`` writes: digit
+    pairs, lowercase, nothing between them. Exactly ``width`` bytes when
+    given. ``build`` makes the decoded value of the bytes, and that value's
+    ``hex()`` writes it back."""
 
-    def load(text, path):
+    def decode(text, path):
+        if text.__class__ is not str:
+            _fail(path, "expected hex string")
         try:
-            raw = bytes.fromhex(text)
+            raw = unhexlify(text)  # unlike bytes.fromhex, refuses spaces
         except ValueError:
             _fail(path, "invalid hex")
+        if raw.hex() != text:
+            _fail(path, "hex must be lowercase")
         if width is not None and len(raw) != width:
             _fail(path, f"expected {width} bytes, got {len(raw)}")
-        return raw
+        return raw if build is None else build(raw)
 
-    return scalar(str, "hex string", load, bytes.hex)
+    return Codec(bytes.hex if build is None else build.hex, decode)
 
 
 def enum_of(cls: Type[Enum], what: str) -> Codec:
     """An Enum member as its string value."""
+    members = {member.value: member for member in cls}
 
-    def load(text, path):
-        try:
-            return cls(text)
-        except ValueError:
+    def decode(text, path):
+        if text.__class__ is not str:
+            _fail(path, "expected string")
+        member = members.get(text)
+        if member is None:
             _fail(path, f"unknown {what} {text!r}")
+        return member
 
-    return scalar(str, "string", load, attrgetter("value"))
+    return Codec(attrgetter("value"), decode)
 
 
 def checked(codec: Codec, ok: Callable, why: Callable) -> Codec:
@@ -266,17 +277,6 @@ def list_of(item: Codec) -> Codec:
     return Codec(list if encode is _same else lambda values: [encode(v) for v in values], decode)
 
 
-def pair_of(first: Codec, second: Codec) -> Codec:
-    """A two-item JSON array, read as a 2-tuple."""
-
-    def decode(obj, path):
-        if not (isinstance(obj, list) and len(obj) == 2):
-            _fail(path, "expected a two-item array")
-        return first.decode(obj[0], (path, 0)), second.decode(obj[1], (path, 1))
-
-    return Codec(lambda pair: [first.encode(pair[0]), second.encode(pair[1])], decode)
-
-
 def map_of(key: Codec, value: Codec) -> Codec:
     """A JSON object with any keys, read as a dict; ``key`` is the codec
     between a dict key and its JSON string."""
@@ -292,12 +292,28 @@ def map_of(key: Codec, value: Codec) -> Codec:
 def _string_map(obj, path) -> dict:
     if not isinstance(obj, dict):
         _fail(path, "expected object")
-    if not all(isinstance(k, str) and isinstance(v, str) for k, v in obj.items()):
-        _fail(path, "must map strings to strings")
+    for key, value in obj.items():
+        if key.__class__ is not str or value.__class__ is not str:
+            _fail(path, "must map strings to strings")
     return dict(obj)
 
 
 STRING_MAP = Codec(dict, _string_map)
+
+# what a value's constructor raises for a combination of fields it refuses
+_REFUSED = (InvalidEntry, IncompleteBundle, ValueError)
+
+
+def _object_keys(obj, path, names: frozenset, required: frozenset) -> None:
+    """Fail unless ``obj`` is an object holding every key of ``required``
+    and no key outside ``names``."""
+    if not isinstance(obj, dict):
+        _fail(path, "expected object")
+    keys = obj.keys()
+    if not keys <= names:
+        _fail(path, f"unknown field {min(keys - names)!r}")
+    if not required <= keys:
+        _fail(path, f"missing field {min(required - keys)!r}")
 
 
 def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
@@ -311,17 +327,12 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
     encoders = tuple((name, codec.encode) for name, codec in fields.items())
 
     def decode(obj, path):
-        if not isinstance(obj, dict):
-            _fail(path, "expected object")
-        if obj.keys() != names:
-            if not obj.keys() <= names:
-                _fail(path, f"unknown field {min(obj.keys() - names)!r}")
-            if not required <= obj.keys():
-                _fail(path, f"missing field {min(required - obj.keys())!r}")
+        if obj.__class__ is not dict or obj.keys() != names:
+            _object_keys(obj, path, names, required)
         values = {name: dec(obj.get(name), (path, name)) for name, dec in decoders}
         try:
             return make(**values)
-        except (InvalidEntry, IncompleteBundle, ValueError) as exc:
+        except _REFUSED as exc:
             _fail(path, exc)
 
     def encode(value):
@@ -336,26 +347,90 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
 
 # -- the bundle's wire types; the README documents the same layout ----------
 
-DIGEST = wrap(hex_bytes(crypto.DIGEST_LEN), Digest, attrgetter("data"))
+DIGEST = hex_bytes(crypto.DIGEST_LEN, Digest)
 NONCE = hex_bytes(NONCE_LEN)
 
 CERT = record(Certificate, {
     "subject_public": hex_bytes(),
     "issuer_id": STRING,
-    "claims": wrap(STRING_MAP, lambda claims: tuple(sorted(claims.items())), dict),
+    "claims": Codec(dict, lambda obj, path: tuple(sorted(_string_map(obj, path).items()))),
     "signature": hex_bytes(),
 })
 
 _CHAIN = wrap(list_of(CERT), CertChain, attrgetter("certs"))
 
 
-def _pcr_index(index, path) -> int:
-    if not 0 <= index < N_PCRS:
-        _fail(path, f"pcr index {index} out of range")
-    return index
+def _bad_pcr_index(index, path) -> NoReturn:
+    if index.__class__ is not int:
+        _fail(path, "expected integer")
+    _fail(path, f"pcr index {index} out of range")
 
 
-_PCR_INDEX = scalar(int, "integer", _pcr_index)
+def _pcr_selection(obj, path) -> Tuple[int, ...]:
+    """Quoted PCR indices, in one loop."""
+    if obj.__class__ is not list:
+        _fail(path, "expected array")
+    for i, index in enumerate(obj):
+        if index.__class__ is not int or not 0 <= index < N_PCRS:
+            _bad_pcr_index(index, (path, i))
+    return tuple(obj)
+
+
+def _pcr_values(obj, path) -> Tuple[Tuple[int, Digest], ...]:
+    """Quoted ``[index, digest]`` pairs, in one loop."""
+    if obj.__class__ is not list:
+        _fail(path, "expected array")
+    digest = DIGEST.decode
+    values = []
+    for i, pair in enumerate(obj):
+        if pair.__class__ is not list or len(pair) != 2:
+            _fail((path, i), "expected a two-item array")
+        index, value = pair
+        if index.__class__ is not int or not 0 <= index < N_PCRS:
+            _bad_pcr_index(index, ((path, i), 0))
+        values.append((index, digest(value, ((path, i), 1))))
+    return tuple(values)
+
+
+_PCR_VALUES = Codec(lambda values: [[index, value.hex()] for index, value in values], _pcr_values)
+
+_SCOPE = enum_of(Scope, "scope").decode
+_ENTRY_KEYS = frozenset({"scope", "pcr_index", "rtmr_index", "event_digest", "description"})
+_ENTRY_REQUIRED = frozenset({"scope", "event_digest", "description"})
+
+
+def _event_log(obj, path) -> Tuple[EventLogEntry, ...]:
+    """Event-log entries, in one loop; ``pcr_index`` and ``rtmr_index`` may
+    be null or left out."""
+    if obj.__class__ is not list:
+        _fail(path, "expected array")
+    digest = DIGEST.decode
+    entries = []
+    for i, item in enumerate(obj):
+        at = (path, i)
+        if item.__class__ is not dict or item.keys() != _ENTRY_KEYS:
+            _object_keys(item, at, _ENTRY_KEYS, _ENTRY_REQUIRED)
+        scope = _SCOPE(item["scope"], (at, "scope"))
+        pcr_index, rtmr_index = item.get("pcr_index"), item.get("rtmr_index")
+        if pcr_index is not None and pcr_index.__class__ is not int:
+            _fail((at, "pcr_index"), "expected integer")
+        if rtmr_index is not None and rtmr_index.__class__ is not int:
+            _fail((at, "rtmr_index"), "expected integer")
+        event_digest = digest(item["event_digest"], (at, "event_digest"))
+        description = item["description"]
+        if description.__class__ is not str:
+            _fail((at, "description"), "expected string")
+        try:
+            entries.append(EventLogEntry(pcr_index, event_digest, description, scope, rtmr_index))
+        except _REFUSED as exc:
+            _fail(at, exc)
+    return tuple(entries)
+
+
+_EVENT_LOG = Codec(lambda entries: [{
+    "scope": e.scope.value, "pcr_index": e.pcr_index, "rtmr_index": e.rtmr_index,
+    "event_digest": e.event_digest.hex(), "description": e.description,
+} for e in entries], _event_log)
 
 
 def _quote(selection, values, **rest) -> TpmQuote:
@@ -389,8 +464,8 @@ _BUNDLE = record(_bundle, {
         "qe_chain": _CHAIN,
     }),
     "tpm_quote": record(_quote, {
-        "selection": list_of(_PCR_INDEX),
-        "values": list_of(pair_of(_PCR_INDEX, DIGEST)),
+        "selection": Codec(list, _pcr_selection),
+        "values": _PCR_VALUES,
         "nonce": NONCE,
         "ak_public": hex_bytes(),
         "signature": hex_bytes(),
@@ -398,13 +473,7 @@ _BUNDLE = record(_bundle, {
     }),
     "ek_cert_chain": _CHAIN,
     "ak_cert": optional(CERT),
-    "event_log": list_of(record(EventLogEntry, {
-        "scope": enum_of(Scope, "scope"),
-        "pcr_index": optional(INTEGER),
-        "rtmr_index": optional(INTEGER),
-        "event_digest": DIGEST,
-        "description": STRING,
-    })),
+    "event_log": _EVENT_LOG,
     "nonces": record(Nonces, {
         "td_nonce": NONCE,
         "tpm_nonce": NONCE,
@@ -512,49 +581,23 @@ def check_rtmr_pcr_consistency(
     guest = [e for e in event_log if e.scope is Scope.GUEST]
     pcr_ref, rtmr_ref = replay_event_log(guest)
     quoted = tpm_quote.values_dict()
+    zero = crypto.ZERO_DIGEST
 
-    def pcr_side(indices):
-        expected = tuple((i, pcr_ref[i]) for i in indices)
-        actual = tuple((i, quoted.get(i)) for i in indices)
-        ok = all(
-            (got == pcr_ref[i]) if got is not None else (pcr_ref[i] == crypto.ZERO_DIGEST)
-            for i, got in actual
-        )
-        return expected, actual, ok
-
-    rows = []
+    def row(register, indices, td_expected, td_actual, td_ok):
+        actual = [quoted.get(i) for i in indices]
+        # a PCR left out of the quote matches only a reference still at zero
+        pcr_ok = [(got or zero).data for got in actual] == [pcr_ref[i].data for i in indices]
+        expected = tuple([(i, pcr_ref[i]) for i in indices])
+        return RowResult(register, indices, td_ok and pcr_ok, td_expected, td_actual,
+                         expected, tuple(zip(indices, actual)))
 
     # MRTD row: the immutable firmware event, not an extend fold.
     fw_events = [e for e in guest if e.pcr_index == 0 and e.rtmr_index is None]
-    td_expected = fw_events[0].event_digest if len(fw_events) == 1 else crypto.ZERO_DIGEST
-    td_ok = len(fw_events) == 1 and td_report.mrtd == td_expected
-    pcr_expected, pcr_actual, pcr_ok = pcr_side((0,))
-    rows.append(
-        RowResult(
-            tdx_register="MRTD",
-            pcr_indices=(0,),
-            matched=td_ok and pcr_ok,
-            td_expected=td_expected,
-            td_actual=td_report.mrtd,
-            pcr_expected=pcr_expected,
-            pcr_actual=pcr_actual,
-        )
-    )
-
+    td_expected = fw_events[0].event_digest if len(fw_events) == 1 else zero
+    rows = [row("MRTD", (0,), td_expected, td_report.mrtd,
+                len(fw_events) == 1 and td_report.mrtd == td_expected)]
     for rtmr_index in (0, 1, 2):
-        indices = RTMR_PCR_MAP[rtmr_index]
-        td_expected = rtmr_ref[rtmr_index]
-        td_actual = td_report.rtmrs[rtmr_index]
-        pcr_expected, pcr_actual, pcr_ok = pcr_side(indices)
-        rows.append(
-            RowResult(
-                tdx_register=f"RTMR{rtmr_index}",
-                pcr_indices=indices,
-                matched=(td_actual == td_expected) and pcr_ok,
-                td_expected=td_expected,
-                td_actual=td_actual,
-                pcr_expected=pcr_expected,
-                pcr_actual=pcr_actual,
-            )
-        )
+        td_expected, td_actual = rtmr_ref[rtmr_index], td_report.rtmrs[rtmr_index]
+        rows.append(row(f"RTMR{rtmr_index}", RTMR_PCR_MAP[rtmr_index], td_expected, td_actual,
+                        td_actual == td_expected))
     return ConsistencyResult(rows=tuple(rows))

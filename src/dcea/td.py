@@ -167,12 +167,7 @@ def rtmr_extend(td: TdState, event: GuestEvent) -> TdState:
 
 
 def report_signing_payload(report: TdReport) -> bytes:
-    payload = crypto.enc_str(REPORT_DOMAIN_TAG)
-    payload += crypto.enc_bytes(report.mrtd.data)
-    payload += len(report.rtmrs).to_bytes(4, "big")
-    for r in report.rtmrs:
-        payload += crypto.enc_bytes(r.data)
-    for blob in (
+    blobs = (
         report.mrconfigid,
         report.mrowner,
         report.mrownerconfig,
@@ -181,10 +176,15 @@ def report_signing_payload(report: TdReport) -> bytes:
         report.mrseam,
         report.seam_attributes,
         report.td_attributes,
-    ):
-        payload += crypto.enc_bytes(blob)
-    payload += crypto.enc_str(report.ppid)
-    return payload
+    )
+    return b"".join([
+        crypto.enc_str(REPORT_DOMAIN_TAG),
+        crypto.enc_bytes(report.mrtd.data),
+        len(report.rtmrs).to_bytes(4, "big"),
+        *[crypto.enc_bytes(r.data) for r in report.rtmrs],
+        *[crypto.enc_bytes(blob) for blob in blobs],
+        crypto.enc_str(report.ppid),
+    ])
 
 
 def td_report(td: TdState, report_data: bytes, qe: KeyPair, qe_chain: CertChain) -> TdReport:

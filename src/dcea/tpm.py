@@ -17,6 +17,7 @@ encoding documented in :mod:`dcea.crypto`.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -219,13 +220,16 @@ def default_ak_handle(tpm: TpmState) -> str:
     return next(iter(tpm.aks))
 
 
+# a quoted value's index as 4 big-endian bytes, then the length prefix of
+# ``crypto.enc_bytes(value)``
+_INDEX_AND_LENGTH = struct.Struct(">II").pack
+
+
 def quote_signing_payload(values: Sequence[Tuple[int, Digest]], nonce: bytes) -> bytes:
-    payload = crypto.enc_str(QUOTE_DOMAIN_TAG)
-    payload += len(values).to_bytes(4, "big")
-    for idx, value in values:
-        payload += idx.to_bytes(4, "big") + crypto.enc_bytes(value.data)
-    payload += crypto.enc_bytes(nonce)
-    return payload
+    parts = [crypto.enc_str(QUOTE_DOMAIN_TAG), len(values).to_bytes(4, "big")]
+    parts += [_INDEX_AND_LENGTH(idx, len(value.data)) + value.data for idx, value in values]
+    parts.append(crypto.enc_bytes(nonce))
+    return b"".join(parts)
 
 
 def tpm_quote(

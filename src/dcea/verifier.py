@@ -216,11 +216,11 @@ def registry_register(
 # the eight checks
 # ---------------------------------------------------------------------------
 
-def _check_c1(
-    bundle: EvidenceBundle, policy: VerifierPolicy, known_links: Set[crypto.Link]
-) -> Tuple[bool, str]:
+# Every check reads (bundle, challenge, verifier) and returns (passed, detail).
+
+def _check_c1(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
     verdict = crypto.verify_chain(
-        bundle.td_report.qe_chain, policy.trusted_tee_roots, known_links
+        bundle.td_report.qe_chain, verifier.policy.trusted_tee_roots, verifier._known_links
     )
     if not verdict.ok:
         return False, f"TEE certificate chain: {verdict.status.value}"
@@ -229,12 +229,8 @@ def _check_c1(
     return True, "TD report signed by a quoting enclave with a trusted root"
 
 
-def _check_c2(
-    bundle: EvidenceBundle,
-    policy: VerifierPolicy,
-    registry: AkRegistry,
-    known_links: Set[crypto.Link],
-) -> Tuple[bool, str]:
+def _check_c2(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
+    policy, known_links = verifier.policy, verifier._known_links
     quote = bundle.tpm_quote
     if not tpm.verify_quote_signature(quote):
         return False, "quote signature does not verify under the presented AK"
@@ -254,14 +250,14 @@ def _check_c2(
     verdict = crypto.verify_chain(ek_chain, policy.trusted_provider_roots, known_links)
     if not verdict.ok:
         return False, f"EK chain: {verdict.status.value}"
-    if quote.ak_public in registry.entries:
+    if quote.ak_public in verifier.registry.entries:
         return True, "quote verified; AK known to the registry"
     return False, "no AK certificate and the quoting key is not registered"
 
 
-def _check_c3(bundle: EvidenceBundle, policy: VerifierPolicy) -> Tuple[bool, str]:
+def _check_c3(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
     want = crypto.digest(bundle.tpm_quote.ak_public)
-    if policy.binding_channel is BindingChannel.MRCONFIGID:
+    if verifier.policy.binding_channel is BindingChannel.MRCONFIGID:
         if bundle.td_report.mrconfigid == want.data:
             return True, "MRCONFIGID carries digest(AK_public)"
         return False, "MRCONFIGID does not bind the quoting key"
@@ -271,9 +267,7 @@ def _check_c3(bundle: EvidenceBundle, policy: VerifierPolicy) -> Tuple[bool, str
     return False, "report_data tail does not bind the quoting key"
 
 
-def _check_c4(
-    bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier
-) -> Tuple[bool, str]:
+def _check_c4(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
     key = _challenge_key(challenge)
     problems: List[str] = []
     if key not in verifier._outstanding:
@@ -294,7 +288,7 @@ def _check_c4(
     return True, "both nonces echoed verbatim and the challenge is fresh"
 
 
-def _check_c5(bundle: EvidenceBundle) -> Tuple[bool, str]:
+def _check_c5(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
     result = evidence.check_rtmr_pcr_consistency(
         bundle.td_report, bundle.tpm_quote, bundle.event_log
     )
@@ -303,12 +297,13 @@ def _check_c5(bundle: EvidenceBundle) -> Tuple[bool, str]:
     return False, "inconsistent registers: " + ", ".join(result.mismatched())
 
 
-def _check_c6(bundle: EvidenceBundle, policy: VerifierPolicy) -> Tuple[bool, str]:
-    if not policy.expected_pcr17_18:
+def _check_c6(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
+    pinned = verifier.policy.expected_pcr17_18
+    if not pinned:
         return True, "no launch anchors pinned by policy"
     quoted = bundle.tpm_quote.values_dict()
     bad = []
-    for index, want in sorted(policy.expected_pcr17_18.items()):
+    for index, want in sorted(pinned.items()):
         got = quoted.get(index)
         if got is None:
             bad.append(f"PCR{index} missing from the quote")
@@ -319,18 +314,18 @@ def _check_c6(bundle: EvidenceBundle, policy: VerifierPolicy) -> Tuple[bool, str
     return True, "quoted launch anchors equal the pinned values"
 
 
-def _check_c7(bundle: EvidenceBundle, policy: VerifierPolicy) -> Tuple[bool, str]:
+def _check_c7(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
     rtt = bundle.timing.quote_received - bundle.timing.challenge_sent
-    if rtt <= policy.rtt_threshold_ms:
-        return True, f"quote round trip {rtt:.1f}ms within {policy.rtt_threshold_ms:.1f}ms"
-    return False, f"quote round trip {rtt:.1f}ms exceeds {policy.rtt_threshold_ms:.1f}ms"
+    budget = verifier.policy.rtt_threshold_ms
+    if rtt <= budget:
+        return True, f"quote round trip {rtt:.1f}ms within {budget:.1f}ms"
+    return False, f"quote round trip {rtt:.1f}ms exceeds {budget:.1f}ms"
 
 
-def _check_c8(
-    bundle: EvidenceBundle, policy: VerifierPolicy, registry: AkRegistry
-) -> Tuple[bool, str]:
-    if not policy.require_ak_registry_uniqueness:
+def _check_c8(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
+    if not verifier.policy.require_ak_registry_uniqueness:
         return True, "registry uniqueness not required by policy"
+    registry = verifier.registry
     ak = bundle.tpm_quote.ak_public
     entry = registry.entries.get(ak)
     if entry is None:
@@ -338,6 +333,9 @@ def _check_c8(
     if registry.conflicts.get(ak):
         return False, "quoting key was registered by more than one platform"
     return True, f"quoting key registered to platform {entry.platform_id!r}"
+
+
+_CHECKS = (_check_c1, _check_c2, _check_c3, _check_c4, _check_c5, _check_c6, _check_c7, _check_c8)
 
 
 def verify_bundle(
@@ -354,34 +352,22 @@ def verify_bundle(
     afterwards). ``disabled_checks`` is a diagnostic hook for ablation
     runs; a disabled check is reported as passed without being evaluated.
     """
-    policy = verifier.policy
-    evaluators: Mapping[str, Callable[[], Tuple[bool, str]]] = {
-        "C1": lambda: _check_c1(bundle, policy, verifier._known_links),
-        "C2": lambda: _check_c2(bundle, policy, verifier.registry, verifier._known_links),
-        "C3": lambda: _check_c3(bundle, policy),
-        "C4": lambda: _check_c4(bundle, challenge, verifier),
-        "C5": lambda: _check_c5(bundle),
-        "C6": lambda: _check_c6(bundle, policy),
-        "C7": lambda: _check_c7(bundle, policy),
-        "C8": lambda: _check_c8(bundle, policy, verifier.registry),
-    }
     checks = []
-    for check_id in CHECK_IDS:
+    for check_id, evaluate in zip(CHECK_IDS, _CHECKS):
         if check_id in disabled_checks:
-            checks.append(
-                CheckResult(check_id, CHECK_NAMES[check_id], True, "disabled (diagnostic hook)")
-            )
-            continue
-        try:
-            passed, detail = evaluators[check_id]()
-        except DceaError as exc:
-            passed, detail = False, f"{type(exc).__name__}: {exc}"
+            passed, detail = True, "disabled (diagnostic hook)"
+        else:
+            try:
+                passed, detail = evaluate(bundle, challenge, verifier)
+            except DceaError as exc:
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
         checks.append(CheckResult(check_id, CHECK_NAMES[check_id], passed, detail))
 
     flags = frozenset(
         attack for c in checks if not c.passed for attack in CHECK_ATTACKS[c.check_id]
     )
-    goals = {g: not any(g in ATTACK_GOALS[a] for a in flags) for g in GOALS}
+    at_risk = frozenset().union(*[ATTACK_GOALS[a] for a in flags])
+    goals = {g: g not in at_risk for g in GOALS}
     return Verdict(
         accepted=all(c.passed for c in checks),
         checks=tuple(checks),

@@ -198,6 +198,25 @@ def test_verify_empty_ek_chain_is_parse_error(tmp_path, capsys):
     assert "$: ek_cert_chain must hold at least one certificate" in err
 
 
+@pytest.mark.parametrize(
+    "document, path, where",
+    [
+        ("dcea", ("td_report", "mrconfigid"), "$.td_report.mrconfigid"),
+        ("policy", ("challenge", "tpm_nonce"), "$.challenge.tpm_nonce"),
+    ],
+)
+def test_verify_uppercase_hex_is_parse_error(tmp_path, capsys, document, path, where):
+    files = {kind: FIXTURES / f"honest_s1.{kind}.json" for kind in ("dcea", "policy")}
+    obj = json.loads(files[document].read_text())
+    obj[path[0]][path[1]] = obj[path[0]][path[1]].upper()
+    files[document] = tmp_path / files[document].name
+    files[document].write_text(json.dumps(obj))
+    rc, out, err = run_cli(capsys, "verify", str(files["dcea"]), "--policy", str(files["policy"]))
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    assert f"{where}: hex must be lowercase" in err
+
+
 def test_verify_golden_pairs(capsys):
     for pair, want in (("honest_s1", 0), ("honest_s2", 0), ("a5_ak_clone", 1)):
         rc, out, _ = run_cli(

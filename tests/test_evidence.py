@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcea import crypto, evidence, platform, td, tpm, verifier
+from dcea import cli, crypto, evidence, platform, td, tpm, verifier
 from dcea.errors import IncompleteBundle, ParseError
 
-from support import random_bundle
+from support import random_bundle, verify_once
 from test_platform import make_platform
 from test_td import make_qe
 
@@ -169,6 +169,9 @@ def test_decoders_reject_bools_as_numbers_and_non_finite_numbers(document, path,
         decode(json.loads(json.dumps(obj)))
 
 
+DROP = object()  # a change that removes the key
+
+
 @pytest.mark.parametrize(
     "changes, message",
     [
@@ -179,11 +182,20 @@ def test_decoders_reject_bools_as_numbers_and_non_finite_numbers(document, path,
         ({"pcr_index": 24}, "$.event_log[3]: pcr index 24 out of range"),
         ({"rtmr_index": 4}, "$.event_log[3]: rtmr index 4 out of range"),
         ({"pcr_index": None}, "$.event_log[3]: entry must target a PCR, an RTMR, or both"),
+        ({"description": DROP}, "$.event_log[3]: missing field 'description'"),
+        ({"extra": 1}, "$.event_log[3]: unknown field 'extra'"),
+        ({"scope": None}, "$.event_log[3].scope: expected string"),
+        ({"pcr_index": True}, "$.event_log[3].pcr_index: expected integer"),
     ],
 )
 def test_event_log_parse_error_names_the_path_once(changes, message):
     obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
-    obj["event_log"][3].update(changes)
+    entry = obj["event_log"][3]
+    for key, value in changes.items():
+        if value is DROP:
+            del entry[key]
+        else:
+            entry[key] = value
     with pytest.raises(ParseError) as exc:
         evidence.obj_to_bundle(obj)
     assert str(exc.value) == message
@@ -207,6 +219,138 @@ def test_quote_decoder_rejects_a_selection_or_algorithm_it_cannot_vouch_for(chan
     with pytest.raises(ParseError) as exc:
         evidence.obj_to_bundle(obj)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([0], "$.tpm_quote.values[0]: expected a two-item array"),
+        ([True, "<digest>"], "$.tpm_quote.values[0][0]: expected integer"),
+        (["0", "<digest>"], "$.tpm_quote.values[0][0]: expected integer"),
+        ([24, "<digest>"], "$.tpm_quote.values[0][0]: pcr index 24 out of range"),
+        ([0, "ab" * 47], "$.tpm_quote.values[0][1]: expected 48 bytes, got 47"),
+        ({"0": "<digest>"}, "$.tpm_quote.values: expected array"),
+    ],
+)
+def test_quote_value_parse_error_names_the_path(value, message):
+    obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
+    values = obj["tpm_quote"]["values"]
+    if isinstance(value, list):
+        values[0] = [values[0][1] if v == "<digest>" else v for v in value]
+    else:
+        obj["tpm_quote"]["values"] = value
+    with pytest.raises(ParseError) as exc:
+        evidence.obj_to_bundle(obj)
+    assert str(exc.value) == message
+
+
+def _spaced(text):
+    return " ".join(text[i:i + 2] for i in range(0, len(text), 2))
+
+
+def _one_upper(text):
+    i = next(i for i, c in enumerate(text) if c in "abcdef")
+    return text[:i] + text[i].upper() + text[i + 1:]
+
+
+@pytest.mark.parametrize(
+    "document, path, spell, message",
+    [
+        ("honest_s1.dcea.json", ("td_report", "mrconfigid"), str.upper,
+         "$.td_report.mrconfigid: hex must be lowercase"),
+        ("honest_s1.dcea.json", ("event_log", 3, "event_digest"), _one_upper,
+         "$.event_log[3].event_digest: hex must be lowercase"),
+        ("honest_s1.dcea.json", ("tpm_quote", "values", 2, 1), _one_upper,
+         "$.tpm_quote.values[2][1]: hex must be lowercase"),
+        ("honest_s1.dcea.json", ("tpm_quote", "signature"), _spaced,
+         "$.tpm_quote.signature: invalid hex"),
+        ("honest_s1.dcea.json", ("ek_cert_chain", 0, "subject_public"), lambda t: t + " ",
+         "$.ek_cert_chain[0].subject_public: invalid hex"),
+        ("honest_s1.policy.json", ("challenge", "td_nonce"), str.upper,
+         "$.td_nonce: hex must be lowercase"),
+    ],
+)
+def test_decoders_accept_only_the_hex_that_serialize_writes(document, path, spell, message):
+    obj = json.loads((FIXTURES / document).read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    respelled = spell(target[path[-1]])
+    assert respelled != target[path[-1]]
+    assert bytes.fromhex(respelled) == bytes.fromhex(target[path[-1]])  # the same bytes
+    target[path[-1]] = respelled
+    with pytest.raises(ParseError) as exc:
+        DECODERS[document](obj)
+    assert str(exc.value) == message
+
+
+# -- totality: a mutated golden bundle parses to a verdict or fails to parse --
+
+GOLDEN = ("honest_s1", "honest_s2", "a5_ak_clone")
+
+
+def _json_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+_OTHER_TYPES = (None, True, 0, 1.5, "", "ab", [], {})
+
+
+@st.composite
+def mutated_bundles(draw):
+    """(pair name, golden bundle JSON with one structural mutation)."""
+    pair = draw(st.sampled_from(GOLDEN))
+    obj = json.loads((FIXTURES / f"{pair}.dcea.json").read_text())
+    path = draw(st.sampled_from(list(_json_paths(obj))[1:]))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    kinds = ["retype"] + (["drop key"] if isinstance(parent, dict) else [])
+    if isinstance(value, list):
+        kinds += ["empty", "drop item", "duplicate item", "reorder"] if value else []
+    if isinstance(value, str) and value:
+        kinds.append("truncate")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "retype":
+        parent[key] = draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(value)]))
+    elif kind == "drop key":
+        del parent[key]
+    elif kind == "empty":
+        parent[key] = []
+    elif kind == "truncate":
+        parent[key] = value[:draw(st.integers(0, len(value) - 1))]
+    else:
+        i = draw(st.integers(0, len(value) - 1))
+        if kind == "drop item":
+            del value[i]
+        elif kind == "duplicate item":
+            value.insert(i, json.loads(json.dumps(value[i])))
+        else:
+            j = draw(st.integers(0, len(value) - 1))
+            value[i], value[j] = value[j], value[i]
+    return pair, obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_bundles())
+def test_mutated_golden_bundle_gives_a_parse_error_or_a_verdict(case):
+    pair, obj = case
+    try:
+        bundle = evidence.deserialize(json.dumps(obj).encode())
+    except ParseError:
+        return
+    ctx = cli._load_context(str(FIXTURES / f"{pair}.policy.json"))
+    verdict = verify_once(bundle, ctx.policy, ctx.challenge, ctx.registry)
+    assert isinstance(verdict, verifier.Verdict)
 
 
 def test_build_bundle_missing_mandatory():
