@@ -130,8 +130,9 @@ def main(argv=None) -> int:
             for position, side in enumerate(order):
                 record = run_once(checkouts[side], workload, seed, args.seconds, args.trace)
                 runs.append({
-                    "workload": workload, "trace": args.trace, "pair": pair, "seed": seed,
-                    "side": side, "first": position == 0, "record": record,
+                    "workload": workload, "trace": args.trace, "seconds": args.seconds,
+                    "pair": pair, "seed": seed, "side": side, "first": position == 0,
+                    "record": record,
                 })
                 print(f"# {workload} pair {pair} seed {seed} {side}: failed {record['failed']}",
                       file=sys.stderr)
@@ -142,7 +143,6 @@ def main(argv=None) -> int:
     out.write_text(json.dumps({
         "protocol": {
             "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace T",
-            "pairs": args.pairs, "seconds": args.seconds,
             "order": "pair i: parent first when i is even, change first when odd",
         },
         "commits": {side: git_commit(path) for side, path in checkouts.items()},
