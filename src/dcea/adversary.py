@@ -60,12 +60,13 @@ class WorldConfig:
     deployment: Deployment = Deployment.S2
     one_way_delay_ms: float = 12.0
     relay_delay_ms: float = 40.0
-    td_report_latency_ms: float = 50.0
-    provider: str = "examplecloud"
-    region: str = "region-1"
     binding_channel: BindingChannel = BindingChannel.MRCONFIGID
-    policy_pcrs: Tuple[int, ...] = (17, 18)
     in_td_check: bool = False
+
+
+PROVIDER = "examplecloud"
+REGION = "region-1"
+TD_REPORT_LATENCY_MS = 50.0
 
 
 @dataclass
@@ -129,7 +130,7 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
     config = config or WorldConfig()
     provider_ca = crypto.keygen(_seed_bytes(config, "provider-ca"), crypto.KeyKind.CA)
     provider_root = crypto.issue_cert(
-        provider_ca, provider_ca.public, {"role": "root", "provider": config.provider}
+        provider_ca, provider_ca.public, {"role": "root", "provider": PROVIDER}
     )
     tee_ca = crypto.keygen(_seed_bytes(config, "tee-ca"), crypto.KeyKind.CA)
     tee_root = crypto.issue_cert(tee_ca, tee_ca.public, {"role": "tee-root"})
@@ -159,19 +160,6 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
 # ---------------------------------------------------------------------------
 # growing worlds
 # ---------------------------------------------------------------------------
-
-def _launch_platform(
-    world: World, platform_id: str, stack: Optional[HostStack] = None,
-    ca: Optional[KeyPair] = None,
-) -> Platform:
-    cfg = world.config
-    device = tpm_mod.tpm_init(
-        _seed_bytes(cfg, f"ek:{platform_id}"),
-        ca or world.provider_ca,
-        {"provider": cfg.provider, "platform_id": platform_id, "region": cfg.region},
-    )
-    return platform_mod.measured_launch(stack or world.reference_stack, device)
-
 
 def _boot_guest(
     world: World,
@@ -211,19 +199,24 @@ def _spawn_platform(
     bind_ak_pub: Optional[bytes] = None,
     register: bool = True,
     tamper_index: Optional[int] = None,
+    vtpm_seed: Optional[str] = None,
 ) -> str:
-    """Launch a platform, give it a serving TPM, and boot a guest on it."""
-    plat = _launch_platform(world, platform_id, stack=stack, ca=ca)
+    """Launch a platform, give it a serving TPM (seed label ``vtpm_seed``,
+    ``vtpm:<platform_id>`` by default), boot a guest on it, and enrol the
+    key the guest binds (``bind_ak_pub``, else its own AK) if ``register``."""
+    ca = ca or world.provider_ca
+    device = tpm_mod.tpm_init(
+        _seed_bytes(world.config, f"ek:{platform_id}"),
+        ca,
+        {"provider": PROVIDER, "platform_id": platform_id, "region": REGION},
+    )
+    plat = platform_mod.measured_launch(stack or world.reference_stack, device)
     vtpm = platform_mod.instantiate_vtpm(
-        plat,
-        ca or world.provider_ca,
-        _seed_bytes(world.config, f"vtpm:{platform_id}"),
+        plat, ca, _seed_bytes(world.config, vtpm_seed or f"vtpm:{platform_id}"),
         kind=quoting_kind(world),
-        policy_pcrs=world.config.policy_pcrs,
     )
     handle = tpm_mod.default_ak_handle(vtpm)
-    ak_pub = vtpm.aks[handle].keypair.public
-    bound = bind_ak_pub if bind_ak_pub is not None else ak_pub
+    bound = bind_ak_pub if bind_ak_pub is not None else vtpm.aks[handle].keypair.public
     vtpm, guest = _boot_guest(world, plat, vtpm, bound, tamper_index=tamper_index)
     world.platforms[platform_id] = plat
     world.vtpms[platform_id] = vtpm
@@ -232,8 +225,8 @@ def _spawn_platform(
     world.bound_pubs[platform_id] = bound
     if register:
         world.registrations.append(
-            (ak_pub, RegistryEntry(platform_id=platform_id, issuer=world.config.provider,
-                                   registered_at=world.clock_ms))
+            (bound, RegistryEntry(platform_id=platform_id, issuer=PROVIDER,
+                                  registered_at=world.clock_ms))
         )
     return platform_id
 
@@ -283,7 +276,7 @@ def _respond(
     rtt = 2 * cfg.one_way_delay_ms
     timing = Timing(
         challenge_sent=t0,
-        td_received=t0 + rtt + cfg.td_report_latency_ms,
+        td_received=t0 + rtt + TD_REPORT_LATENCY_MS,
         quote_received=t0 + rtt + QUOTE_LATENCY_MS[quoting_kind(world)] + extra_quote_delay_ms,
     )
     world.clock_ms = max(world.clock_ms, timing.td_received, timing.quote_received)
@@ -350,13 +343,9 @@ def _gen_frankenstein(world: World, challenge: Challenge) -> EvidenceBundle:
     # and that platform's quotes are relayed in; only the wire time gives it
     # away
     _spawn_platform(world, "plat-R")
-    remote_ak = world.bound_pubs["plat-R"]
-    launch_bind = (
-        remote_ak if world.config.binding_channel is BindingChannel.MRCONFIGID else None
+    _, guest = _boot_guest(
+        world, world.platforms["plat-A"], world.vtpms["plat-A"], world.bound_pubs["plat-R"]
     )
-    guest = td_mod.td_launch(world.platforms["plat-A"], world.guest_firmware, ak_pub=launch_bind)
-    for ev in world.guest_events:
-        guest = td_mod.rtmr_extend(guest, ev)
     return _respond(
         world, challenge, "A2_frankenstein", "plat-R",
         guest=guest, extra_quote_delay_ms=2 * world.config.relay_delay_ms,
@@ -385,7 +374,7 @@ def _gen_ek_spoof(world: World, challenge: Challenge) -> EvidenceBundle:
     # name into its claims; the chain verifies but roots nowhere trusted
     rogue_ca = crypto.keygen(_seed_bytes(world.config, "rogue-provider-ca"), crypto.KeyKind.CA)
     rogue_root = crypto.issue_cert(
-        rogue_ca, rogue_ca.public, {"role": "root", "provider": world.config.provider}
+        rogue_ca, rogue_ca.public, {"role": "root", "provider": PROVIDER}
     )
     _spawn_platform(world, "plat-E", ca=rogue_ca, register=False)
     return _respond(world, challenge, "A5_ek_spoof", "plat-E", root_cert=rogue_root)
@@ -398,7 +387,7 @@ def _gen_ak_substitute(world: World, challenge: Challenge) -> EvidenceBundle:
     vtpm_s, handle2 = tpm_mod.create_sealed_ak(
         world.vtpms["plat-S"],
         _seed_bytes(world.config, "substitute-ak"),
-        world.config.policy_pcrs,
+        tpm_mod.DEFAULT_POLICY_PCRS,
         issuer=world.vtpms["plat-S"].ek,
         cert_claims={"platform_id": "plat-S"},
     )
@@ -411,13 +400,8 @@ def _gen_ak_clone(world: World, challenge: Challenge) -> EvidenceBundle:
     # same stack; every signature checks out, only the registry notices
     victim_vtpm = world.vtpms["plat-A"]
     sealed = victim_vtpm.aks[world.ak_handles["plat-A"]]
-    clone_pub = sealed.keypair.public
-    _spawn_platform(world, "plat-C", bind_ak_pub=clone_pub, register=False)
+    _spawn_platform(world, "plat-C", bind_ak_pub=sealed.keypair.public)
     world.vtpms["plat-C"] = tpm_mod.install_sealed_ak(world.vtpms["plat-C"], "ak-stolen", sealed)
-    world.registrations.append(
-        (clone_pub, RegistryEntry(platform_id="plat-C", issuer=world.config.provider,
-                                  registered_at=world.clock_ms))
-    )
     # the adversary replays the victim's public certificates
     return _respond(
         world, challenge, "A5_ak_clone", "plat-C",
@@ -429,38 +413,23 @@ def _gen_stack_downgrade(world: World, challenge: Challenge) -> EvidenceBundle:
     # provisioned on the reference stack, rebooted into a patched hypervisor:
     # the provisioned AK strands on its sealed policy, the adversary re-seals
     # a new one to the live state, and only the pinned anchors disagree
-    cfg = world.config
-    plat1 = _launch_platform(world, "plat-M")
-    vtpm1 = platform_mod.instantiate_vtpm(
-        plat1, world.provider_ca, _seed_bytes(cfg, "vtpm:plat-M"),
-        kind=quoting_kind(world), policy_pcrs=cfg.policy_pcrs,
-    )
-    provisioned = vtpm1.aks[tpm_mod.default_ak_handle(vtpm1)]
+    _spawn_platform(world, "plat-M", register=False)
+    provisioned = world.vtpms["plat-M"].aks[world.ak_handles["plat-M"]]
 
     mutated = replace(
         world.reference_stack,
         hypervisor_image=world.reference_stack.hypervisor_image + b"-patched",
     )
-    plat2 = _launch_platform(world, "plat-M", stack=mutated)
-    vtpm2 = platform_mod.instantiate_vtpm(
-        plat2, world.provider_ca, _seed_bytes(cfg, "vtpm:plat-M:reboot"),
-        kind=quoting_kind(world), policy_pcrs=cfg.policy_pcrs,
+    _spawn_platform(
+        world, "plat-M", stack=mutated, register=False, vtpm_seed="vtpm:plat-M:reboot"
     )
-    fallback_handle = tpm_mod.default_ak_handle(vtpm2)
-    fallback_pub = vtpm2.aks[fallback_handle].keypair.public
-    vtpm2 = tpm_mod.install_sealed_ak(vtpm2, "ak-provisioned", provisioned)
+    vtpm = tpm_mod.install_sealed_ak(world.vtpms["plat-M"], "ak-provisioned", provisioned)
     try:
-        tpm_mod.tpm_quote(vtpm2, "ak-provisioned", QUOTE_SELECTION, challenge.tpm_nonce)
+        tpm_mod.tpm_quote(vtpm, "ak-provisioned", QUOTE_SELECTION, challenge.tpm_nonce)
         raise WorldError("provisioned AK quoted on a mutated stack; sealing is broken")
     except PolicyViolation:
         pass
-
-    vtpm2, guest = _boot_guest(world, plat2, vtpm2, fallback_pub)
-    world.platforms["plat-M"] = plat2
-    world.vtpms["plat-M"] = vtpm2
-    world.ak_handles["plat-M"] = fallback_handle
-    world.tds["plat-M"] = guest
-    world.bound_pubs["plat-M"] = fallback_pub
+    world.vtpms["plat-M"] = vtpm
     return _respond(
         world, challenge, "A6_stack_downgrade", "plat-M", fallback="policy-violation"
     )
@@ -477,76 +446,64 @@ class AttackScenario:
     targeted_check: str
     deployments: Tuple[Deployment, ...]
     description: str
-    policy_overrides: Mapping[str, object]
     generate: Callable[[World, Challenge], EvidenceBundle]
+    policy_overrides: Mapping[str, object] = field(default_factory=dict)
 
 
 _BOTH = (Deployment.S1, Deployment.S2)
 _S2 = (Deployment.S2,)
 
 
-def _scenario(sid, attack, check, deployments, description, generate, overrides=None):
-    return AttackScenario(
-        scenario_id=sid,
-        declared_attack=attack,
-        targeted_check=check,
-        deployments=deployments,
-        description=description,
-        policy_overrides=overrides or {},
-        generate=generate,
-    )
-
-
 SCENARIOS: Mapping[str, AttackScenario] = {
     s.scenario_id: s
     for s in (
-        _scenario(
+        AttackScenario(
             "A1_quote_forgery", "A1", "C2", _BOTH,
             "fabricated TPM quote: honest structure, forged signature",
             _gen_quote_forgery,
         ),
-        _scenario(
+        AttackScenario(
             "A1_report_forgery", "A1", "C1", _BOTH,
             "fabricated TD report signed by a self-minted quoting-enclave chain",
             _gen_report_forgery,
         ),
-        _scenario(
+        AttackScenario(
             "A2_mix_match", "A2", "C3", _S2,
             "TD report from one machine paired with a live quote from another",
             _gen_mix_match,
         ),
-        _scenario(
+        AttackScenario(
             "A2_frankenstein", "A2", "C7", _S2,
             "local TD vouches for a remote platform's AK; quotes relayed over the wire",
             _gen_frankenstein,
         ),
-        _scenario(
+        AttackScenario(
             "A3_register_desync", "A3", "C5", _BOTH,
             "host filters one guest event out of the PCR mirror stream",
             _gen_register_desync,
         ),
-        _scenario(
+        AttackScenario(
             "A4_replay", "A4", "C4", _S2,
             "previously captured bundle resubmitted against a new challenge",
             _gen_replay,
         ),
-        _scenario(
+        AttackScenario(
             "A5_ek_spoof", "A5", "C2", _S2,
             "platform endorsed by a rogue CA that impersonates the provider by name",
             _gen_ek_spoof,
         ),
-        _scenario(
+        AttackScenario(
             "A5_ak_substitute", "A5", "C3", _S2,
             "quote made with a second certified AK the TD never bound",
             _gen_ak_substitute,
         ),
-        _scenario(
+        AttackScenario(
             "A5_ak_clone", "A5", "C8", _S2,
             "victim's sealed AK cloned onto a second platform and enrolled again",
             _gen_ak_clone,
-            overrides={"require_ak_registry_uniqueness": True},
+            policy_overrides={"require_ak_registry_uniqueness": True},
         ),
-        _scenario(
+        AttackScenario(
             "A6_stack_downgrade", "A6", "C6", _S2,
             "host rebooted into a patched hypervisor; a fresh AK is sealed to the live state",
             _gen_stack_downgrade,
@@ -581,7 +538,7 @@ def default_policy_for(world: World, scenario: Optional[AttackScenario] = None) 
         expected_pcr17_18={17: host.pcrs.value(17), 18: host.pcrs.value(18)},
         rtt_threshold_ms=default_rtt_threshold(quoting_kind(world), cfg.one_way_delay_ms),
         binding_channel=cfg.binding_channel,
-        provider_allowlist=(cfg.provider,),
+        provider_allowlist=(PROVIDER,),
     )
     if scenario is not None and scenario.policy_overrides:
         policy = replace(policy, **scenario.policy_overrides)

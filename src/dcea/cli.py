@@ -157,12 +157,8 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_context(path: str) -> SimpleNamespace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            ctx = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _Usage(f"{path}: not valid JSON: {exc}")
-    return _CONTEXT.decode(ctx, "$")
+    with open(path, "rb") as fh:
+        return _CONTEXT.decode(evidence.load_json(fh.read()), "$")
 
 
 def cmd_verify(args) -> int:

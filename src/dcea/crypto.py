@@ -278,12 +278,12 @@ def verify_chain(
     the final certificate must be self-signed. BROKEN_LINK carries the index
     of the first certificate whose signature fails.
 
-    ``known_links`` is the caller's memo of links already verified: a link
-    in it skips its signature check, and every link of a chain that comes
-    out VALID is added to it (after clearing it at ``MAX_KNOWN_LINKS``). The
-    root-trust test runs on every call, so a link enters the memo only
-    under a trusted root. A link is the whole certificate plus the signer
-    key, so altering any signed field makes it a different link.
+    ``known_links`` is the caller's memo of verified links: a link in it
+    skips its signature check, and every link of a VALID chain is in it
+    afterwards (cleared first if the new links would overflow
+    ``MAX_KNOWN_LINKS``). The root-trust test runs on every call, so a link
+    enters the memo only under a trusted root. A link is a certificate plus
+    its signer key, so altering any signed field makes it a new link.
     """
     certs = chain.certs
     if not certs:
@@ -299,7 +299,7 @@ def verify_chain(
             unknown.append(link)
     if certs[-1] not in trusted_roots:
         return ChainVerdict(ChainStatus.UNTRUSTED_ROOT)
-    if len(known_links) + len(links) > MAX_KNOWN_LINKS:
+    if len(known_links) + len(unknown) > MAX_KNOWN_LINKS:
         known_links.clear()
         unknown = links
     known_links.update(unknown)

@@ -500,16 +500,20 @@ def serialize(bundle: EvidenceBundle) -> bytes:
     return json.dumps(bundle_to_obj(bundle), sort_keys=True, separators=(",", ":")).encode()
 
 
-def deserialize(data: bytes) -> EvidenceBundle:
-    """Parse canonical bundle bytes; ParseError carries the byte offset for
-    lexical failures and 0 for schema-level ones."""
+def load_json(data: bytes):
+    """UTF-8 JSON bytes to a JSON value; ParseError carries the byte offset."""
     try:
-        obj = json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg}", offset=exc.pos) from exc
     except UnicodeDecodeError as exc:
         raise ParseError("not valid UTF-8", offset=exc.start) from exc
-    return obj_to_bundle(obj)
+
+
+def deserialize(data: bytes) -> EvidenceBundle:
+    """Parse canonical bundle bytes; ParseError carries the byte offset for
+    lexical failures and 0 for schema-level ones."""
+    return obj_to_bundle(load_json(data))
 
 
 # ---------------------------------------------------------------------------

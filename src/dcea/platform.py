@@ -2,8 +2,8 @@
 
 The launch records two chains into the platform's own TPM:
 
-* static chain: the host firmware into PCR 0, then any configured
-  platform-specific events into PCRs 1..7;
+* static chain: the host firmware into PCR 0, then the platform events of
+  ``STATIC_EVENTS`` into PCRs 1..7;
 * dynamic chain: the launch environment (ACM, then the TDX loader) into
   PCR 17, and the stack that hosts confidential guests (kernel, hypervisor,
   vTPM binary) into PCR 18.
@@ -17,7 +17,7 @@ launched stack differs from the one it was provisioned for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from . import crypto, tpm as tpm_mod
 from .crypto import KeyPair
@@ -29,8 +29,8 @@ PCR_LAUNCH_ENV = 17
 PCR_HOST_STACK = 18
 
 # (pcr index, payload, description) triples for PCRs 1..7. Real platforms
-# differ wildly here; the defaults just keep the static bank non-trivial.
-DEFAULT_STATIC_EVENTS: Tuple[Tuple[int, bytes, str], ...] = (
+# differ wildly here; these just keep the static bank non-trivial.
+STATIC_EVENTS: Tuple[Tuple[int, bytes, str], ...] = (
     (1, b"board-config", "board config"),
     (4, b"boot-manager", "boot manager"),
     (5, b"partition-table", "partition table"),
@@ -72,25 +72,19 @@ class Platform:
 
 
 def measured_launch(
-    stack: HostStack,
-    tpm: TpmState,
-    static_events: Optional[Iterable[Tuple[int, bytes, str]]] = None,
-    platform_id: Optional[str] = None,
+    stack: HostStack, tpm: TpmState, platform_id: Optional[str] = None
 ) -> Platform:
     """Boot a platform, measuring the stack into its TPM.
 
-    Pure in (stack, static events): the same inputs produce the same
-    measurement state. Raises DoubleLaunch when the TPM already carries a
-    launch (non-zero PCR 17).
+    Pure in the stack: the same inputs produce the same measurement state.
+    Raises DoubleLaunch when the TPM already carries a launch (non-zero
+    PCR 17).
     """
     if tpm.pcrs.value(PCR_LAUNCH_ENV) != crypto.ZERO_DIGEST:
         raise DoubleLaunch("tpm already recorded a measured launch")
-    events = DEFAULT_STATIC_EVENTS if static_events is None else tuple(static_events)
 
     state = tpm_mod.pcr_extend(tpm, PCR_FIRMWARE, stack.firmware_image, "host firmware")
-    for idx, payload, desc in events:
-        if not 1 <= idx <= 7:
-            raise ValueError(f"static chain events belong in PCRs 1..7, got {idx}")
+    for idx, payload, desc in STATIC_EVENTS:
         state = tpm_mod.pcr_extend(state, idx, payload, desc)
     state = tpm_mod.pcr_extend(state, PCR_LAUNCH_ENV, stack.acm_image, "acm")
     state = tpm_mod.pcr_extend(state, PCR_LAUNCH_ENV, stack.seamldr_image, "seamldr")
@@ -108,7 +102,6 @@ def instantiate_vtpm(
     provider_ca: KeyPair,
     vtpm_seed: bytes,
     kind: TpmKind = TpmKind.VIRTUAL,
-    policy_pcrs: Iterable[int] = tpm_mod.DEFAULT_POLICY_PCRS,
 ) -> TpmState:
     """Create the guest-facing TPM for a launched platform.
 
@@ -133,7 +126,7 @@ def instantiate_vtpm(
     vtpm, _handle = tpm_mod.create_sealed_ak(
         vtpm,
         crypto.digest(b"vtpm-ak:" + vtpm_seed).data,
-        policy_pcrs,
+        tpm_mod.DEFAULT_POLICY_PCRS,
         issuer=vtpm.ek,
         cert_claims={"platform_id": platform.id},
     )

@@ -107,16 +107,7 @@ class TdReport:
     qe_chain: CertChain
 
 
-def td_launch(
-    platform: Platform,
-    firmware: bytes,
-    ak_pub: Optional[bytes],
-    owner: bytes = b"tenant",
-    tee_tcb_svn: bytes = b"\x03" * 16,
-    mrseam: Optional[bytes] = None,
-    seam_attributes: bytes = b"\x00" * 8,
-    td_attributes: bytes = b"\x00" * 8,
-) -> TdState:
+def td_launch(platform: Platform, firmware: bytes, ak_pub: Optional[bytes]) -> TdState:
     """Start a TD on a launched platform.
 
     MRTD is the digest of the guest firmware; MRCONFIGID binds the digest
@@ -140,15 +131,15 @@ def td_launch(
         mrtd=mrtd,
         rtmrs=(crypto.ZERO_DIGEST,) * N_RTMRS,
         mrconfigid=mrconfigid,
-        mrowner=crypto.digest(owner).data,
+        mrowner=crypto.digest(b"tenant").data,
         mrownerconfig=b"\x00" * 48,
         host_platform_id=platform.id,
         guest_log=(launch_entry,),
         ppid="ppid-" + crypto.digest(b"ppid:" + platform.id.encode()).hex()[:24],
-        tee_tcb_svn=tee_tcb_svn,
-        mrseam=mrseam if mrseam is not None else crypto.digest(b"seam-module").data,
-        seam_attributes=seam_attributes,
-        td_attributes=td_attributes,
+        tee_tcb_svn=b"\x03" * 16,
+        mrseam=crypto.digest(b"seam-module").data,
+        seam_attributes=b"\x00" * 8,
+        td_attributes=b"\x00" * 8,
     )
 
 

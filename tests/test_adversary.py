@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from dcea import adversary, crypto, evidence, tpm, verifier
+from dcea import adversary, cli, crypto, evidence, tpm, verifier
 from dcea.adversary import Deployment, WorldConfig
 from dcea.errors import UnknownScenario, WorldError
 
@@ -215,6 +215,26 @@ def test_fifty_seed_matrix_bytes_and_verdicts_are_pinned():
             verdicts.update(json.dumps(out.verdict.to_obj(), sort_keys=True).encode())
     assert bundles.hexdigest() == MATRIX_BUNDLES_SHA256
     assert verdicts.hexdigest() == MATRIX_VERDICTS_SHA256
+
+
+# SHA-256 over the sorted-key JSON of each cell's verification context
+# (policy, challenge and the world's registry, as ``dcea run --policy``
+# writes it), same cells and seeds as above. It covers the registry
+# entries that the scenario generators enrol.
+MATRIX_CONTEXTS_SHA256 = "18ddc7213efe5845ff554f9733d6b458ab7b847fae337066d35bf32586a0d47f"
+
+
+def test_fifty_seed_matrix_contexts_are_pinned():
+    contexts = hashlib.sha256()
+    for sid, dep in [("honest", Deployment.S1), ("honest", Deployment.S2)] + ALL_CASES:
+        for seed in range(50):
+            world = world_for(dep, seed=seed)
+            out = (
+                adversary.attest_honest(world) if sid == "honest"
+                else adversary.attest_attack(world, sid)
+            )
+            contexts.update(json.dumps(cli._context_obj(out, world), sort_keys=True).encode())
+    assert contexts.hexdigest() == MATRIX_CONTEXTS_SHA256
 
 
 # -- scenario-specific behavior ------------------------------------------------

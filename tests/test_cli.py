@@ -130,6 +130,18 @@ def test_verify_garbage_bundle_is_usage_error(tmp_path, capsys):
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def test_verify_non_utf8_context_is_parse_error(tmp_path, capsys):
+    policy = tmp_path / "utf16.policy.json"
+    policy.write_bytes((FIXTURES / "honest_s1.policy.json").read_text().encode("utf-16"))
+    assert policy.read_bytes()[:2] == b"\xff\xfe"
+    rc, out, err = run_cli(
+        capsys, "verify", str(FIXTURES / "honest_s1.dcea.json"), "--policy", str(policy)
+    )
+    assert rc == cli.EXIT_USAGE
+    assert out == ""
+    assert "not valid UTF-8" in err
+
+
 def _json_path(path):
     return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 

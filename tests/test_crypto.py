@@ -197,6 +197,23 @@ def test_verify_chain_broken_middle_link_index_1():
     assert verdict.broken_index == 1
 
 
+def test_full_memo_keeps_a_chain_it_already_holds(monkeypatch):
+    world = adversary.build_world()
+    chain = world.qe_chain
+    known = set()
+    assert crypto.verify_chain(chain, [world.tee_root], known).ok
+    filler = crypto.keygen(b"memo-filler", crypto.KeyKind.CA)
+    while len(known) < crypto.MAX_KNOWN_LINKS - 1:
+        cert = crypto.Certificate(filler.public, str(len(known)), (), b"")
+        known.add((cert, filler.public))
+    before = set(known)
+    calls = []
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args))
+    assert crypto.verify_chain(chain, [world.tee_root], known).ok
+    assert known == before
+    assert calls == []
+
+
 def test_verify_chain_empty_rejected():
     with pytest.raises(EmptyChain):
         crypto.verify_chain(crypto.CertChain(()), [], set())

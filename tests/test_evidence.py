@@ -303,12 +303,15 @@ def _json_paths(value, path=()):
 
 _OTHER_TYPES = (None, True, 0, 1.5, "", "ab", [], {})
 
+_OTHER_ROOTS = {"trusted_tee_roots": "trusted_provider_roots",
+                "trusted_provider_roots": "trusted_tee_roots"}
+
 
 @st.composite
-def mutated_bundles(draw):
-    """(pair name, golden bundle JSON with one structural mutation)."""
+def mutated_goldens(draw, document):
+    """(pair name, a golden ``document`` JSON with one structural mutation)."""
     pair = draw(st.sampled_from(GOLDEN))
-    obj = json.loads((FIXTURES / f"{pair}.dcea.json").read_text())
+    obj = json.loads((FIXTURES / f"{pair}.{document}.json").read_text())
     path = draw(st.sampled_from(list(_json_paths(obj))[1:]))
     parent = obj
     for key in path[:-1]:
@@ -319,6 +322,8 @@ def mutated_bundles(draw):
         kinds += ["empty", "drop item", "duplicate item", "reorder"] if value else []
     if isinstance(value, str) and value:
         kinds.append("truncate")
+    if len(path) == 3 and path[1] in _OTHER_ROOTS:  # a certificate in a root list
+        kinds.append("swap roots")
     kind = draw(st.sampled_from(kinds))
     if kind == "retype":
         parent[key] = draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(value)]))
@@ -328,6 +333,10 @@ def mutated_bundles(draw):
         parent[key] = []
     elif kind == "truncate":
         parent[key] = value[:draw(st.integers(0, len(value) - 1))]
+    elif kind == "swap roots":
+        other = obj["policy"][_OTHER_ROOTS[path[1]]]
+        j = draw(st.integers(0, len(other) - 1))
+        parent[key], other[j] = other[j], value
     else:
         i = draw(st.integers(0, len(value) - 1))
         if kind == "drop item":
@@ -341,7 +350,7 @@ def mutated_bundles(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutated_bundles())
+@given(mutated_goldens("dcea"))
 def test_mutated_golden_bundle_gives_a_parse_error_or_a_verdict(case):
     pair, obj = case
     try:
@@ -349,6 +358,25 @@ def test_mutated_golden_bundle_gives_a_parse_error_or_a_verdict(case):
     except ParseError:
         return
     ctx = cli._load_context(str(FIXTURES / f"{pair}.policy.json"))
+    verdict = verify_once(bundle, ctx.policy, ctx.challenge, ctx.registry)
+    assert isinstance(verdict, verifier.Verdict)
+
+
+@pytest.fixture(scope="module")
+def context_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("contexts") / "mutated.policy.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mutated_goldens("policy"))
+def test_mutated_golden_context_gives_a_parse_error_or_a_verdict(context_file, case):
+    pair, obj = case
+    context_file.write_bytes(json.dumps(obj).encode())
+    try:
+        ctx = cli._load_context(str(context_file))
+    except ParseError:
+        return
+    bundle = evidence.deserialize((FIXTURES / f"{pair}.dcea.json").read_bytes())
     verdict = verify_once(bundle, ctx.policy, ctx.challenge, ctx.registry)
     assert isinstance(verdict, verifier.Verdict)
 

@@ -26,12 +26,12 @@ def make_stack(tag=b""):
     )
 
 
-def make_platform(tag=b"", static_events=()):
+def make_platform(tag=b""):
     ca = crypto.keygen(b"provider-ca", crypto.KeyKind.CA)
     device = tpm.tpm_init(
         b"ek" + tag, ca, {"provider": "examplecloud", "platform_id": "plat-1"}
     )
-    return platform.measured_launch(make_stack(tag), device, static_events=static_events), ca
+    return platform.measured_launch(make_stack(tag), device), ca
 
 
 def test_launch_pcr17_matches_fold_oracle():
@@ -52,8 +52,9 @@ def test_launch_pcr0_holds_firmware():
 
 
 def test_launch_static_events_land_in_declared_pcrs():
-    plat, _ = make_platform(static_events=((2, b"option-rom", "oprom"),))
-    assert tpm.read_pcrs(plat.tpm, [2])[2].hex() == _fold(b"option-rom")
+    plat, _ = make_platform()
+    for idx, payload, _desc in platform.STATIC_EVENTS:
+        assert tpm.read_pcrs(plat.tpm, [idx])[idx].hex() == _fold(payload)
 
 
 def test_launch_is_deterministic():
@@ -80,7 +81,7 @@ def test_stack_sensitivity():
         })
         ca = crypto.keygen(b"provider-ca", crypto.KeyKind.CA)
         device = tpm.tpm_init(b"ek", ca, {"platform_id": "plat-1"})
-        plat = platform.measured_launch(stack, device, static_events=())
+        plat = platform.measured_launch(stack, device)
         assert tpm.read_pcrs(plat.tpm, [0, 17, 18]) != base_vals, field_name
 
 

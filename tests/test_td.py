@@ -12,7 +12,7 @@ from test_platform import make_platform
 
 def make_td(ak_pub=b"\x11" * 32):
     plat, ca = make_platform()
-    guest = td.td_launch(plat, b"guest-firmware", ak_pub=ak_pub, owner=b"tenant-7")
+    guest = td.td_launch(plat, b"guest-firmware", ak_pub=ak_pub)
     return guest, plat, ca
 
 
@@ -29,7 +29,7 @@ def test_launch_measurements():
     guest, plat, _ = make_td(ak_pub)
     assert guest.mrtd == crypto.digest(b"guest-firmware")
     assert guest.mrconfigid == crypto.digest(ak_pub).data
-    assert guest.mrowner == crypto.digest(b"tenant-7").data
+    assert guest.mrowner == crypto.digest(b"tenant").data
     assert guest.rtmrs == (crypto.ZERO_DIGEST,) * 4
     assert guest.host_platform_id == plat.id
     # launch opens the guest log with the firmware event that backs MRTD
