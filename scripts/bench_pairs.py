@@ -12,8 +12,11 @@ alike. Each run's full record (the file run.py leaves in the checkout's
 ``perfbench/results/``) goes into ``BENCH_<n>.json`` at the root of this
 repository, next to the per-metric summary that the printed table shows:
 median and quartiles of each side, and the number of pairs in which the
-change was better. ``--append`` keeps the runs already in that file, so
-the workloads can be run one at a time.
+change was better, and each side's attempted and failed operations.
+``--append`` keeps the runs already in that file, so the workloads can be
+run one at a time. The script exits 1, after writing the file, when any
+run reports ``correct: false``: run.py itself exits 0 then, and a change
+that breaks verdicts must not pass for a timing result.
 """
 
 from __future__ import annotations
@@ -53,12 +56,19 @@ def quartiles(values):
 
 def summarize(runs, better_by_metric) -> dict:
     """Per workload and metric: each side's median and quartiles, and the
-    pairs in which the change was better."""
+    pairs in which the change was better. Under ``"ops"``, per workload,
+    each side's attempted and failed operations summed over its runs."""
     by_pair = {}
     for run in runs:
         key = (run["workload"], run["trace"], run["pair"])
         by_pair.setdefault(key, {})[run["side"]] = run["record"]["metrics"]
     summary = {}
+    for run in runs:
+        ops = summary.setdefault(run["workload"], {}).setdefault(
+            "ops", {side: {"attempted": 0, "failed": 0} for side in SIDES}
+        )[run["side"]]
+        ops["attempted"] += run["record"]["attempted"]
+        ops["failed"] += run["record"]["failed"]
     for (workload, trace, _), sides in sorted(by_pair.items()):
         if set(sides) != set(SIDES):
             continue
@@ -73,7 +83,9 @@ def summarize(runs, better_by_metric) -> dict:
             row["change"].append(new)
             row["change_better"] += (new > old) if better == "higher" else (new < old)
     for workload in summary.values():
-        for row in workload.values():
+        for metric, row in workload.items():
+            if metric == "ops":
+                continue
             row["pairs"] = len(row["parent"])
             for side in SIDES:
                 row[side] = quartiles(row[side]) if row["pairs"] > 1 else {"median": row[side][0]}
@@ -93,6 +105,11 @@ def table(summary) -> str:
     ]
     for workload, rows in summary.items():
         for metric, row in rows.items():
+            if metric == "ops":
+                lines.append(f"| {workload} | failed / attempted ops | "
+                             + " | ".join(f"{row[s]['failed']} / {row[s]['attempted']}" for s in SIDES)
+                             + " | | |")
+                continue
             cells = []
             for side in SIDES:
                 s = row[side]
@@ -105,6 +122,12 @@ def table(summary) -> str:
                 + ("n/a" if delta is None else f"{delta:+.1f} %") + " |"
             )
     return "\n".join(lines)
+
+
+def incorrect(runs) -> list:
+    """The runs whose record says the program's outputs were wrong."""
+    return [f"{r['workload']} pair {r['pair']} seed {r['seed']} {r['side']}"
+            for r in runs if not r["record"]["correct"]]
 
 
 def main(argv=None) -> int:
@@ -150,7 +173,10 @@ def main(argv=None) -> int:
         "runs": runs,
     }, indent=1) + "\n")
     print(table(summary))
-    return 0
+    bad = incorrect(runs)
+    for run in bad:
+        print(f"error: incorrect run: {run}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

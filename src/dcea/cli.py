@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from types import SimpleNamespace
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import evidence
 from .adversary import (
@@ -37,7 +37,7 @@ from .adversary import (
     attest_honest,
     build_world,
 )
-from .errors import DceaError
+from .errors import DceaError, ParseError
 from .evidence import optional, record
 from .verifier import (
     CHALLENGE,
@@ -156,15 +156,18 @@ def cmd_run(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _load_context(path: str) -> SimpleNamespace:
-    with open(path, "rb") as fh:
-        return _CONTEXT.decode(evidence.load_json(fh.read()), "$")
+def _load(path: str, decode: Callable = lambda obj: _CONTEXT.decode(obj, "$")):
+    """Decode the JSON in file ``path``, a context by default; a ParseError names the file."""
+    try:
+        with open(path, "rb") as fh:
+            return decode(evidence.load_json(fh.read()))
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}", exc.offset) from exc
 
 
 def cmd_verify(args) -> int:
-    with open(args.bundle, "rb") as fh:
-        bundle = evidence.deserialize(fh.read())
-    ctx = _load_context(args.policy)
+    bundle = _load(args.bundle, evidence.obj_to_bundle)
+    ctx = _load(args.policy)
     verifier = Verifier(ctx.policy)
     if ctx.registry is not None:
         verifier.registry = ctx.registry

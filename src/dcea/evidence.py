@@ -9,7 +9,7 @@ its combinators; the quote's PCR list and the event log each decode in one
 flat loop), and each codec defines both directions, so encoder and decoder
 cannot drift apart; the README documents the same layout. A decoded object
 may carry no key outside its table. ``serialize(deserialize(x)) == x`` for
-every well-formed input.
+every well-formed input. Decoded values may be shared between bundles.
 
 report_data layout (64 bytes):
 
@@ -165,13 +165,11 @@ def _same(value):
 
 
 def scalar(kind: type, name: str) -> Codec:
-    """A JSON string, integer or boolean of Python type ``kind``."""
-    # JSON true/false decode as bool, a subclass of int: only a bool field
-    # takes them
-    takes_bool = kind is bool
+    """A JSON string, integer or boolean of Python type ``kind``; the type
+    must match exactly, as JSON true and false are bools, a subclass of int."""
 
     def decode(obj, path):
-        if not isinstance(obj, kind) or ((obj is True or obj is False) and not takes_bool):
+        if obj.__class__ is not kind:
             _fail(path, f"expected {name}")
         return obj
 
@@ -195,15 +193,33 @@ BOOLEAN = scalar(bool, "boolean")
 NUMBER = Codec(_same, _number)
 
 
+# Intern tables: digest hex -> Digest; signature hex -> (cert JSON, Certificate); event
+# digest hex -> (entry JSON, EventLogEntry). A hit needs the exact JSON value that decoded.
+# A table admits values until it holds MAX_INTERNED, then only answers lookups (see README).
+MAX_INTERNED = 256  # about 16 platforms of 15 digests, 7 entries, 5 certs
+_INTERNED = _DIGESTS, _CERTS, _ENTRIES = ({}, {}, {})
+
+
+def _known(table: dict, obj, key: str):
+    """What ``table`` holds for exactly the JSON object ``obj`` under ``obj[key]``, or None."""
+    text = obj.get(key) if obj.__class__ is dict else None
+    hit = table.get(text) if text.__class__ is str else None
+    return hit[1] if hit is not None and hit[0] == obj else None  # == is exact on strings
+
+
 def hex_bytes(width: Optional[int] = None, build: Optional[Callable] = None) -> Codec:
     """Bytes as hex text in the one spelling ``bytes.hex`` writes: digit
     pairs, lowercase, nothing between them. Exactly ``width`` bytes when
     given. ``build`` makes the decoded value of the bytes, and that value's
-    ``hex()`` writes it back."""
+    ``hex()`` writes it back; the digest table interns it, so only DIGEST has a ``build``."""
 
     def decode(text, path):
         if text.__class__ is not str:
             _fail(path, "expected hex string")
+        if build is not None:
+            value = _DIGESTS.get(text)
+            if value is not None:
+                return value
         try:
             raw = unhexlify(text)  # unlike bytes.fromhex, refuses spaces
         except ValueError:
@@ -212,7 +228,11 @@ def hex_bytes(width: Optional[int] = None, build: Optional[Callable] = None) -> 
             _fail(path, "hex must be lowercase")
         if width is not None and len(raw) != width:
             _fail(path, f"expected {width} bytes, got {len(raw)}")
-        return raw if build is None else build(raw)
+        if build is None:
+            return raw
+        if len(_DIGESTS) < MAX_INTERNED:
+            return _DIGESTS.setdefault(text, build(raw))
+        return build(raw)
 
     return Codec(bytes.hex if build is None else build.hex, decode)
 
@@ -350,12 +370,24 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
 DIGEST = hex_bytes(crypto.DIGEST_LEN, Digest)
 NONCE = hex_bytes(NONCE_LEN)
 
-CERT = record(Certificate, {
+_CERT = record(Certificate, {
     "subject_public": hex_bytes(),
     "issuer_id": STRING,
     "claims": Codec(dict, lambda obj, path: tuple(sorted(_string_map(obj, path).items()))),
     "signature": hex_bytes(),
 })
+
+
+def _cert(obj, path) -> Certificate:
+    cert = _known(_CERTS, obj, "signature")
+    if cert is None:
+        cert = _CERT.decode(obj, path)
+        if len(_CERTS) < MAX_INTERNED:
+            _CERTS.setdefault(obj["signature"], ({**obj, "claims": dict(obj["claims"])}, cert))
+    return cert
+
+
+CERT = _CERT._replace(decode=_cert)
 
 _CHAIN = wrap(list_of(CERT), CertChain, attrgetter("certs"))
 
@@ -407,6 +439,12 @@ def _event_log(obj, path) -> Tuple[EventLogEntry, ...]:
     digest = DIGEST.decode
     entries = []
     for i, item in enumerate(obj):
+        known = _known(_ENTRIES, item, "event_digest")
+        # equal JSON may still spell an index as true or 1.0
+        if (known is not None and item.get("pcr_index").__class__ is known.pcr_index.__class__
+                and item.get("rtmr_index").__class__ is known.rtmr_index.__class__):
+            entries.append(known)
+            continue
         at = (path, i)
         if item.__class__ is not dict or item.keys() != _ENTRY_KEYS:
             _object_keys(item, at, _ENTRY_KEYS, _ENTRY_REQUIRED)
@@ -424,6 +462,8 @@ def _event_log(obj, path) -> Tuple[EventLogEntry, ...]:
             entries.append(EventLogEntry(pcr_index, event_digest, description, scope, rtmr_index))
         except _REFUSED as exc:
             _fail(at, exc)
+        if len(_ENTRIES) < MAX_INTERNED:
+            _ENTRIES.setdefault(item["event_digest"], (dict(item), entries[-1]))
     return tuple(entries)
 
 
@@ -501,13 +541,14 @@ def serialize(bundle: EvidenceBundle) -> bytes:
 
 
 def load_json(data: bytes):
-    """UTF-8 JSON bytes to a JSON value; ParseError carries the byte offset."""
+    """UTF-8 JSON bytes to a JSON value; a ParseError names and carries the byte offset."""
     try:
         return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc.msg}", offset=exc.pos) from exc
+        offset = len(exc.doc[:exc.pos].encode())  # exc.pos counts characters
+        raise ParseError(f"not valid JSON at byte {offset}: {exc.msg}", offset=offset) from exc
     except UnicodeDecodeError as exc:
-        raise ParseError("not valid UTF-8", offset=exc.start) from exc
+        raise ParseError(f"not valid UTF-8 at byte {exc.start}", offset=exc.start) from exc
 
 
 def deserialize(data: bytes) -> EvidenceBundle:

@@ -120,9 +120,13 @@ class Challenge:
     tpm_nonce: bytes
     issued_at: float
 
+    def __post_init__(self):  # fixed widths keep the ledger key td_nonce + tpm_nonce one-to-one
+        if len(self.td_nonce) != evidence.NONCE_LEN or len(self.tpm_nonce) != evidence.NONCE_LEN:
+            raise ValueError(f"challenge nonces must be {evidence.NONCE_LEN} bytes")
 
-def _challenge_key(challenge: Challenge) -> Tuple[bytes, bytes]:
-    return (challenge.td_nonce, challenge.tpm_nonce)
+
+def _challenge_key(challenge: Challenge) -> bytes:
+    return challenge.td_nonce + challenge.tpm_nonce
 
 
 @dataclass(frozen=True)
@@ -393,16 +397,17 @@ class Verifier:
         self._rng = rng if rng is not None else random.Random()
         self._clock = clock if clock is not None else (lambda: 0.0)
         self.registry = AkRegistry()
-        self._outstanding: Dict[Tuple[bytes, bytes], Challenge] = {}
-        self._spent: Set[Tuple[bytes, bytes]] = set()
+        self._outstanding: Dict[bytes, Challenge] = {}
+        self._spent: Set[bytes] = set()
         self._known_links: Set[crypto.Link] = set()
 
     def challenge(self) -> Challenge:
+        n = evidence.NONCE_LEN
         while True:
-            key = (self._rng.randbytes(evidence.NONCE_LEN), self._rng.randbytes(evidence.NONCE_LEN))
+            key = self._rng.randbytes(2 * n)  # the same stream as two n-byte draws
             if key not in self._outstanding and key not in self._spent:
                 break
-        challenge = Challenge(td_nonce=key[0], tpm_nonce=key[1], issued_at=float(self._clock()))
+        challenge = Challenge(td_nonce=key[:n], tpm_nonce=key[n:], issued_at=float(self._clock()))
         self._outstanding[key] = challenge
         return challenge
 

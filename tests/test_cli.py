@@ -142,6 +142,22 @@ def test_verify_non_utf8_context_is_parse_error(tmp_path, capsys):
     assert "not valid UTF-8" in err
 
 
+def test_verify_parse_error_names_the_file_and_the_byte_offset(tmp_path, capsys):
+    bad_bundle, bad_context = tmp_path / "bad.dcea.json", tmp_path / "bad.policy.json"
+    for bad in (bad_bundle, bad_context):
+        bad.write_bytes(b'{"x"')
+    errors = []
+    for bundle, context in ((bad_bundle, FIXTURES / "honest_s1.policy.json"),
+                            (FIXTURES / "honest_s1.dcea.json", bad_context)):
+        rc, out, err = run_cli(capsys, "verify", str(bundle), "--policy", str(context))
+        assert (rc, out) == (cli.EXIT_USAGE, "")
+        errors.append(err)
+    assert errors == [
+        f"error: {bad}: not valid JSON at byte 4: Expecting ':' delimiter\n"
+        for bad in (bad_bundle, bad_context)
+    ]
+
+
 def _json_path(path):
     return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 

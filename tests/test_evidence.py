@@ -103,6 +103,10 @@ def test_parse_error_carries_offset():
     assert exc.value.offset > 0
     with pytest.raises(ParseError):
         evidence.deserialize(b"\xff\xfenot json")
+    # the offset counts bytes: two-byte characters come before the error
+    with pytest.raises(ParseError, match=r"^not valid JSON at byte 9: Expecting value$") as exc:
+        evidence.deserialize('{"éé": x}'.encode())
+    assert exc.value.offset == 9
 
 
 def test_parse_error_on_schema_violations():
@@ -349,17 +353,44 @@ def mutated_goldens(draw, document):
     return pair, obj
 
 
+def empty_intern_tables():
+    for table in evidence._INTERNED:
+        table.clear()
+
+
+def warm_and_cold(golden, appraise):
+    """``appraise()`` with the intern tables warmed by decoding the file
+    ``golden``, then with them emptied: a ParseError's text or the verdict
+    JSON, which must be the same both times."""
+    outcomes = []
+    for warm in (True, False):
+        empty_intern_tables()
+        if warm:
+            if golden.name.endswith(".policy.json"):
+                cli._load(str(golden))
+            else:
+                evidence.deserialize(golden.read_bytes())
+        try:
+            verdict = appraise()
+        except ParseError as exc:
+            outcomes.append(str(exc))
+            continue
+        assert isinstance(verdict, verifier.Verdict)
+        outcomes.append(json.dumps(cli._verdict_obj(verdict), sort_keys=True))
+    assert outcomes[0] == outcomes[1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(mutated_goldens("dcea"))
 def test_mutated_golden_bundle_gives_a_parse_error_or_a_verdict(case):
     pair, obj = case
-    try:
+    ctx = cli._load(str(FIXTURES / f"{pair}.policy.json"))
+
+    def appraise():
         bundle = evidence.deserialize(json.dumps(obj).encode())
-    except ParseError:
-        return
-    ctx = cli._load_context(str(FIXTURES / f"{pair}.policy.json"))
-    verdict = verify_once(bundle, ctx.policy, ctx.challenge, ctx.registry)
-    assert isinstance(verdict, verifier.Verdict)
+        return verify_once(bundle, ctx.policy, ctx.challenge, ctx.registry)
+
+    warm_and_cold(FIXTURES / f"{pair}.dcea.json", appraise)
 
 
 @pytest.fixture(scope="module")
@@ -372,13 +403,67 @@ def context_file(tmp_path_factory):
 def test_mutated_golden_context_gives_a_parse_error_or_a_verdict(context_file, case):
     pair, obj = case
     context_file.write_bytes(json.dumps(obj).encode())
-    try:
-        ctx = cli._load_context(str(context_file))
-    except ParseError:
-        return
     bundle = evidence.deserialize((FIXTURES / f"{pair}.dcea.json").read_bytes())
-    verdict = verify_once(bundle, ctx.policy, ctx.challenge, ctx.registry)
-    assert isinstance(verdict, verifier.Verdict)
+
+    def appraise():
+        ctx = cli._load(str(context_file))
+        return verify_once(bundle, ctx.policy, ctx.challenge, ctx.registry)
+
+    warm_and_cold(FIXTURES / f"{pair}.policy.json", appraise)
+
+
+# -- intern tables: a hit only for the exact JSON value decoded before -------
+
+@pytest.mark.parametrize(
+    "path, change, message",
+    [
+        # true == 1 and 1.0 == 1 in Python: the warm entry has pcr_index 1, rtmr_index 0
+        (("event_log", 6, "pcr_index"), lambda old: True, "$.event_log[6].pcr_index: expected integer"),
+        (("event_log", 6, "rtmr_index"), lambda old: False, "$.event_log[6].rtmr_index: expected integer"),
+        (("event_log", 6, "pcr_index"), float, "$.event_log[6].pcr_index: expected integer"),
+        (("event_log", 6, "extra"), lambda old: "1", "$.event_log[6]: unknown field 'extra'"),
+        (("ek_cert_chain", 1, "extra"), lambda old: "1", "$.ek_cert_chain[1]: unknown field 'extra'"),
+        (("ek_cert_chain", 0, "claims", "tpm_kind"), lambda old: [old],
+         "$.ek_cert_chain[0].claims: must map strings to strings"),
+        (("ek_cert_chain", 0, "issuer_id"), lambda old: [old],
+         "$.ek_cert_chain[0].issuer_id: expected string"),
+        (("td_report", "mrtd"), str.upper, "$.td_report.mrtd: hex must be lowercase"),
+        (("event_log", 6, "event_digest"), str.upper,
+         "$.event_log[6].event_digest: hex must be lowercase"),
+    ],
+)
+def test_a_warm_table_decodes_a_changed_value_as_an_empty_one_does(path, change, message):
+    obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
+    empty_intern_tables()
+    evidence.obj_to_bundle(obj)
+    assert all(evidence._INTERNED)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = change(parent.get(path[-1]))
+    for tables in ("warm", "empty"):
+        with pytest.raises(ParseError) as exc:
+            evidence.obj_to_bundle(obj)
+        assert str(exc.value) == message, tables
+        empty_intern_tables()
+
+
+def test_intern_tables_fill_to_their_bound_and_keep_what_they_hold():
+    empty_intern_tables()
+    golden = evidence.deserialize((FIXTURES / "honest_s1.dcea.json").read_bytes())
+    seen = [set(), set(), set()]
+    for seed in range(120):
+        bundle = evidence.deserialize(evidence.serialize(random_bundle(seed)))
+        seen[0].update(bundle.td_report.rtmrs)
+        seen[1].update(bundle.ek_cert_chain.certs + bundle.td_report.qe_chain.certs)
+        seen[2].update(bundle.event_log)
+        assert all(len(table) <= evidence.MAX_INTERNED for table in evidence._INTERNED)
+    assert all(len(values) > evidence.MAX_INTERNED for values in seen)
+    assert [len(table) for table in evidence._INTERNED] == [evidence.MAX_INTERNED] * 3
+    again = evidence.deserialize((FIXTURES / "honest_s1.dcea.json").read_bytes())
+    assert again.td_report.mrtd is golden.td_report.mrtd
+    assert again.ek_cert_chain.certs[0] is golden.ek_cert_chain.certs[0]
+    assert again.event_log[0] is golden.event_log[0]
 
 
 def test_build_bundle_missing_mandatory():
