@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from . import crypto, platform as platform_mod, td as td_mod, tpm as tpm_mod
 from .crypto import CertChain, Certificate, KeyPair
 from .errors import PolicyViolation, UnknownScenario, WorldError
-from .evidence import EvidenceBundle, Nonces, Timing, build_bundle, encode_report_data
+from .evidence import EvidenceBundle, Nonces, Timing, encode_report_data
 from .platform import HostStack, Platform
 from .td import GuestEvent, TdState
 from .tpm import Scope, TpmKind, TpmState
@@ -61,7 +61,6 @@ class WorldConfig:
     one_way_delay_ms: float = 12.0
     relay_delay_ms: float = 40.0
     binding_channel: BindingChannel = BindingChannel.MRCONFIGID
-    in_td_check: bool = False
 
 
 PROVIDER = "examplecloud"
@@ -99,7 +98,7 @@ GUEST_BOOT_PLAN = (
     (2, 8, "workload agent"),
 )
 
-TAMPER_EVENT_INDEX = 2  # the guest kernel event; lands in the RTMR1 row
+TAMPER_EVENT_INDEX = 3  # guest-log position of the kernel event; lands in the RTMR1 row
 
 QUOTE_SELECTION = tuple(range(16)) + (17, 18)
 
@@ -161,34 +160,13 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
 # growing worlds
 # ---------------------------------------------------------------------------
 
-def _boot_guest(
-    world: World,
-    plat: Platform,
-    vtpm: TpmState,
-    bound_pub: bytes,
-    tamper_index: Optional[int] = None,
-) -> Tuple[TpmState, TdState]:
-    """Launch a TD against its serving TPM and boot it, feeding each guest
-    event to both measurement sinks.
-
-    ``tamper_index`` doctors the digest delivered to the PCR side of that
-    one event (the TD still folds the real one), modelling a host that
-    filters the mirror stream.
-    """
-    cfg = world.config
-    launch_bind = bound_pub if cfg.binding_channel is BindingChannel.MRCONFIGID else None
+def _boot_guest(world: World, plat: Platform, bound_pub: bytes) -> TdState:
+    """Launch a TD on ``plat`` that binds ``bound_pub``; boot it through the guest events."""
+    launch_bind = bound_pub if world.config.binding_channel is BindingChannel.MRCONFIGID else None
     guest = td_mod.td_launch(plat, world.guest_firmware, ak_pub=launch_bind)
-    vtpm = tpm_mod.pcr_extend_digest(vtpm, 0, guest.mrtd, "td firmware", scope=Scope.GUEST)
-    for i, ev in enumerate(world.guest_events):
+    for ev in world.guest_events:
         guest = td_mod.rtmr_extend(guest, ev)
-        delivered = ev.event_digest
-        if tamper_index is not None and i == tamper_index:
-            delivered = crypto.digest(b"filtered:" + ev.event_digest.data)
-        vtpm = tpm_mod.pcr_extend_digest(
-            vtpm, ev.pcr_index, delivered, ev.description,
-            scope=Scope.GUEST, rtmr_index=ev.rtmr_index,
-        )
-    return vtpm, guest
+    return guest
 
 
 def _spawn_platform(
@@ -202,8 +180,10 @@ def _spawn_platform(
     vtpm_seed: Optional[str] = None,
 ) -> str:
     """Launch a platform, give it a serving TPM (seed label ``vtpm_seed``,
-    ``vtpm:<platform_id>`` by default), boot a guest on it, and enrol the
-    key the guest binds (``bind_ak_pub``, else its own AK) if ``register``."""
+    ``vtpm:<platform_id>`` by default), boot a guest on it and mirror its log
+    into that TPM, and enrol the key the guest binds (``bind_ak_pub``, else
+    its own AK) if ``register``. The mirror doctors the guest-log entry at
+    ``tamper_index``, as a host that filters the mirror stream would."""
     ca = ca or world.provider_ca
     device = tpm_mod.tpm_init(
         _seed_bytes(world.config, f"ek:{platform_id}"),
@@ -217,7 +197,15 @@ def _spawn_platform(
     )
     handle = tpm_mod.default_ak_handle(vtpm)
     bound = bind_ak_pub if bind_ak_pub is not None else vtpm.aks[handle].keypair.public
-    vtpm, guest = _boot_guest(world, plat, vtpm, bound, tamper_index=tamper_index)
+    guest = _boot_guest(world, plat, bound)
+    for i, entry in enumerate(guest.guest_log):
+        delivered = entry.event_digest
+        if i == tamper_index:
+            delivered = crypto.digest(b"filtered:" + delivered.data)
+        vtpm = tpm_mod.pcr_extend_digest(
+            vtpm, entry.pcr_index, delivered, entry.description,
+            scope=Scope.GUEST, rtmr_index=entry.rtmr_index,
+        )
     world.platforms[platform_id] = plat
     world.vtpms[platform_id] = vtpm
     world.ak_handles[platform_id] = handle
@@ -265,8 +253,6 @@ def _respond(
 
     if cfg.binding_channel is BindingChannel.REPORT_DATA:
         rd = encode_report_data(challenge.td_nonce, binding=crypto.digest(bound_pub).data[:32])
-    elif cfg.in_td_check:
-        rd = encode_report_data(challenge.td_nonce, consistency_bit=True)
     else:
         rd = encode_report_data(challenge.td_nonce)
     report = td_mod.td_report(guest, rd, world.qe, world.qe_chain)
@@ -280,7 +266,7 @@ def _respond(
         quote_received=t0 + rtt + QUOTE_LATENCY_MS[quoting_kind(world)] + extra_quote_delay_ms,
     )
     world.clock_ms = max(world.clock_ms, timing.td_received, timing.quote_received)
-    return build_bundle(
+    return EvidenceBundle(
         td_report=report,
         tpm_quote=quote,
         ek_cert_chain=CertChain((ek_cert or vtpm.ek_cert, root_cert or world.provider_root)),
@@ -343,9 +329,7 @@ def _gen_frankenstein(world: World, challenge: Challenge) -> EvidenceBundle:
     # and that platform's quotes are relayed in; only the wire time gives it
     # away
     _spawn_platform(world, "plat-R")
-    _, guest = _boot_guest(
-        world, world.platforms["plat-A"], world.vtpms["plat-A"], world.bound_pubs["plat-R"]
-    )
+    guest = _boot_guest(world, world.platforms["plat-A"], world.bound_pubs["plat-R"])
     return _respond(
         world, challenge, "A2_frankenstein", "plat-R",
         guest=guest, extra_quote_delay_ms=2 * world.config.relay_delay_ms,

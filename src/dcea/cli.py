@@ -13,8 +13,6 @@ Subcommands:
 Exit codes: 0 when the outcome matches expectation (honest accepted,
 attack rejected; for ``verify``, bundle accepted), 1 on the contrary
 outcome, 2 for usage, I/O, or parse errors.
-
-``--seed`` falls back to the ``DCEA_SEED`` environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from types import SimpleNamespace
 from typing import Callable, List, Optional
@@ -51,22 +48,6 @@ from .verifier import (
 EXIT_OK = 0
 EXIT_CONTRARY = 1
 EXIT_USAGE = 2
-
-
-class _Usage(Exception):
-    pass
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("DCEA_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise _Usage(f"DCEA_SEED must be an integer, got {raw!r}")
 
 
 def _verdict_obj(verdict) -> dict:
@@ -115,9 +96,8 @@ def _context_obj(outcome, world) -> dict:
 
 
 def cmd_run(args) -> int:
-    seed = _resolve_seed(args)
     deployment = Deployment(args.deployment)
-    world = build_world(WorldConfig(seed=seed, deployment=deployment))
+    world = build_world(WorldConfig(seed=args.seed, deployment=deployment))
     if args.scenario == "honest":
         outcome = attest_honest(world)
         expected_accept = True
@@ -136,14 +116,14 @@ def cmd_run(args) -> int:
         )
 
     if args.format == "md":
-        print(f"# {outcome.scenario_id} ({deployment.value}, seed {seed})")
+        print(f"# {outcome.scenario_id} ({deployment.value}, seed {args.seed})")
         print("\n".join(_verdict_md(outcome.verdict)))
         print(f"as expected: {'yes' if as_expected else 'NO'}")
     else:
         obj = {
             "scenario": outcome.scenario_id,
             "deployment": deployment.value,
-            "seed": seed,
+            "seed": args.seed,
             "expected": "accept" if expected_accept else "reject",
             "as_expected": as_expected,
         }
@@ -274,8 +254,7 @@ def _matrix_md(rows: List[dict], seeds: int) -> str:
 
 
 def cmd_matrix(args) -> int:
-    seed = _resolve_seed(args)
-    rows = matrix_rows(seed, args.seeds)
+    rows = matrix_rows(args.seed, args.seeds)
     if args.format == "csv":
         text = _matrix_csv(rows)
     elif args.format == "json":
@@ -332,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scenario", default="honest",
                        help="'honest' or a scenario id (see list-scenarios)")
     run_p.add_argument("--deployment", choices=["S1", "S2"], default="S2")
-    run_p.add_argument("--seed", type=int, default=None)
+    run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--out", help="write the evidence bundle (*.dcea.json) here")
     run_p.add_argument("--policy", help="write the verification context here")
     run_p.add_argument("--format", choices=["json", "md"], default="json")
@@ -346,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p.set_defaults(func=cmd_verify)
 
     matrix_p = sub.add_parser("matrix", help="all scenarios x both deployments")
-    matrix_p.add_argument("--seed", type=int, default=None)
+    matrix_p.add_argument("--seed", type=int, default=0)
     matrix_p.add_argument("--seeds", type=int, default=1,
                           help="number of consecutive seeds per cell")
     matrix_p.add_argument("--format", choices=["md", "csv", "json"], default="md")
@@ -362,9 +341,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "matrix" and args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
     try:
         return args.func(args)
-    except (_Usage, DceaError, OSError) as exc:
+    except (DceaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

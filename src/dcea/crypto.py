@@ -26,7 +26,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -184,17 +184,6 @@ def cert_signing_payload(
 # certificates
 # ---------------------------------------------------------------------------
 
-ClaimsLike = Union[Mapping[str, str], Sequence[Tuple[str, str]]]
-
-
-def _normalize_claims(claims: ClaimsLike) -> Tuple[Tuple[str, str], ...]:
-    if isinstance(claims, Mapping):
-        items = claims.items()
-    else:
-        items = claims
-    return tuple(sorted((str(k), str(v)) for k, v in items))
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Minimal certificate: a signed claims map over a subject key.
@@ -242,9 +231,9 @@ class ChainVerdict:
 _VALID = ChainVerdict(ChainStatus.VALID)
 
 
-def issue_cert(issuer: KeyPair, subject_public: bytes, claims: ClaimsLike) -> Certificate:
+def issue_cert(issuer: KeyPair, subject_public: bytes, claims: Mapping[str, str]) -> Certificate:
     """Sign a claims map over a subject key. Self-signed when subject is issuer."""
-    normalized = _normalize_claims(claims)
+    normalized = tuple(sorted(claims.items()))
     issuer_id = key_id(issuer.public)
     payload = cert_signing_payload(subject_public, issuer_id, normalized)
     return Certificate(

@@ -49,10 +49,6 @@ class DoubleLaunch(DceaError):
     """Measured launch attempted on a TPM that already recorded one."""
 
 
-class NotLaunched(DceaError):
-    """Operation requires a launched platform."""
-
-
 # -- td ----------------------------------------------------------------------
 
 class InvalidRtmr(DceaError):

@@ -16,9 +16,7 @@ report_data layout (64 bytes):
 * bytes 0..31: the verifier's TD nonce for this challenge;
 * bytes 32..63: the binding tail. Zero by default; when the deployment
   binds the attestation key through report_data instead of MRCONFIGID it
-  holds the first 32 bytes of SHA384(ak_public); when the in-TD
-  consistency mode is enabled (MRCONFIGID binding only) byte 32 carries
-  the one-bit outcome.
+  holds the first 32 bytes of SHA384(ak_public).
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import (
-    Callable, ClassVar, Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple, Type,
+    Callable, ClassVar, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple, Type,
 )
 
 from . import crypto
@@ -47,24 +45,15 @@ RD_TAIL = slice(32, 64)
 NONCE_LEN = 32
 
 
-def encode_report_data(
-    td_nonce: bytes,
-    binding: Optional[bytes] = None,
-    consistency_bit: Optional[bool] = None,
-) -> bytes:
+def encode_report_data(td_nonce: bytes, binding: Optional[bytes] = None) -> bytes:
     """Pack the 64-byte report_data field; see the module docstring."""
     if len(td_nonce) != NONCE_LEN:
         raise ValueError(f"td nonce must be {NONCE_LEN} bytes")
-    if binding is not None and consistency_bit is not None:
-        raise ValueError("binding tail and consistency bit are mutually exclusive")
-    tail = b"\x00" * 32
-    if binding is not None:
-        if len(binding) != 32:
-            raise ValueError("binding tail must be 32 bytes")
-        tail = binding
-    elif consistency_bit is not None:
-        tail = bytes([1 if consistency_bit else 0]) + b"\x00" * 31
-    return td_nonce + tail
+    if binding is None:
+        return td_nonce + b"\x00" * 32
+    if len(binding) != 32:
+        raise ValueError("binding tail must be 32 bytes")
+    return td_nonce + binding
 
 
 @dataclass(frozen=True)
@@ -95,43 +84,9 @@ class EvidenceBundle:
 
     format_version: ClassVar[int] = FORMAT_VERSION  # the wire generation it encodes as
 
-
-def build_bundle(
-    td_report: Optional[TdReport],
-    tpm_quote: Optional[TpmQuote],
-    ek_cert_chain: Optional[CertChain],
-    ak_cert: Optional[Certificate] = None,
-    event_log: Iterable[EventLogEntry] = (),
-    nonces: Optional[Nonces] = None,
-    timing: Optional[Timing] = None,
-    scenario_meta: Optional[Mapping[str, str]] = None,
-) -> EvidenceBundle:
-    """Assemble a bundle, refusing when a mandatory component is missing."""
-    missing = [
-        name
-        for name, value in (
-            ("td_report", td_report),
-            ("tpm_quote", tpm_quote),
-            ("ek_cert_chain", ek_cert_chain),
-            ("nonces", nonces),
-            ("timing", timing),
-        )
-        if value is None
-    ]
-    if missing:
-        raise IncompleteBundle(f"bundle missing mandatory components: {missing}")
-    if not ek_cert_chain.certs:
-        raise IncompleteBundle("ek_cert_chain must hold at least one certificate")
-    return EvidenceBundle(
-        td_report=td_report,
-        tpm_quote=tpm_quote,
-        ek_cert_chain=ek_cert_chain,
-        ak_cert=ak_cert,
-        event_log=tuple(event_log),
-        nonces=nonces,
-        timing=timing,
-        scenario_meta=dict(scenario_meta or {}),
-    )
+    def __post_init__(self):
+        if not self.ek_cert_chain.certs:
+            raise IncompleteBundle("ek_cert_chain must hold at least one certificate")
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +435,7 @@ def _quote(selection, values, **rest) -> TpmQuote:
 
 
 def _bundle(format_version: int, **parts) -> EvidenceBundle:
-    return build_bundle(**parts)  # the version is checked by its codec
+    return EvidenceBundle(**parts)  # the version is checked by its codec
 
 
 _BUNDLE = record(_bundle, {

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Tuple
 
 from . import crypto, tpm as tpm_mod
 from .crypto import KeyPair
-from .errors import DoubleLaunch, NotLaunched
+from .errors import DoubleLaunch
 from .tpm import Scope, TpmKind, TpmState
 
 PCR_FIRMWARE = 0
@@ -66,9 +66,7 @@ class HostStack:
 class Platform:
     id: str
     tpm: TpmState
-    stack: HostStack
     provider_claims: Mapping[str, str]
-    launched: bool = False
 
 
 def measured_launch(
@@ -94,7 +92,7 @@ def measured_launch(
 
     claims = state.ek_cert.claims_dict()
     pid = platform_id or claims.get("platform_id") or f"plat-{crypto.key_id(state.ek.public)[:8]}"
-    return Platform(id=pid, tpm=state, stack=stack, provider_claims=claims, launched=True)
+    return Platform(id=pid, tpm=state, provider_claims=claims)
 
 
 def instantiate_vtpm(
@@ -110,8 +108,6 @@ def instantiate_vtpm(
     its own EK. The AK therefore inherits the host launch state: quoting
     works exactly while the mirrored anchors match what was sealed.
     """
-    if not platform.launched:
-        raise NotLaunched(f"platform {platform.id} has not completed measured launch")
     claims = dict(platform.provider_claims)
     claims.update({"platform_id": platform.id, "tpm_kind": kind.value})
     vtpm = tpm_mod.tpm_init(

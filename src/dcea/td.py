@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 from . import crypto
 from .crypto import CertChain, Digest, KeyPair
-from .errors import BadReportData, InvalidEntry, InvalidKey, InvalidRtmr, NotLaunched
+from .errors import BadReportData, InvalidEntry, InvalidKey, InvalidRtmr
 from .platform import Platform
 from .tpm import N_RTMRS, EventLogEntry, Scope
 
@@ -47,6 +47,10 @@ RTMR_PCR_MAP: Dict[int, Tuple[int, ...]] = {
 }
 
 REPORT_DOMAIN_TAG = "dcea-td-report-v1"
+
+# owner and TDX-module measurements every simulated report carries
+MROWNER = crypto.digest(b"tenant").data
+MRSEAM = crypto.digest(b"seam-module").data
 
 
 @dataclass(frozen=True)
@@ -77,15 +81,8 @@ class TdState:
     mrtd: Digest
     rtmrs: Tuple[Digest, ...]
     mrconfigid: bytes
-    mrowner: bytes
-    mrownerconfig: bytes
-    host_platform_id: str
     guest_log: Tuple[EventLogEntry, ...]
     ppid: str
-    tee_tcb_svn: bytes
-    mrseam: bytes
-    seam_attributes: bytes
-    td_attributes: bytes
 
 
 @dataclass(frozen=True)
@@ -116,8 +113,6 @@ def td_launch(platform: Platform, firmware: bytes, ak_pub: Optional[bytes]) -> T
     with the firmware event so replaying it reproduces MRTD and the PCR 0
     mirror.
     """
-    if not platform.launched:
-        raise NotLaunched(f"platform {platform.id} has not completed measured launch")
     mrtd = crypto.digest(firmware)
     mrconfigid = crypto.digest(ak_pub).data if ak_pub is not None else b"\x00" * 48
     launch_entry = EventLogEntry(
@@ -131,15 +126,8 @@ def td_launch(platform: Platform, firmware: bytes, ak_pub: Optional[bytes]) -> T
         mrtd=mrtd,
         rtmrs=(crypto.ZERO_DIGEST,) * N_RTMRS,
         mrconfigid=mrconfigid,
-        mrowner=crypto.digest(b"tenant").data,
-        mrownerconfig=b"\x00" * 48,
-        host_platform_id=platform.id,
         guest_log=(launch_entry,),
         ppid="ppid-" + crypto.digest(b"ppid:" + platform.id.encode()).hex()[:24],
-        tee_tcb_svn=b"\x03" * 16,
-        mrseam=crypto.digest(b"seam-module").data,
-        seam_attributes=b"\x00" * 8,
-        td_attributes=b"\x00" * 8,
     )
 
 
@@ -192,13 +180,13 @@ def td_report(td: TdState, report_data: bytes, qe: KeyPair, qe_chain: CertChain)
         mrtd=td.mrtd,
         rtmrs=td.rtmrs,
         mrconfigid=td.mrconfigid,
-        mrowner=td.mrowner,
-        mrownerconfig=td.mrownerconfig,
+        mrowner=MROWNER,
+        mrownerconfig=b"\x00" * 48,
         report_data=report_data,
-        tee_tcb_svn=td.tee_tcb_svn,
-        mrseam=td.mrseam,
-        seam_attributes=td.seam_attributes,
-        td_attributes=td.td_attributes,
+        tee_tcb_svn=b"\x03" * 16,
+        mrseam=MRSEAM,
+        seam_attributes=b"\x00" * 8,
+        td_attributes=b"\x00" * 8,
         ppid=td.ppid,
         qe_signature=b"",
         qe_chain=qe_chain,

@@ -81,10 +81,6 @@ class EventLogEntry:
 class PcrBank:
     registers: Tuple[Digest, ...]
 
-    @classmethod
-    def reset(cls) -> "PcrBank":
-        return cls(registers=(crypto.ZERO_DIGEST,) * N_PCRS)
-
     def value(self, index: int) -> Digest:
         if not 0 <= index < N_PCRS:
             raise InvalidPcrIndex(f"pcr index {index} out of range")
@@ -105,9 +101,6 @@ class SealedAk:
     keypair: KeyPair
     policy: Tuple[Tuple[int, Digest], ...]
     ak_cert: Optional[Certificate] = None
-
-    def policy_dict(self) -> Dict[int, Digest]:
-        return dict(self.policy)
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,8 @@ def tpm_init(
     """Fresh device: zeroed bank, empty log, endorsement key certified by issuer."""
     ek = crypto.keygen(ek_seed, KeyKind.EK)
     ek_cert = crypto.issue_cert(issuer, ek.public, claims)
-    return TpmState(pcrs=PcrBank.reset(), log=(), ek=ek, ek_cert=ek_cert, aks={}, kind=kind)
+    bank = PcrBank((crypto.ZERO_DIGEST,) * N_PCRS)
+    return TpmState(pcrs=bank, log=(), ek=ek, ek_cert=ek_cert, aks={}, kind=kind)
 
 
 def pcr_extend(tpm: TpmState, index: int, event: bytes, description: str = "") -> TpmState:

@@ -93,7 +93,7 @@ def rand_quote(rng):
 def random_bundle(seed):
     rng = random.Random(seed)
     meta_n = rng.randrange(0, 4)
-    return evidence.build_bundle(
+    return evidence.EvidenceBundle(
         td_report=rand_report(rng),
         tpm_quote=rand_quote(rng),
         ek_cert_chain=rand_chain(rng),

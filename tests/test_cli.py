@@ -58,13 +58,6 @@ def test_run_irrelevant_deployment_is_usage_error(capsys):
     assert rc == 2
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("DCEA_SEED", "41")
-    rc, out, _ = run_cli(capsys, "run", "--scenario", "honest")
-    assert rc == 0
-    assert json.loads(out)["seed"] == 41
-
-
 def test_run_writes_deterministic_bundle(tmp_path, capsys):
     p1, p2 = tmp_path / "a.dcea.json", tmp_path / "b.dcea.json"
     run_cli(capsys, "run", "--scenario", "honest", "--seed", "9", "--out", str(p1))
@@ -338,3 +331,11 @@ def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_matrix_without_a_seed_to_run_is_usage_error(capsys, seeds):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["matrix", "--seeds", seeds])
+    assert exc.value.code == 2
+    assert f"--seeds must be at least 1, got {seeds}" in capsys.readouterr().err

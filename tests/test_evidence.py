@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcea import cli, crypto, evidence, platform, td, tpm, verifier
-from dcea.errors import IncompleteBundle, ParseError
+from dcea.errors import ParseError
 
 from support import random_bundle, verify_once
 from test_platform import make_platform
@@ -62,7 +62,7 @@ def honest_bundle():
     plat, vtpm, guest, report, quote, log, ca = honest_pieces()
     root = crypto.issue_cert(ca, ca.public, {"role": "root"})
     handle = tpm.default_ak_handle(vtpm)
-    return evidence.build_bundle(
+    return evidence.EvidenceBundle(
         td_report=report,
         tpm_quote=quote,
         ek_cert_chain=crypto.CertChain((vtpm.ek_cert, root)),
@@ -125,7 +125,7 @@ def test_parse_error_on_schema_violations():
     with pytest.raises(ParseError):
         evidence.deserialize(json.dumps(obj3).encode())
 
-    # the decoder keeps build_bundle's invariants
+    # the decoder keeps EvidenceBundle's invariant
     obj4 = json.loads(evidence.serialize(honest_bundle()))
     obj4["ek_cert_chain"] = []
     with pytest.raises(ParseError, match=r"^\$: ek_cert_chain must hold at least one certificate$"):
@@ -466,20 +466,6 @@ def test_intern_tables_fill_to_their_bound_and_keep_what_they_hold():
     assert again.event_log[0] is golden.event_log[0]
 
 
-def test_build_bundle_missing_mandatory():
-    bundle = honest_bundle()
-    with pytest.raises(IncompleteBundle):
-        evidence.build_bundle(
-            td_report=bundle.td_report,
-            tpm_quote=None,
-            ek_cert_chain=bundle.ek_cert_chain,
-            ak_cert=None,
-            event_log=bundle.event_log,
-            nonces=bundle.nonces,
-            timing=bundle.timing,
-        )
-
-
 # -- report_data layout ------------------------------------------------------
 
 def test_encode_report_data_layout():
@@ -488,10 +474,6 @@ def test_encode_report_data_layout():
     assert plain[:32] == nonce and plain[32:] == b"\x00" * 32
     bound = evidence.encode_report_data(nonce, binding=b"\xee" * 32)
     assert bound[32:] == b"\xee" * 32
-    bit = evidence.encode_report_data(nonce, consistency_bit=True)
-    assert bit[32] == 1 and bit[33:] == b"\x00" * 31
-    with pytest.raises(ValueError):
-        evidence.encode_report_data(nonce, binding=b"\xee" * 32, consistency_bit=True)
     with pytest.raises(ValueError):
         evidence.encode_report_data(b"\x0c" * 31)
 

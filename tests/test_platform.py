@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from dcea import crypto, platform, tpm
-from dcea.errors import DoubleLaunch, NotLaunched
+from dcea.errors import DoubleLaunch
 
 
 def _fold(*payloads):
@@ -95,23 +95,13 @@ def test_instantiate_vtpm_policy_equals_host_launch_digests():
     plat, ca = make_platform()
     vtpm = platform.instantiate_vtpm(plat, ca, b"vtpm-seed")
     handle = tpm.default_ak_handle(vtpm)
-    policy = vtpm.aks[handle].policy_dict()
+    policy = dict(vtpm.aks[handle].policy)
     host = tpm.read_pcrs(plat.tpm, [17, 18])
     assert policy[17] == host[17]
     assert policy[18] == host[18]
     # and the fresh instance can actually quote under that policy
     quote = tpm.tpm_quote(vtpm, handle, [17, 18], b"\x07" * 32)
     assert quote.values_dict()[17] == host[17]
-
-
-def test_instantiate_vtpm_requires_launch():
-    ca = crypto.keygen(b"provider-ca", crypto.KeyKind.CA)
-    device = tpm.tpm_init(b"ek", ca, {"platform_id": "plat-9"})
-    unlaunched = platform.Platform(
-        id="plat-9", tpm=device, stack=make_stack(), provider_claims={}, launched=False
-    )
-    with pytest.raises(NotLaunched):
-        platform.instantiate_vtpm(unlaunched, ca, b"vtpm-seed")
 
 
 def test_instantiate_vtpm_kind_and_cert_chain():

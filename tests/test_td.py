@@ -4,8 +4,8 @@ import hashlib
 
 import pytest
 
-from dcea import crypto, platform, td, tpm
-from dcea.errors import BadReportData, InvalidEntry, InvalidRtmr, NotLaunched
+from dcea import crypto, td, tpm
+from dcea.errors import BadReportData, InvalidEntry, InvalidRtmr
 
 from test_platform import make_platform
 
@@ -26,12 +26,12 @@ def make_qe():
 
 def test_launch_measurements():
     ak_pub = b"\x11" * 32
-    guest, plat, _ = make_td(ak_pub)
+    guest, _, _ = make_td(ak_pub)
     assert guest.mrtd == crypto.digest(b"guest-firmware")
     assert guest.mrconfigid == crypto.digest(ak_pub).data
-    assert guest.mrowner == crypto.digest(b"tenant").data
+    qe, chain, _ = make_qe()
+    assert td.td_report(guest, b"\x00" * 64, qe, chain).mrowner == crypto.digest(b"tenant").data
     assert guest.rtmrs == (crypto.ZERO_DIGEST,) * 4
-    assert guest.host_platform_id == plat.id
     # launch opens the guest log with the firmware event that backs MRTD
     assert len(guest.guest_log) == 1
     first = guest.guest_log[0]
@@ -44,16 +44,6 @@ def test_launch_without_binding_zeroes_mrconfigid():
     plat, _ = make_platform()
     guest = td.td_launch(plat, b"guest-firmware", ak_pub=None)
     assert guest.mrconfigid == b"\x00" * 48
-
-
-def test_launch_requires_launched_platform():
-    plat, _ = make_platform()
-    dead = platform.Platform(
-        id=plat.id, tpm=plat.tpm, stack=plat.stack,
-        provider_claims=plat.provider_claims, launched=False,
-    )
-    with pytest.raises(NotLaunched):
-        td.td_launch(dead, b"guest-firmware", ak_pub=None)
 
 
 def test_rtmr_extend_matches_fold_oracle():

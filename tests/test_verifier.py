@@ -129,7 +129,7 @@ def test_c3_report_data_channel():
     rd = evidence.encode_report_data(TD_NONCE, binding=crypto.digest(ak_pub).data[:32])
     report = td_mod.td_report(guest, rd, qe, qe_chain)
     root = crypto.issue_cert(ca, ca.public, {"role": "root"})
-    bundle = evidence.build_bundle(
+    bundle = evidence.EvidenceBundle(
         td_report=report,
         tpm_quote=quote,
         ek_cert_chain=crypto.CertChain((vtpm.ek_cert, root)),
@@ -452,7 +452,7 @@ def test_memo_never_grows_past_its_bound(monkeypatch):
     ek = world.vtpms["plat-A"].ek
     for serial in range(12):
         bundle, challenge = next_bundle(world)
-        claims = bundle.ak_cert.claims + (("serial", str(serial)),)
+        claims = dict(bundle.ak_cert.claims + (("serial", str(serial)),))
         ak_cert = crypto.issue_cert(ek, bundle.ak_cert.subject_public, claims)
         v.adopt_challenge(challenge)
         assert v.verify(replace(bundle, ak_cert=ak_cert), challenge).accepted
