@@ -58,6 +58,13 @@ def test_run_irrelevant_deployment_is_usage_error(capsys):
     assert rc == 2
 
 
+def test_seed_defaults_to_zero_whatever_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("DCEA_SEED", "41")
+    rc, out, _ = run_cli(capsys, "run", "--scenario", "honest")
+    assert rc == 0
+    assert json.loads(out)["seed"] == 0
+
+
 def test_run_writes_deterministic_bundle(tmp_path, capsys):
     p1, p2 = tmp_path / "a.dcea.json", tmp_path / "b.dcea.json"
     run_cli(capsys, "run", "--scenario", "honest", "--seed", "9", "--out", str(p1))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcea import cli, crypto, evidence, platform, td, tpm, verifier
-from dcea.errors import ParseError
+from dcea.errors import IncompleteBundle, ParseError
 
 from support import random_bundle, verify_once
 from test_platform import make_platform
@@ -466,6 +467,13 @@ def test_intern_tables_fill_to_their_bound_and_keep_what_they_hold():
     assert again.event_log[0] is golden.event_log[0]
 
 
+def test_build_bundle_missing_mandatory():
+    # a bundle needs at least the EK certificate to anchor its vTPM
+    bundle = honest_bundle()
+    with pytest.raises(IncompleteBundle):
+        replace(bundle, ek_cert_chain=crypto.CertChain(()))
+
+
 # -- report_data layout ------------------------------------------------------
 
 def test_encode_report_data_layout():
@@ -476,6 +484,11 @@ def test_encode_report_data_layout():
     assert bound[32:] == b"\xee" * 32
     with pytest.raises(ValueError):
         evidence.encode_report_data(b"\x0c" * 31)
+
+
+def test_encode_report_data_rejects_short_binding():
+    with pytest.raises(ValueError, match="binding tail must be 32 bytes"):
+        evidence.encode_report_data(b"\x0c" * 32, binding=b"\xee" * 31)
 
 
 # -- replay ------------------------------------------------------------------
