@@ -22,6 +22,8 @@ def main() -> int:
         help="comma-separated one-way relay delays in ms",
     )
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error(f"--seeds must be at least 1, got {args.seeds}")
     relays = [float(r) for r in args.relays.split(",")]
 
     print(f"{'relay (ms)':>10}  {'attack rejected':>16}  {'honest accepted':>16}")

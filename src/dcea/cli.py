@@ -172,8 +172,11 @@ def matrix_rows(seed: int, seeds: int = 1) -> List[dict]:
     """Run honest plus every scenario under both deployments.
 
     Scenario/deployment pairs outside a scenario's applicability are
-    reported as ``n/a`` rather than executed.
+    reported as ``n/a`` rather than executed. ``seeds`` below 1 raises
+    ValueError: a matrix in which nothing ran proves nothing.
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     rows = []
     for sid in ["honest"] + list(SCENARIOS):
         for deployment in DEPLOYMENT_ORDER:

@@ -5,11 +5,10 @@ Wire format (``*.dcea.json``): one canonical JSON object, keys sorted
 alphabetically at every level, byte fields lowercase hex (the only hex
 spelling decoded), no whitespace. ``format_version`` gates future schema
 changes. Each wire type is one table of field codecs below (``record`` and
-its combinators; the quote's PCR list and the event log each decode in one
-flat loop), and each codec defines both directions, so encoder and decoder
-cannot drift apart; the README documents the same layout. A decoded object
-may carry no key outside its table. ``serialize(deserialize(x)) == x`` for
-every well-formed input. Decoded values may be shared between bundles.
+its combinators), and each codec defines both directions, so encoder and
+decoder cannot drift apart; the README documents the same layout. A decoded
+object may carry no key outside its table. ``serialize(deserialize(x)) == x``
+for every well-formed input. Decoded values may be shared between bundles.
 
 report_data layout (64 bytes):
 
@@ -148,18 +147,11 @@ BOOLEAN = scalar(bool, "boolean")
 NUMBER = Codec(_same, _number)
 
 
-# Intern tables: digest hex -> Digest; signature hex -> (cert JSON, Certificate); event
-# digest hex -> (entry JSON, EventLogEntry). A hit needs the exact JSON value that decoded.
-# A table admits values until it holds MAX_INTERNED, then only answers lookups (see README).
+# Intern tables: digest hex -> Digest (see DIGEST); certificate signature and event digest
+# hex -> (JSON object, its field types or None, decoded value), see ``interned``. A table
+# admits values until it holds MAX_INTERNED, then only answers lookups (see README).
 MAX_INTERNED = 256  # about 16 platforms of 15 digests, 7 entries, 5 certs
 _INTERNED = _DIGESTS, _CERTS, _ENTRIES = ({}, {}, {})
-
-
-def _known(table: dict, obj, key: str):
-    """What ``table`` holds for exactly the JSON object ``obj`` under ``obj[key]``, or None."""
-    text = obj.get(key) if obj.__class__ is dict else None
-    hit = table.get(text) if text.__class__ is str else None
-    return hit[1] if hit is not None and hit[0] == obj else None  # == is exact on strings
 
 
 def hex_bytes(width: Optional[int] = None, build: Optional[Callable] = None) -> Codec:
@@ -230,26 +222,65 @@ def wrap(codec: Codec, build: Callable, unwrap: Callable) -> Codec:
     return Codec(lambda v: codec.encode(unwrap(v)), lambda o, path: build(codec.decode(o, path)))
 
 
+def interned(codec: Codec, key: str, table: dict) -> Codec:
+    """``codec`` for JSON objects, sharing each decoded value through
+    ``table`` under the object's hex string field ``key``. A hit needs an
+    equal object whose fields have the same JSON types: ``true`` and ``1.0``
+    do not match a stored ``1``. Only a number equals a value of another
+    JSON type, so an object holding none skips the type check (a nested
+    claims map holds strings). Anything else decodes as ``codec`` does."""
+    decode = codec.decode
+
+    def decode_interned(obj, path):
+        text = obj.get(key) if obj.__class__ is dict else None
+        held = table.get(text) if text.__class__ is str else None
+        if held is not None and held[0] == obj and (
+                held[1] is None or held[1] == list(map(type, obj.values()))):
+            return held[2]
+        value = decode(obj, path)
+        if len(table) < MAX_INTERNED:  # a full table builds no copy
+            copy = {name: dict(v) if v.__class__ is dict else v for name, v in obj.items()}
+            types = list(map(type, obj.values()))
+            numbers = not {bool, int, float}.isdisjoint(types)
+            table.setdefault(text, (copy, types if numbers else None, value))
+        return value
+
+    return codec._replace(decode=decode_interned)
+
+
 def optional(codec: Codec) -> Codec:
     """``codec`` or null, which reads as None."""
-    encode = codec.encode
+    encode, decode = codec.encode, codec.decode
     return Codec(
         encode if encode is _same else lambda value: None if value is None else encode(value),
-        lambda obj, path: None if obj is None else codec.decode(obj, path),
+        lambda obj, path: None if obj is None else decode(obj, path),
         optional=True,
     )
 
 
 def list_of(item: Codec) -> Codec:
     """A JSON array of ``item``, read as a tuple."""
+    decode_item, encode = item.decode, item.encode
 
     def decode(obj, path):
         if not isinstance(obj, list):
             _fail(path, "expected array")
-        return tuple([item.decode(x, (path, i)) for i, x in enumerate(obj)])
+        return tuple([decode_item(x, (path, i)) for i, x in enumerate(obj)])
 
-    encode = item.encode
     return Codec(list if encode is _same else lambda values: [encode(v) for v in values], decode)
+
+
+def pair_of(first: Codec, second: Codec) -> Codec:
+    """A two-item JSON array, read as a tuple."""
+    decode_first, decode_second = first.decode, second.decode
+    encode_first, encode_second = first.encode, second.encode
+
+    def decode(obj, path):
+        if obj.__class__ is not list or len(obj) != 2:
+            _fail(path, "expected a two-item array")
+        return decode_first(obj[0], (path, 0)), decode_second(obj[1], (path, 1))
+
+    return Codec(lambda pair: [encode_first(pair[0]), encode_second(pair[1])], decode)
 
 
 def map_of(key: Codec, value: Codec) -> Codec:
@@ -279,18 +310,6 @@ STRING_MAP = Codec(dict, _string_map)
 _REFUSED = (InvalidEntry, IncompleteBundle, ValueError)
 
 
-def _object_keys(obj, path, names: frozenset, required: frozenset) -> None:
-    """Fail unless ``obj`` is an object holding every key of ``required``
-    and no key outside ``names``."""
-    if not isinstance(obj, dict):
-        _fail(path, "expected object")
-    keys = obj.keys()
-    if not keys <= names:
-        _fail(path, f"unknown field {min(keys - names)!r}")
-    if not required <= keys:
-        _fail(path, f"missing field {min(required - keys)!r}")
-
-
 def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
     """A JSON object with exactly the keys of ``fields``: written from the
     value's attributes of those names, read as ``make(**values)``. An
@@ -303,19 +322,26 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
 
     def decode(obj, path):
         if obj.__class__ is not dict or obj.keys() != names:
-            _object_keys(obj, path, names, required)
-        values = {name: dec(obj.get(name), (path, name)) for name, dec in decoders}
+            if not isinstance(obj, dict):
+                _fail(path, "expected object")
+            keys = obj.keys()
+            if not keys <= names:
+                _fail(path, f"unknown field {min(keys - names)!r}")
+            if not required <= keys:
+                _fail(path, f"missing field {min(required - keys)!r}")
+        values = {}
+        for name, dec in decoders:  # a loop costs less than a comprehension's call
+            values[name] = dec(obj.get(name), (path, name))
         try:
             return make(**values)
         except _REFUSED as exc:
             _fail(path, exc)
 
     def encode(value):
-        # a field whose wire form is its value skips the call
-        return {
-            name: getattr(value, name) if enc is _same else enc(getattr(value, name))
-            for name, enc in encoders
-        }
+        obj = {}
+        for name, enc in encoders:  # a field whose wire form is its value skips the call
+            obj[name] = getattr(value, name) if enc is _same else enc(getattr(value, name))
+        return obj
 
     return Codec(encode, decode)
 
@@ -333,99 +359,20 @@ _CERT = record(Certificate, {
 })
 
 
-def _cert(obj, path) -> Certificate:
-    cert = _known(_CERTS, obj, "signature")
-    if cert is None:
-        cert = _CERT.decode(obj, path)
-        if len(_CERTS) < MAX_INTERNED:
-            _CERTS.setdefault(obj["signature"], ({**obj, "claims": dict(obj["claims"])}, cert))
-    return cert
-
-
-CERT = _CERT._replace(decode=_cert)
+CERT = interned(_CERT, "signature", _CERTS)
 
 _CHAIN = wrap(list_of(CERT), CertChain, attrgetter("certs"))
 
 
-def _bad_pcr_index(index, path) -> NoReturn:
-    if index.__class__ is not int:
+def _pcr_index(obj, path) -> int:
+    if obj.__class__ is not int:
         _fail(path, "expected integer")
-    _fail(path, f"pcr index {index} out of range")
+    if not 0 <= obj < N_PCRS:
+        _fail(path, f"pcr index {obj} out of range")
+    return obj
 
 
-def _pcr_selection(obj, path) -> Tuple[int, ...]:
-    """Quoted PCR indices, in one loop."""
-    if obj.__class__ is not list:
-        _fail(path, "expected array")
-    for i, index in enumerate(obj):
-        if index.__class__ is not int or not 0 <= index < N_PCRS:
-            _bad_pcr_index(index, (path, i))
-    return tuple(obj)
-
-
-def _pcr_values(obj, path) -> Tuple[Tuple[int, Digest], ...]:
-    """Quoted ``[index, digest]`` pairs, in one loop."""
-    if obj.__class__ is not list:
-        _fail(path, "expected array")
-    digest = DIGEST.decode
-    values = []
-    for i, pair in enumerate(obj):
-        if pair.__class__ is not list or len(pair) != 2:
-            _fail((path, i), "expected a two-item array")
-        index, value = pair
-        if index.__class__ is not int or not 0 <= index < N_PCRS:
-            _bad_pcr_index(index, ((path, i), 0))
-        values.append((index, digest(value, ((path, i), 1))))
-    return tuple(values)
-
-
-_PCR_VALUES = Codec(lambda values: [[index, value.hex()] for index, value in values], _pcr_values)
-
-_SCOPE = enum_of(Scope, "scope").decode
-_ENTRY_KEYS = frozenset({"scope", "pcr_index", "rtmr_index", "event_digest", "description"})
-_ENTRY_REQUIRED = frozenset({"scope", "event_digest", "description"})
-
-
-def _event_log(obj, path) -> Tuple[EventLogEntry, ...]:
-    """Event-log entries, in one loop; ``pcr_index`` and ``rtmr_index`` may
-    be null or left out."""
-    if obj.__class__ is not list:
-        _fail(path, "expected array")
-    digest = DIGEST.decode
-    entries = []
-    for i, item in enumerate(obj):
-        known = _known(_ENTRIES, item, "event_digest")
-        # equal JSON may still spell an index as true or 1.0
-        if (known is not None and item.get("pcr_index").__class__ is known.pcr_index.__class__
-                and item.get("rtmr_index").__class__ is known.rtmr_index.__class__):
-            entries.append(known)
-            continue
-        at = (path, i)
-        if item.__class__ is not dict or item.keys() != _ENTRY_KEYS:
-            _object_keys(item, at, _ENTRY_KEYS, _ENTRY_REQUIRED)
-        scope = _SCOPE(item["scope"], (at, "scope"))
-        pcr_index, rtmr_index = item.get("pcr_index"), item.get("rtmr_index")
-        if pcr_index is not None and pcr_index.__class__ is not int:
-            _fail((at, "pcr_index"), "expected integer")
-        if rtmr_index is not None and rtmr_index.__class__ is not int:
-            _fail((at, "rtmr_index"), "expected integer")
-        event_digest = digest(item["event_digest"], (at, "event_digest"))
-        description = item["description"]
-        if description.__class__ is not str:
-            _fail((at, "description"), "expected string")
-        try:
-            entries.append(EventLogEntry(pcr_index, event_digest, description, scope, rtmr_index))
-        except _REFUSED as exc:
-            _fail(at, exc)
-        if len(_ENTRIES) < MAX_INTERNED:
-            _ENTRIES.setdefault(item["event_digest"], (dict(item), entries[-1]))
-    return tuple(entries)
-
-
-_EVENT_LOG = Codec(lambda entries: [{
-    "scope": e.scope.value, "pcr_index": e.pcr_index, "rtmr_index": e.rtmr_index,
-    "event_digest": e.event_digest.hex(), "description": e.description,
-} for e in entries], _event_log)
+PCR_INDEX = Codec(_same, _pcr_index)
 
 
 def _quote(selection, values, **rest) -> TpmQuote:
@@ -459,8 +406,8 @@ _BUNDLE = record(_bundle, {
         "qe_chain": _CHAIN,
     }),
     "tpm_quote": record(_quote, {
-        "selection": Codec(list, _pcr_selection),
-        "values": _PCR_VALUES,
+        "selection": list_of(PCR_INDEX),
+        "values": list_of(pair_of(PCR_INDEX, DIGEST)),
         "nonce": NONCE,
         "ak_public": hex_bytes(),
         "signature": hex_bytes(),
@@ -468,7 +415,13 @@ _BUNDLE = record(_bundle, {
     }),
     "ek_cert_chain": _CHAIN,
     "ak_cert": optional(CERT),
-    "event_log": _EVENT_LOG,
+    "event_log": list_of(interned(record(EventLogEntry, {
+        "scope": enum_of(Scope, "scope"),
+        "pcr_index": optional(INTEGER),
+        "rtmr_index": optional(INTEGER),
+        "event_digest": DIGEST,
+        "description": STRING,
+    }), "event_digest", _ENTRIES)),
     "nonces": record(Nonces, {
         "td_nonce": NONCE,
         "tpm_nonce": NONCE,

@@ -433,10 +433,11 @@ class Verifier:
 # JSON codecs for policies, challenges, and registries (CLI files)
 # ---------------------------------------------------------------------------
 
-# a PCR index as the key of a JSON object: decimal digits
+# a PCR index as the key of a JSON object: decimal digits as str(index) writes them
 _PCR_KEY = wrap(
     checked(
-        STRING, lambda key: key.isascii() and key.isdigit(), lambda key: f"bad pcr index {key!r}"
+        STRING, lambda key: key.isascii() and key.isdigit() and str(int(key)) == key,
+        lambda key: f"bad pcr index {key!r}",
     ),
     int,
     str,

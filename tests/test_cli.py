@@ -1,6 +1,7 @@
 """Command-line interface: run / verify / matrix / list-scenarios."""
 
 import csv
+import importlib.util
 import io
 import json
 from dataclasses import replace
@@ -245,6 +246,19 @@ def test_verify_uppercase_hex_is_parse_error(tmp_path, capsys, document, path, w
     assert f"{where}: hex must be lowercase" in err
 
 
+def test_pinned_pcr_key_takes_the_one_spelling_str_writes(tmp_path, capsys):
+    # "017" would otherwise decode to PCR 17 and silently replace the "17" pin
+    obj = json.loads((FIXTURES / "honest_s1.policy.json").read_text())
+    obj["policy"]["expected_pcr17_18"]["017"] = "00" * 48
+    policy = tmp_path / "respelled.policy.json"
+    policy.write_text(json.dumps(obj))
+    rc, out, err = run_cli(
+        capsys, "verify", str(FIXTURES / "honest_s1.dcea.json"), "--policy", str(policy)
+    )
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert "expected_pcr17_18.017: bad pcr index '017'" in err
+
+
 def test_verify_golden_pairs(capsys):
     for pair, want in (("honest_s1", 0), ("honest_s2", 0), ("a5_ak_clone", 1)):
         rc, out, _ = run_cli(
@@ -346,3 +360,23 @@ def test_matrix_without_a_seed_to_run_is_usage_error(capsys, seeds):
         cli.main(["matrix", "--seeds", seeds])
     assert exc.value.code == 2
     assert f"--seeds must be at least 1, got {seeds}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", [0, -3])
+def test_matrix_rows_without_a_seed_to_run_raise(seeds):
+    with pytest.raises(ValueError, match=f"^seeds must be at least 1, got {seeds}$"):
+        cli.matrix_rows(0, seeds)
+
+
+def test_relay_sweep_without_a_seed_to_run_is_usage_error(monkeypatch, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "relay_sweep.py"
+    spec = importlib.util.spec_from_file_location("relay_sweep", script)
+    relay_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(relay_sweep)
+    monkeypatch.setattr("sys.argv", ["relay_sweep.py", "--seeds", "0"])
+    with pytest.raises(SystemExit) as exc:
+        relay_sweep.main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seeds must be at least 1, got 0" in captured.err

@@ -467,6 +467,24 @@ def test_intern_tables_fill_to_their_bound_and_keep_what_they_hold():
     assert again.event_log[0] is golden.event_log[0]
 
 
+def _interned_values(bundle):
+    """Every certificate, event-log entry and register digest of ``bundle``."""
+    certs = bundle.td_report.qe_chain.certs + bundle.ek_cert_chain.certs + (bundle.ak_cert,)
+    digests = (bundle.td_report.mrtd,) + bundle.td_report.rtmrs
+    return certs + bundle.event_log + digests + tuple(v for _, v in bundle.tpm_quote.values)
+
+
+@pytest.mark.parametrize("pair", GOLDEN)
+def test_a_second_decode_shares_every_repeated_value(pair):
+    data = (FIXTURES / f"{pair}.dcea.json").read_bytes()
+    empty_intern_tables()
+    first, second = (_interned_values(evidence.deserialize(data)) for _ in range(2))
+    assert len(first) == len(second) > 30
+    assert None not in first
+    for i, (a, b) in enumerate(zip(first, second)):
+        assert a is b, (i, a)
+
+
 def test_build_bundle_missing_mandatory():
     # a bundle needs at least the EK certificate to anchor its vTPM
     bundle = honest_bundle()
