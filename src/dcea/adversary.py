@@ -372,7 +372,6 @@ def _gen_ak_substitute(world: World, challenge: Challenge) -> EvidenceBundle:
         world.vtpms["plat-S"],
         _seed_bytes(world.config, "substitute-ak"),
         tpm_mod.DEFAULT_POLICY_PCRS,
-        issuer=world.vtpms["plat-S"].ek,
         cert_claims={"platform_id": "plat-S"},
     )
     world.vtpms["plat-S"] = vtpm_s

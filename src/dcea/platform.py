@@ -123,7 +123,6 @@ def instantiate_vtpm(
         vtpm,
         crypto.digest(b"vtpm-ak:" + vtpm_seed).data,
         tpm_mod.DEFAULT_POLICY_PCRS,
-        issuer=vtpm.ek,
         cert_claims={"platform_id": platform.id},
     )
     return vtpm

@@ -96,11 +96,12 @@ class PcrBank:
 
 @dataclass(frozen=True)
 class SealedAk:
-    """Attestation key plus the PCR snapshot its use is sealed to."""
+    """Attestation key, the PCR snapshot its use is sealed to, and the
+    certificate the device's EK issued for it."""
 
     keypair: KeyPair
     policy: Tuple[Tuple[int, Digest], ...]
-    ak_cert: Optional[Certificate] = None
+    ak_cert: Certificate
 
 
 @dataclass(frozen=True)
@@ -170,14 +171,13 @@ def create_sealed_ak(
     tpm: TpmState,
     seed: bytes,
     policy_pcrs: Iterable[int],
-    issuer: Optional[KeyPair] = None,
     cert_claims: Optional[Mapping[str, str]] = None,
 ) -> Tuple[TpmState, str]:
     """Provision an AK sealed to the current values of the given registers.
 
-    When ``issuer`` is provided (typically the device's own EK, modelling
-    in-TPM key certification) an AK certificate is attached so verifiers can
-    anchor the key without a registry.
+    The device's own EK certifies the new key (in-TPM key certification),
+    so the AK certificate chains through the EK certificate to the
+    device's provisioner; C2 accepts a quote only through that chain.
     """
     indices = sorted(set(policy_pcrs))
     if not indices:
@@ -187,12 +187,8 @@ def create_sealed_ak(
             raise InvalidPcrIndex(f"policy index {idx} out of range")
     keypair = crypto.keygen(seed, KeyKind.AK)
     policy = tuple((idx, tpm.pcrs.value(idx)) for idx in indices)
-    ak_cert = None
-    if issuer is not None:
-        claims = {"role": "ak", "tpm_kind": tpm.kind.value}
-        if cert_claims:
-            claims.update(cert_claims)
-        ak_cert = crypto.issue_cert(issuer, keypair.public, claims)
+    claims = {"role": "ak", "tpm_kind": tpm.kind.value, **(cert_claims or {})}
+    ak_cert = crypto.issue_cert(tpm.ek, keypair.public, claims)
     handle = f"ak-{len(tpm.aks) + 1}"
     sealed = SealedAk(keypair=keypair, policy=policy, ak_cert=ak_cert)
     return replace(tpm, aks={**tpm.aks, handle: sealed}), handle

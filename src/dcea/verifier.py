@@ -10,9 +10,8 @@ Checks, by what they decide:
 * C1 -- the TD report is signed by a quoting enclave chaining to a
   trusted TEE vendor root.
 * C2 -- the TPM quote verifies under its attestation key, and that key's
-  provenance reaches a trusted platform-provider root (AK certificate
-  path, or registry fallback when no certificate travels with the
-  bundle).
+  certificate chains through the presented EK chain to a trusted
+  platform-provider root. A bundle without an AK certificate fails.
 * C3 -- the TD launch configuration binds the quoting key (MRCONFIGID
   carries digest(AK_public), or the report_data tail does, depending on
   the deployment's binding channel).
@@ -243,20 +242,15 @@ def _check_c2(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) 
         provider = ek_chain.leaf.claims_dict().get("provider")
         if provider not in policy.provider_allowlist:
             return False, f"EK provider {provider!r} is not on the allowlist"
-    if bundle.ak_cert is not None:
-        if bundle.ak_cert.subject_public != quote.ak_public:
-            return False, "AK certificate covers a different key than the quote"
-        full = CertChain((bundle.ak_cert,) + ek_chain.certs)
-        verdict = crypto.verify_chain(full, policy.trusted_provider_roots, known_links)
-        if not verdict.ok:
-            return False, f"AK provenance chain: {verdict.status.value}"
-        return True, "quote verified; AK chains to a trusted provider root"
-    verdict = crypto.verify_chain(ek_chain, policy.trusted_provider_roots, known_links)
+    if bundle.ak_cert is None:
+        return False, "no AK certificate: the quoting key is not certified by the EK"
+    if bundle.ak_cert.subject_public != quote.ak_public:
+        return False, "AK certificate covers a different key than the quote"
+    full = CertChain((bundle.ak_cert,) + ek_chain.certs)
+    verdict = crypto.verify_chain(full, policy.trusted_provider_roots, known_links)
     if not verdict.ok:
-        return False, f"EK chain: {verdict.status.value}"
-    if quote.ak_public in verifier.registry.entries:
-        return True, "quote verified; AK known to the registry"
-    return False, "no AK certificate and the quoting key is not registered"
+        return False, f"AK provenance chain: {verdict.status.value}"
+    return True, "quote verified; AK chains to a trusted provider root"
 
 
 def _check_c3(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
@@ -433,12 +427,9 @@ class Verifier:
 # JSON codecs for policies, challenges, and registries (CLI files)
 # ---------------------------------------------------------------------------
 
-# a PCR index as the key of a JSON object: decimal digits as str(index) writes them
+# a pinned launch-anchor index as the key of a JSON object: "17" or "18"
 _PCR_KEY = wrap(
-    checked(
-        STRING, lambda key: key.isascii() and key.isdigit() and str(int(key)) == key,
-        lambda key: f"bad pcr index {key!r}",
-    ),
+    checked(STRING, lambda key: key in ("17", "18"), lambda key: f"bad pcr index {key!r}"),
     int,
     str,
 )

@@ -259,6 +259,33 @@ def test_pinned_pcr_key_takes_the_one_spelling_str_writes(tmp_path, capsys):
     assert "expected_pcr17_18.017: bad pcr index '017'" in err
 
 
+@pytest.mark.parametrize("key", ["99", "5"])
+def test_pinned_pcr_key_names_a_launch_anchor(tmp_path, capsys, key):
+    # a pin on any other register is a typo, not a policy C6 could ever meet
+    obj = json.loads((FIXTURES / "honest_s1.policy.json").read_text())
+    obj["policy"]["expected_pcr17_18"][key] = "00" * 48
+    policy = tmp_path / "other_pcr.policy.json"
+    policy.write_text(json.dumps(obj))
+    rc, out, err = run_cli(
+        capsys, "verify", str(FIXTURES / "honest_s1.dcea.json"), "--policy", str(policy)
+    )
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert f"expected_pcr17_18.{key}: bad pcr index '{key}'" in err
+
+
+def test_verify_rejects_a_golden_bundle_without_its_ak_certificate(tmp_path, capsys):
+    # the context enrols the bundle's AK; enrolment is no provenance
+    obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
+    obj["ak_cert"] = None
+    bundle = tmp_path / "no_ak_cert.dcea.json"
+    bundle.write_text(json.dumps(obj))
+    rc, out, _ = run_cli(
+        capsys, "verify", str(bundle), "--policy", str(FIXTURES / "honest_s1.policy.json")
+    )
+    assert rc == cli.EXIT_CONTRARY
+    assert json.loads(out)["failed_checks"] == ["C2"]
+
+
 def test_verify_golden_pairs(capsys):
     for pair, want in (("honest_s1", 0), ("honest_s2", 0), ("a5_ak_clone", 1)):
         rc, out, _ = run_cli(

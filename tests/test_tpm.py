@@ -84,14 +84,18 @@ def test_create_sealed_ak_snapshots_policy():
     state = tpm.pcr_extend(state, 17, b"acm-image")
     state = tpm.pcr_extend(state, 17, b"seamldr-image")
     state = tpm.pcr_extend(state, 18, b"kernel-image")
-    state, handle = tpm.create_sealed_ak(state, b"ak-seed", {17, 18}, issuer=state.ek)
+    state, handle = tpm.create_sealed_ak(state, b"ak-seed", {17, 18})
     sealed = state.aks[handle]
     policy = dict(sealed.policy)
     assert set(policy) == {17, 18}
     assert policy[17].hex() == PCR17_ACM_SEAMLDR
     assert policy[18] == tpm.read_pcrs(state, [18])[18]
-    assert sealed.ak_cert is not None
     assert sealed.ak_cert.subject_public == sealed.keypair.public
+    # the device's own EK certifies the AK, so it chains to the EK's issuer
+    root = crypto.issue_cert(ca, ca.public, {"role": "root"})
+    chain = crypto.CertChain((sealed.ak_cert, state.ek_cert, root))
+    assert crypto.verify_chain(chain, (root,), set()).ok
+    assert not crypto.verify_chain(crypto.CertChain((sealed.ak_cert, root)), (root,), set()).ok
 
 
 def test_create_sealed_ak_empty_policy_rejected():

@@ -1,5 +1,6 @@
 """Verifier: challenge issuance, the eight-check pipeline, registry."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -85,21 +86,19 @@ def test_c2_broken_quote_signature():
     assert {"A1", "A5"} <= verdict.attack_flags
 
 
-def test_c2_registry_fallback_without_ak_cert():
+def test_c2_rejects_a_bundle_without_an_ak_certificate():
     bundle = honest_bundle()
     stripped = replace(bundle, ak_cert=None)
-    policy = honest_policy()
-    verdict = verify_once(stripped, policy, honest_challenge())
-    assert "C2" in _failed_ids(verdict)
-
     registry = verifier.AkRegistry()
     verifier.registry_register(
         registry,
         bundle.tpm_quote.ak_public,
         verifier.RegistryEntry(platform_id="plat-1", issuer="examplecloud"),
     )
-    verdict = verify_once(stripped, policy, honest_challenge(), registry=registry)
-    assert verdict.accepted
+    for known in (None, registry):  # a registry entry is no provenance
+        verdict = verify_once(stripped, honest_policy(), honest_challenge(), registry=known)
+        assert verdict.failed_checks() == ("C2",)
+        assert "no AK certificate" in verdict.checks_by_id()["C2"].detail
 
 
 def test_c3_binding_mismatch():
@@ -345,18 +344,17 @@ def appraise(v, world, alter=lambda bundle: bundle):
     return v.verify(alter(bundle), challenge)
 
 
-def new_verifier(world, **policy_changes):
-    policy = replace(adversary.default_policy_for(world), **policy_changes)
-    v = verifier.Verifier(policy, rng=random.Random(5))
+def new_verifier(world):
+    v = verifier.Verifier(adversary.default_policy_for(world), rng=random.Random(5))
     for ak_public, entry in world.registrations:
         verifier.registry_register(v.registry, ak_public, entry)
     return v
 
 
-def warm_verifier(**policy_changes):
+def warm_verifier():
     """A world and a long-lived verifier that has accepted one of its bundles."""
     world = adversary.build_world(adversary.WorldConfig(seed=11))
-    v = new_verifier(world, **policy_changes)
+    v = new_verifier(world)
     assert appraise(v, world).accepted
     return world, v
 
@@ -404,25 +402,20 @@ def reroot_qe_chain(bundle):
     return replace(bundle, td_report=report)
 
 
-def qe_chain_as_ek_chain(bundle):
-    """Remembered links (the QE chain) offered under the provider roots."""
-    return replace(bundle, ek_cert_chain=bundle.td_report.qe_chain, ak_cert=None)
+def ek_chain_as_qe_chain(bundle):
+    """Remembered links (the EK chain) offered under the TEE roots."""
+    return replace(bundle, td_report=replace(bundle.td_report, qe_chain=bundle.ek_cert_chain))
 
 
 @pytest.mark.parametrize(
-    "alter, check_id, detail",
-    [
-        (reroot_qe_chain, "C1", "TEE certificate chain: untrusted_root"),
-        (qe_chain_as_ek_chain, "C2", "EK chain: untrusted_root"),
-    ],
-    ids=["new_links", "remembered_links"],
+    "alter", [reroot_qe_chain, ek_chain_as_qe_chain], ids=["new_links", "remembered_links"]
 )
-def test_memo_still_rejects_a_chain_to_an_unpinned_root(alter, check_id, detail):
-    world, v = warm_verifier(provider_allowlist=())
+def test_memo_still_rejects_a_chain_to_an_unpinned_root(alter):
+    world, v = warm_verifier()
     known = set(v._known_links)
     verdict = appraise(v, world, alter)
-    assert verdict.failed_checks() == (check_id,)
-    assert verdict.checks_by_id()[check_id].detail == detail
+    assert verdict.failed_checks() == ("C1",)
+    assert verdict.checks_by_id()["C1"].detail == "TEE certificate chain: untrusted_root"
     assert v._known_links == known
 
 
@@ -458,3 +451,68 @@ def test_memo_never_grows_past_its_bound(monkeypatch):
         assert v.verify(replace(bundle, ak_cert=ak_cert), challenge).accepted
         assert len(v._known_links) <= crypto.MAX_KNOWN_LINKS
         assert (ak_cert, ek.public) in v._known_links
+
+
+# -- AK provenance across two platforms of one provider ------------------------
+
+TWO_PLATFORM_CONFIGS = pytest.mark.parametrize(
+    "config",
+    [
+        adversary.WorldConfig(seed=seed, deployment=deployment, binding_channel=channel)
+        for seed in range(3)
+        for deployment in adversary.Deployment
+        for channel in verifier.BindingChannel
+    ],
+    ids=lambda c: f"seed{c.seed}-{c.deployment.value}-{c.binding_channel.value}",
+)
+
+# every bundle part a platform signs or certifies
+SIGNED_PARTS = ("td_report", "tpm_quote", "ek_cert_chain", "ak_cert", "event_log")
+
+
+def two_platforms(config):
+    """A world whose second platform, plat-B, is enrolled too, and a challenge."""
+    world = adversary.build_world(config)
+    adversary._spawn_platform(world, "plat-B")
+    return world, new_verifier(world).challenge()
+
+
+def appraise_once(world, bundle, challenge):
+    """Appraise through a fresh verifier that enrols every registration."""
+    v = new_verifier(world)
+    v.adopt_challenge(challenge)
+    return v.verify(bundle, challenge)
+
+
+@TWO_PLATFORM_CONFIGS
+def test_c2_rejects_a_quote_under_another_platforms_ek_chain(config):
+    world, challenge = two_platforms(config)
+    borrowed = adversary._respond(
+        world, challenge, "ek_borrow", ek_cert=world.vtpms["plat-B"].ek_cert
+    )
+    verdict = appraise_once(world, replace(borrowed, ak_cert=None), challenge)
+    assert verdict.failed_checks() == ("C2",)
+    assert "no AK certificate" in verdict.checks_by_id()["C2"].detail
+
+
+@TWO_PLATFORM_CONFIGS
+def test_only_one_platforms_own_parts_pass(config):
+    # both platforms boot the reference stack and guest image, so their event
+    # logs are equal: an accepted bundle is compared by value, not by origin
+    world, challenge = two_platforms(config)
+    own = [adversary._respond(world, challenge, "honest", pid) for pid in ("plat-A", "plat-B")]
+
+    def parts(bundle):
+        return tuple(getattr(bundle, name) for name in SIGNED_PARTS)
+
+    own_parts = [parts(bundle) for bundle in own]
+    accepted = []
+    for sources in itertools.product(own, repeat=len(SIGNED_PARTS)):
+        mixed = replace(
+            own[0], **{name: getattr(src, name) for name, src in zip(SIGNED_PARTS, sources)}
+        )
+        for bundle in (mixed, replace(mixed, ak_cert=None)):
+            if appraise_once(world, bundle, challenge).accepted:
+                accepted.append(parts(bundle))
+    assert all(p in own_parts for p in accepted)
+    assert all(p in accepted for p in own_parts)
