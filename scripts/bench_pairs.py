@@ -16,7 +16,9 @@ change was better, and each side's attempted and failed operations.
 ``--append`` keeps the runs already in that file, so the workloads can be
 run one at a time. The script exits 1, after writing the file, when any
 run reports ``correct: false``: run.py itself exits 0 then, and a change
-that breaks verdicts must not pass for a timing result.
+that breaks verdicts must not pass for a timing result. It exits 2 before
+the first run when either checkout is missing or the change checkout's
+``BENCHMARK.json`` (which names each metric's better direction) cannot be read.
 """
 
 from __future__ import annotations
@@ -144,6 +146,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, path in checkouts.items():
+        if not path.is_dir():
+            parser.error(f"--{side} {path} is not a directory")
+    spec_path = checkouts["change"] / "BENCHMARK.json"
+    try:  # read before the first run, so a missing file loses no pairs
+        spec = json.loads(spec_path.read_text())
+        better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        parser.error(f"cannot read the metric list from {spec_path}: {exc!r}")
     out = ROOT / f"BENCH_{args.n}.json"
     runs = json.loads(out.read_text())["runs"] if args.append and out.exists() else []
     for workload in args.workload:
@@ -160,8 +171,6 @@ def main(argv=None) -> int:
                 print(f"# {workload} pair {pair} seed {seed} {side}: failed {record['failed']}",
                       file=sys.stderr)
 
-    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     summary = summarize(runs, better)
     out.write_text(json.dumps({
         "protocol": {

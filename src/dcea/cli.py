@@ -90,9 +90,9 @@ def _context_obj(outcome, world) -> dict:
     registry = AkRegistry()
     for ak_pub, entry in world.registrations:
         registry_register(registry, ak_pub, entry)
-    return _CONTEXT.encode(
+    return json.loads(_CONTEXT.encode(
         SimpleNamespace(policy=outcome.policy, challenge=outcome.challenge, registry=registry)
-    )
+    ))
 
 
 def cmd_run(args) -> int:

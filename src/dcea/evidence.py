@@ -5,10 +5,13 @@ Wire format (``*.dcea.json``): one canonical JSON object, keys sorted
 alphabetically at every level, byte fields lowercase hex (the only hex
 spelling decoded), no whitespace. ``format_version`` gates future schema
 changes. Each wire type is one table of field codecs below (``record`` and
-its combinators), and each codec defines both directions, so encoder and
-decoder cannot drift apart; the README documents the same layout. A decoded
-object may carry no key outside its table. ``serialize(deserialize(x)) == x``
-for every well-formed input. Decoded values may be shared between bundles.
+its combinators), and each codec defines both directions: it writes a value
+straight to the canonical JSON text and reads a parsed JSON value back, so
+encoder and decoder cannot drift apart; the README documents the same layout.
+A decoded object may carry no key outside its table.
+``serialize(deserialize(x)) == x`` for every well-formed input. Decoded
+values may be shared between bundles, and a shared certificate or event-log
+entry keeps the text it was written as (see ``interned``).
 
 report_data layout (64 bytes):
 
@@ -25,6 +28,7 @@ import math
 from binascii import unhexlify
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _string_text
 from operator import attrgetter
 from typing import (
     Callable, ClassVar, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple, Type,
@@ -93,10 +97,12 @@ class EvidenceBundle:
 # ---------------------------------------------------------------------------
 
 class Codec(NamedTuple):
-    """A wire form: ``encode`` maps a value to JSON and ``decode(obj, path)``
-    maps JSON back, raising ParseError that names where ``obj`` sits. A path
-    is ``"$"`` or a ``(parent path, key or index)`` pair, rendered only for
-    an error."""
+    """A wire form: ``encode`` maps a value to its canonical JSON text, the
+    very text ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+    writes for the JSON value ``obj`` that ``decode(obj, path)`` reads back.
+    ``decode`` raises ParseError that names where ``obj`` sits. A path is
+    ``"$"`` or a ``(parent path, key or index)`` pair, rendered only for an
+    error."""
 
     encode: Callable
     decode: Callable
@@ -114,8 +120,17 @@ def _fail(path, why) -> NoReturn:
     raise ParseError(f"{_json_path(path)}: {why}")
 
 
-def _same(value):
-    return value
+def _number_text(value) -> str:
+    """What ``json.dumps`` writes for a bool, an int or a float."""
+    if value.__class__ is int:  # the common case first
+        return int.__repr__(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    return int.__repr__(value)
 
 
 def scalar(kind: type, name: str) -> Codec:
@@ -127,7 +142,7 @@ def scalar(kind: type, name: str) -> Codec:
             _fail(path, f"expected {name}")
         return obj
 
-    return Codec(_same, decode)
+    return Codec(_string_text if kind is str else _number_text, decode)
 
 
 def _number(obj, path) -> float:
@@ -144,7 +159,7 @@ def _number(obj, path) -> float:
 STRING = scalar(str, "string")
 INTEGER = scalar(int, "integer")
 BOOLEAN = scalar(bool, "boolean")
-NUMBER = Codec(_same, _number)
+NUMBER = Codec(_number_text, _number)
 
 
 # Intern tables: digest hex -> Digest (see DIGEST); certificate signature and event digest
@@ -181,7 +196,7 @@ def hex_bytes(width: Optional[int] = None, build: Optional[Callable] = None) -> 
             return _DIGESTS.setdefault(text, build(raw))
         return build(raw)
 
-    return Codec(bytes.hex if build is None else build.hex, decode)
+    return Codec(lambda value: f'"{value.hex()}"', decode)  # hex needs no escape
 
 
 def enum_of(cls: Type[Enum], what: str) -> Codec:
@@ -196,7 +211,7 @@ def enum_of(cls: Type[Enum], what: str) -> Codec:
             _fail(path, f"unknown {what} {text!r}")
         return member
 
-    return Codec(attrgetter("value"), decode)
+    return Codec(lambda member: _string_text(member.value), decode)
 
 
 def checked(codec: Codec, ok: Callable, why: Callable) -> Codec:
@@ -222,14 +237,31 @@ def wrap(codec: Codec, build: Callable, unwrap: Callable) -> Codec:
     return Codec(lambda v: codec.encode(unwrap(v)), lambda o, path: build(codec.decode(o, path)))
 
 
+# the instance-dict key under which an interned value keeps its text
+_TEXT = "_wire_text"
+
+
 def interned(codec: Codec, key: str, table: dict) -> Codec:
     """``codec`` for JSON objects, sharing each decoded value through
     ``table`` under the object's hex string field ``key``. A hit needs an
     equal object whose fields have the same JSON types: ``true`` and ``1.0``
     do not match a stored ``1``. Only a number equals a value of another
     JSON type, so an object holding none skips the type check (a nested
-    claims map holds strings). Anything else decodes as ``codec`` does."""
-    decode = codec.decode
+    claims map holds strings). Anything else decodes as ``codec`` does.
+
+    The first encode of a value renders its text from the value's fields
+    and keeps it in the value's instance dict, outside the dataclass
+    fields, so equality, hashing and repr ignore it; every later encode of
+    that object, in any bundle, reuses it. The value is frozen and its
+    fields are immutable, so the text cannot go stale; ``dataclasses.replace``
+    builds a new object, which renders again. Decoding renders nothing."""
+    encode, decode = codec.encode, codec.decode
+
+    def encode_interned(value):
+        text = value.__dict__.get(_TEXT)
+        if text is None:
+            text = value.__dict__[_TEXT] = encode(value)
+        return text
 
     def decode_interned(obj, path):
         text = obj.get(key) if obj.__class__ is dict else None
@@ -245,14 +277,14 @@ def interned(codec: Codec, key: str, table: dict) -> Codec:
             table.setdefault(text, (copy, types if numbers else None, value))
         return value
 
-    return codec._replace(decode=decode_interned)
+    return codec._replace(encode=encode_interned, decode=decode_interned)
 
 
 def optional(codec: Codec) -> Codec:
     """``codec`` or null, which reads as None."""
     encode, decode = codec.encode, codec.decode
     return Codec(
-        encode if encode is _same else lambda value: None if value is None else encode(value),
+        lambda value: "null" if value is None else encode(value),
         lambda obj, path: None if obj is None else decode(obj, path),
         optional=True,
     )
@@ -267,7 +299,7 @@ def list_of(item: Codec) -> Codec:
             _fail(path, "expected array")
         return tuple([decode_item(x, (path, i)) for i, x in enumerate(obj)])
 
-    return Codec(list if encode is _same else lambda values: [encode(v) for v in values], decode)
+    return Codec(lambda values: "[" + ",".join([encode(v) for v in values]) + "]", decode)
 
 
 def pair_of(first: Codec, second: Codec) -> Codec:
@@ -280,7 +312,16 @@ def pair_of(first: Codec, second: Codec) -> Codec:
             _fail(path, "expected a two-item array")
         return decode_first(obj[0], (path, 0)), decode_second(obj[1], (path, 1))
 
-    return Codec(lambda pair: [encode_first(pair[0]), encode_second(pair[1])], decode)
+    return Codec(
+        lambda pair: "[" + encode_first(pair[0]) + "," + encode_second(pair[1]) + "]", decode
+    )
+
+
+def _object_text(pairs, encode) -> str:
+    """A JSON object from a dict, or (key, value) pairs, with string keys, in
+    the order ``sort_keys`` writes: by the raw key, not by its escaped text."""
+    items = sorted(dict(pairs).items())
+    return "{" + ",".join([_string_text(k) + ":" + encode(v) for k, v in items]) + "}"
 
 
 def map_of(key: Codec, value: Codec) -> Codec:
@@ -292,7 +333,10 @@ def map_of(key: Codec, value: Codec) -> Codec:
             _fail(path, "expected object")
         return {key.decode(k, (path, k)): value.decode(v, (path, k)) for k, v in obj.items()}
 
-    return Codec(lambda m: {key.encode(k): value.encode(v) for k, v in m.items()}, decode)
+    def encode(m):  # sorted by the raw key, so each key's text is parsed back
+        return _object_text({json.loads(key.encode(k)): v for k, v in m.items()}, value.encode)
+
+    return Codec(encode, decode)
 
 
 def _string_map(obj, path) -> dict:
@@ -304,7 +348,7 @@ def _string_map(obj, path) -> dict:
     return dict(obj)
 
 
-STRING_MAP = Codec(dict, _string_map)
+STRING_MAP = Codec(lambda pairs: _object_text(pairs, _string_text), _string_map)
 
 # what a value's constructor raises for a combination of fields it refuses
 _REFUSED = (InvalidEntry, IncompleteBundle, ValueError)
@@ -318,7 +362,9 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
     names = frozenset(fields)
     required = frozenset(name for name, codec in fields.items() if not codec.optional)
     decoders = tuple((name, codec.decode) for name, codec in fields.items())
-    encoders = tuple((name, codec.encode) for name, codec in fields.items())
+    # in sort_keys order: each field's '"name":' prefix, its getter and its encoder
+    encoders = tuple((_string_text(name) + ":", attrgetter(name), fields[name].encode)
+                     for name in sorted(fields))
 
     def decode(obj, path):
         if obj.__class__ is not dict or obj.keys() != names:
@@ -338,10 +384,7 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
             _fail(path, exc)
 
     def encode(value):
-        obj = {}
-        for name, enc in encoders:  # a field whose wire form is its value skips the call
-            obj[name] = getattr(value, name) if enc is _same else enc(getattr(value, name))
-        return obj
+        return "{" + ",".join([prefix + enc(get(value)) for prefix, get, enc in encoders]) + "}"
 
     return Codec(encode, decode)
 
@@ -354,7 +397,7 @@ NONCE = hex_bytes(NONCE_LEN)
 _CERT = record(Certificate, {
     "subject_public": hex_bytes(),
     "issuer_id": STRING,
-    "claims": Codec(dict, lambda obj, path: tuple(sorted(_string_map(obj, path).items()))),
+    "claims": wrap(STRING_MAP, lambda claims: tuple(sorted(claims.items())), dict),
     "signature": hex_bytes(),
 })
 
@@ -372,7 +415,7 @@ def _pcr_index(obj, path) -> int:
     return obj
 
 
-PCR_INDEX = Codec(_same, _pcr_index)
+PCR_INDEX = Codec(_number_text, _pcr_index)
 
 
 def _quote(selection, values, **rest) -> TpmQuote:
@@ -435,17 +478,13 @@ _BUNDLE = record(_bundle, {
 })
 
 
-def bundle_to_obj(bundle: EvidenceBundle) -> dict:
-    return _BUNDLE.encode(bundle)
-
-
 def obj_to_bundle(obj) -> EvidenceBundle:
     return _BUNDLE.decode(obj, "$")
 
 
 def serialize(bundle: EvidenceBundle) -> bytes:
-    """Canonical bytes: sorted keys, compact separators, UTF-8."""
-    return json.dumps(bundle_to_obj(bundle), sort_keys=True, separators=(",", ":")).encode()
+    """Canonical bytes: sorted keys, compact separators, ASCII escapes, UTF-8."""
+    return _BUNDLE.encode(bundle).encode()
 
 
 def load_json(data: bytes):

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -53,3 +55,23 @@ def test_an_incorrect_run_fails_the_script_after_the_file_is_written(tmp_path, m
         assert rc == (0 if correct else 1)
         err = capsys.readouterr().err
         assert ("error: incorrect run: fleet_appraisal pair 0 seed 1 change" in err) != correct
+
+
+def test_a_change_checkout_without_benchmark_json_exits_2_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    repo = Path(__file__).resolve().parent.parent
+    change = tmp_path / "change"
+    change.mkdir()
+
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    for parent, missing in ((repo, "BENCHMARK.json"), (tmp_path / "absent", "absent")):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(["--parent", str(parent), "--change", str(change), "--n", "1",
+                              "--workload", "fleet_appraisal", "--pairs", "1"])
+        assert exc.value.code == 2
+        assert missing in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_1.json").exists()

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import math
+import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from dcea import cli, crypto, evidence, platform, td, tpm, verifier
 from dcea.errors import IncompleteBundle, ParseError
 
-from support import random_bundle, verify_once
+from support import rand_cert, random_bundle, verify_once
 from test_platform import make_platform
 from test_td import make_qe
 
@@ -95,6 +98,67 @@ def test_serialization_is_canonical():
 def test_roundtrip_identity_random(seed):
     bundle = random_bundle(seed)
     assert evidence.deserialize(evidence.serialize(bundle)) == bundle
+
+
+# strings json.dumps must escape: non-ASCII (one astral), quotes, backslashes,
+# control characters, a line separator and a lone surrogate
+HARD_TEXT = ("plain", "é", "naïve 𝄞", '"q"', "a\\b", "\x00\n\x1f", "\x7f", "\u2028", "\ud800")
+# number spellings: a negative zero, exponent forms, the least subnormal, a Python int
+HARD_TIMES = (-0.0, 1e16, 5e-324, 7, 0.1)
+
+
+def hard_bundle(seed):
+    """random_bundle(seed) with hard strings in every free-text field and
+    string map, hard timings, and, by seed, no event log or no ak_cert."""
+    rng = random.Random(seed)
+    base = random_bundle(seed)
+
+    def text():
+        return "".join(rng.choices(HARD_TEXT, k=rng.randrange(1, 4)))
+
+    def strings():
+        # " " sorts before "\n", and "~" before "é", only once they are escaped
+        keys = [" ", "\n", "~", "é"] + [text() for _ in range(rng.randrange(3))]
+        return {key: text() for key in keys}
+
+    def chain(certs):
+        return crypto.CertChain(tuple(
+            replace(cert, issuer_id=text(), claims=tuple(sorted(strings().items())))
+            for cert in certs
+        ))
+
+    times = HARD_TIMES[seed % 5:] + HARD_TIMES[:seed % 5]
+    report = base.td_report
+    return replace(
+        base,
+        td_report=replace(report, ppid=text(), qe_chain=chain(report.qe_chain.certs)),
+        ek_cert_chain=chain(base.ek_cert_chain.certs),
+        ak_cert=None if seed % 4 == 0 else chain((base.ak_cert or rand_cert(rng),)).leaf,
+        event_log=() if seed % 3 == 0 else tuple(
+            replace(entry, description=text()) for entry in base.event_log
+        ),
+        timing=evidence.Timing(*times[:3]),
+        scenario_meta=strings(),
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_serialize_is_a_canonical_fixed_point_on_hard_values(seed):
+    bundle = hard_bundle(seed)
+    out = evidence.serialize(bundle)
+    assert json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")).encode() == out
+    assert evidence.deserialize(out) == bundle
+
+
+@pytest.mark.parametrize("codec, value", [
+    *[(evidence.NUMBER, v) for v in (True, False, 0, -1, 2**70, 1.0, 0.1, -0.0, 1e16, 5e-324,
+                                     math.nan, math.inf, -math.inf)],
+    *[(evidence.STRING, v) for v in HARD_TEXT + ("", "~")],
+    (evidence.STRING_MAP, {" ": "a", "\n": "b", "~": "c", "é": "d", '"': "e", "\\": "f"}),
+    (evidence.map_of(evidence.STRING, evidence.NUMBER), {"\x7f": 1, "~": 2.5, "é": -0.0}),
+])
+def test_leaf_and_map_encoders_write_what_json_dumps_writes(codec, value):
+    assert codec.encode(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def test_parse_error_carries_offset():
@@ -483,6 +547,88 @@ def test_a_second_decode_shares_every_repeated_value(pair):
     assert None not in first
     for i, (a, b) in enumerate(zip(first, second)):
         assert a is b, (i, a)
+
+
+# -- interned values keep the text they were first written as ----------------
+
+# every record's encoder shares this code object; the value it renders is its argument
+RECORD_ENCODE = evidence._CERT.encode.__code__
+KEEPS_TEXT = (crypto.Certificate, tpm.EventLogEntry)
+
+
+def renders(action):
+    """The certificates and event-log entries ``action()`` renders to text, in order."""
+    seen = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is RECORD_ENCODE:
+            value = frame.f_locals["value"]
+            if isinstance(value, KEEPS_TEXT):
+                seen.append(value)
+
+    sys.setprofile(hook)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def _certs_and_entries(bundle):
+    return [v for v in _interned_values(bundle) if isinstance(v, KEEPS_TEXT)]
+
+
+def test_a_second_serialize_renders_no_certificate_or_entry_again():
+    bundle = honest_bundle()
+    first = renders(lambda: evidence.serialize(bundle))
+    assert sorted(map(id, first)) == sorted(map(id, _certs_and_entries(bundle)))
+    data = evidence.serialize(bundle)
+    assert renders(lambda: evidence.serialize(bundle)) == []
+    assert evidence.serialize(bundle) == data
+
+
+@pytest.mark.parametrize("pair", GOLDEN)
+def test_a_bundle_decoded_from_warm_tables_renders_nothing(pair):
+    golden = (FIXTURES / f"{pair}.dcea.json").read_bytes()
+    empty_intern_tables()
+    assert renders(lambda: evidence.deserialize(golden)) == []
+    first = evidence.deserialize(golden)
+    assert len(renders(lambda: evidence.serialize(first))) == len(_certs_and_entries(first)) > 10
+    again = evidence.deserialize(golden)
+    assert renders(lambda: evidence.serialize(again)) == []
+    assert evidence.serialize(again) == golden
+
+
+def test_kept_text_is_rendered_from_the_value_not_copied_from_the_input():
+    golden = (FIXTURES / "honest_s1.dcea.json").read_bytes()
+    spaced = json.dumps(json.loads(golden), indent=1).encode()  # same values, other bytes
+    for data in (spaced, golden):
+        empty_intern_tables()
+        assert evidence.serialize(evidence.deserialize(data)) == golden
+
+
+def test_a_value_with_kept_text_compares_hashes_and_reprs_as_a_fresh_one():
+    bundle = honest_bundle()
+    evidence.serialize(bundle)
+    for value in _certs_and_entries(bundle):
+        fresh = replace(value)
+        assert evidence._TEXT in vars(value) and evidence._TEXT not in vars(fresh)
+        assert fresh == value and hash(fresh) == hash(value) and repr(fresh) == repr(value)
+
+
+def test_replace_builds_a_value_that_renders_again():
+    bundle = honest_bundle()
+    evidence.serialize(bundle)
+    changed = replace(bundle.event_log[0], description="changed")
+    cert = replace(bundle.ek_cert_chain.leaf, issuer_id="changed")
+    rebuilt = replace(
+        bundle,
+        event_log=(changed,) + bundle.event_log[1:],
+        ek_cert_chain=crypto.CertChain((cert,) + bundle.ek_cert_chain.certs[1:]),
+    )
+    assert [id(v) for v in renders(lambda: evidence.serialize(rebuilt))] == [id(cert), id(changed)]
+    obj = json.loads(evidence.serialize(rebuilt))
+    assert obj["event_log"][0]["description"] == obj["ek_cert_chain"][0]["issuer_id"] == "changed"
 
 
 def test_build_bundle_missing_mandatory():

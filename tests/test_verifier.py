@@ -1,6 +1,7 @@
 """Verifier: challenge issuance, the eight-check pipeline, registry."""
 
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -292,7 +293,7 @@ def test_verdict_to_obj_shape():
 
 def test_policy_roundtrip():
     policy = honest_policy()
-    obj = verifier.POLICY.encode(policy)
+    obj = json.loads(verifier.POLICY.encode(policy))
     back = verifier.POLICY.decode(obj, "$")
     assert back == policy
 
@@ -305,14 +306,15 @@ def test_policy_roundtrip_without_anchors_allowlist_or_mrconfigid_binding():
         binding_channel=verifier.BindingChannel.REPORT_DATA,
         require_ak_registry_uniqueness=True,
     )
-    obj = verifier.POLICY.encode(policy)
+    obj = json.loads(verifier.POLICY.encode(policy))
     assert obj["expected_pcr17_18"] is None and obj["provider_allowlist"] == []
     assert verifier.POLICY.decode(obj, "$") == policy
 
 
 def test_challenge_roundtrip():
     challenge = verifier.Challenge(td_nonce=TD_NONCE, tpm_nonce=TPM_NONCE, issued_at=12.5)
-    assert verifier.CHALLENGE.decode(verifier.CHALLENGE.encode(challenge), "$") == challenge
+    obj = json.loads(verifier.CHALLENGE.encode(challenge))
+    assert verifier.CHALLENGE.decode(obj, "$") == challenge
 
 
 def test_registry_roundtrip_keeps_conflicts():
@@ -323,7 +325,7 @@ def test_registry_roundtrip_keeps_conflicts():
     clone = verifier.RegistryEntry("plat-C", issuer="ca-2", registered_at=2.5)
     assert verifier.registry_register(registry, b"\x01" * 32, clone).status == "duplicate"
     assert registry.conflicts == {b"\x01" * 32: (clone,)}
-    back = verifier.REGISTRY.decode(verifier.REGISTRY.encode(registry), "$")
+    back = verifier.REGISTRY.decode(json.loads(verifier.REGISTRY.encode(registry)), "$")
     assert back == registry
 
 
