@@ -19,12 +19,18 @@ run reports ``correct: false``: run.py itself exits 0 then, and a change
 that breaks verdicts must not pass for a timing result. It exits 2 before
 the first run when either checkout is missing or the change checkout's
 ``BENCHMARK.json`` (which names each metric's better direction) cannot be read.
+Each side's ``commits`` entry is its git commit, or a hash of the files the
+benchmark builds from when the checkout has no ``.git``. When the script
+stops early (an exception, Ctrl-C or SIGTERM), it stops the running
+benchmark first.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -34,19 +40,60 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
+# seconds a stopped benchmark run gets to exit after SIGTERM before it is killed
+STOP_GRACE_S = 5.0
+
+
+def tree_id(checkout: Path) -> str:
+    """``tree-sha256:<hex>`` over the sorted relative paths and the bytes of
+    what the benchmark builds from: ``src/``, ``perfbench/*.py`` and
+    ``BENCHMARK.json``, without ``__pycache__`` (``perfbench/results/`` is
+    not matched)."""
+    files = [p for p in (checkout / "src").rglob("*")
+             if p.is_file() and "__pycache__" not in p.relative_to(checkout).parts]
+    files += (checkout / "perfbench").glob("*.py")
+    files.append(checkout / "BENCHMARK.json")
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(checkout).as_posix() for p in files if p.is_file()):
+        data = (checkout / rel).read_bytes()
+        digest.update(rel.encode() + b"\0" + len(data).to_bytes(8, "big") + data)
+    return "tree-sha256:" + digest.hexdigest()
+
+
 def git_commit(checkout: Path) -> str:
-    proc = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True
-    )
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    """The checkout's commit, or its ``tree_id`` when it is no git checkout
+    (a ``git archive`` or a plain copy)."""
+    if (checkout / ".git").exists():
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True
+        )
+        if proc.returncode == 0:
+            return proc.stdout.strip()
+    return tree_id(checkout)
+
+
+def stop(proc: subprocess.Popen) -> None:
+    """Terminate a run, kill it if it outlives the grace period, and reap it."""
+    proc.terminate()
+    try:
+        proc.wait(timeout=STOP_GRACE_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    with subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        try:
+            _, stderr = proc.communicate()
+        except BaseException:  # an exception, Ctrl-C or SIGTERM: the run must not outlive us
+            stop(proc)
+            raise
     if proc.returncode != 0:
-        sys.exit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+        sys.exit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{stderr}")
     stem = f"{workload}-seed{seed}-trace{trace}"
     return json.loads((checkout / "perfbench" / "results" / f"{stem}.json").read_text())
 
@@ -188,5 +235,11 @@ def main(argv=None) -> int:
     return 1 if bad else 0
 
 
+def exit_on_sigterm(signum, frame):
+    """SIGTERM unwinds like Ctrl-C, so the running benchmark is stopped first."""
+    raise SystemExit(128 + signum)
+
+
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, exit_on_sigterm)
     sys.exit(main())

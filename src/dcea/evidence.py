@@ -29,7 +29,7 @@ from binascii import unhexlify
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _string_text
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import (
     Callable, ClassVar, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple, Type,
 )
@@ -165,7 +165,9 @@ NUMBER = Codec(_number_text, _number)
 # Intern tables: digest hex -> Digest (see DIGEST); certificate signature and event digest
 # hex -> (JSON object, its field types or None, decoded value), see ``interned``. A table
 # admits values until it holds MAX_INTERNED, then only answers lookups (see README).
-MAX_INTERNED = 256  # about 16 platforms of 15 digests, 7 entries, 5 certs
+# Platforms on one reference stack and guest image share 22 digests and 11 entries and
+# add 2 certificates each; a platform with a stack of its own adds 7 digests and 5 entries.
+MAX_INTERNED = 256
 _INTERNED = _DIGESTS, _CERTS, _ENTRIES = ({}, {}, {})
 
 
@@ -417,6 +419,29 @@ def _pcr_index(obj, path) -> int:
 
 PCR_INDEX = Codec(_number_text, _pcr_index)
 
+_QUOTED = list_of(pair_of(PCR_INDEX, DIGEST))
+
+
+def _quoted_values(obj, path) -> tuple:
+    """``_QUOTED``'s decode in one pass over the digest table. An array it
+    would not take as it stands, one holding a digest not yet interned
+    included, decodes through ``_QUOTED``, with its values and errors."""
+    if obj.__class__ is list:
+        values = []
+        for item in obj:
+            if item.__class__ is not list or len(item) != 2:
+                break
+            index, text = item
+            if index.__class__ is not int or not 0 <= index < N_PCRS or text.__class__ is not str:
+                break
+            value = _DIGESTS.get(text)
+            if value is None:
+                break
+            values.append((index, value))
+        else:
+            return tuple(values)
+    return _QUOTED.decode(obj, path)
+
 
 def _quote(selection, values, **rest) -> TpmQuote:
     if selection != tuple(index for index, _ in values):
@@ -450,7 +475,7 @@ _BUNDLE = record(_bundle, {
     }),
     "tpm_quote": record(_quote, {
         "selection": list_of(PCR_INDEX),
-        "values": list_of(pair_of(PCR_INDEX, DIGEST)),
+        "values": _QUOTED._replace(decode=_quoted_values),
         "nonce": NONCE,
         "ak_public": hex_bytes(),
         "signature": hex_bytes(),
@@ -508,15 +533,41 @@ def deserialize(data: bytes) -> EvidenceBundle:
 # replay and consistency
 # ---------------------------------------------------------------------------
 
+# Most entries a C5 memo holds; at this size it is cleared.
+MAX_C5_MEMO = 128
+
+
+def _remember(memo: dict, key: tuple, held: tuple, result):
+    """Store ``result`` under ``key``, which names the objects of ``held`` by
+    ``id()``. The entry keeps them alive, so no id in the key can pass to
+    another object while the entry lives, and a key found later names these
+    very objects. Full means cleared first, as the link memo is. The keys of
+    the two C5 functions differ in length, so they never meet."""
+    if len(memo) >= MAX_C5_MEMO:
+        memo.clear()
+    memo[key] = (held, result)
+    return result
+
+
 def replay_event_log(
-    log: Sequence[EventLogEntry], scope: Optional[Scope] = None
+    log: Sequence[EventLogEntry], scope: Optional[Scope] = None, memo: Optional[dict] = None
 ) -> Tuple[Tuple[Digest, ...], Tuple[Digest, ...]]:
     """Fold a log from zeroed registers into (pcr view, rtmr view).
 
     ``scope`` limits replay to one producer; None replays everything.
     Entries drive whichever register indices they carry, so guest entries
     land in both views and host entries only in the PCR bank.
+
+    ``memo`` is a caller's C5 memo (see ``check_rtmr_pcr_consistency``): a
+    log of the very entry objects replayed before, under the same scope,
+    returns the remembered result object.
     """
+    if memo is not None:
+        log = tuple(log)
+        key = (scope, tuple(map(id, log)))
+        held = memo.get(key)
+        if held is not None:
+            return held[1]
     pcrs = [crypto.ZERO_DIGEST] * N_PCRS
     rtmrs = [crypto.ZERO_DIGEST] * N_RTMRS
     for entry in log:
@@ -526,7 +577,8 @@ def replay_event_log(
             pcrs[entry.pcr_index] = crypto.extend(pcrs[entry.pcr_index], entry.event_digest)
         if entry.rtmr_index is not None:
             rtmrs[entry.rtmr_index] = crypto.extend(rtmrs[entry.rtmr_index], entry.event_digest)
-    return tuple(pcrs), tuple(rtmrs)
+    result = tuple(pcrs), tuple(rtmrs)
+    return result if memo is None else _remember(memo, key, log, result)
 
 
 @dataclass(frozen=True)
@@ -560,7 +612,10 @@ class ConsistencyResult:
 
 
 def check_rtmr_pcr_consistency(
-    td_report: TdReport, tpm_quote: TpmQuote, event_log: Sequence[EventLogEntry]
+    td_report: TdReport,
+    tpm_quote: TpmQuote,
+    event_log: Sequence[EventLogEntry],
+    memo: Optional[dict] = None,
 ) -> ConsistencyResult:
     """Cross-check the TD registers against the quoted PCRs.
 
@@ -569,9 +624,28 @@ def check_rtmr_pcr_consistency(
     (MRTD plus RTMR 0..2; RTMR 3 is reserved). PCRs absent from the quote
     count as matched only if their reference is still zero: an attacker
     cannot hide a mapped register by narrowing the quote selection.
+
+    ``memo`` is a caller's C5 memo, a dict bounded by ``MAX_C5_MEMO`` that
+    this function and ``replay_event_log`` share. Its key here names every
+    input the rows read: the guest entries, MRTD and RTMR 0..2 by identity,
+    and each quoted pair by its index and its digest's identity. Inputs that
+    are the very objects of an earlier call (interned wire values, or a
+    prover's own state) return that call's result object.
     """
-    guest = [e for e in event_log if e.scope is Scope.GUEST]
-    pcr_ref, rtmr_ref = replay_event_log(guest)
+    guest = tuple([e for e in event_log if e.scope is Scope.GUEST])
+    pcr_ref, rtmr_ref = replay_event_log(guest, memo=memo)
+    if memo is not None:
+        values = tpm_quote.values
+        key = (
+            tuple(map(id, guest)),
+            id(td_report.mrtd),
+            tuple(map(id, td_report.rtmrs[:3])),
+            tuple(map(itemgetter(0), values)),
+            tuple(map(id, map(itemgetter(1), values))),
+        )
+        held = memo.get(key)
+        if held is not None:
+            return held[1]
     quoted = tpm_quote.values_dict()
     zero = crypto.ZERO_DIGEST
 
@@ -592,4 +666,7 @@ def check_rtmr_pcr_consistency(
         td_expected, td_actual = rtmr_ref[rtmr_index], td_report.rtmrs[rtmr_index]
         rows.append(row(f"RTMR{rtmr_index}", RTMR_PCR_MAP[rtmr_index], td_expected, td_actual,
                         td_actual == td_expected))
-    return ConsistencyResult(rows=tuple(rows))
+    result = ConsistencyResult(rows=tuple(rows))
+    if memo is None:
+        return result
+    return _remember(memo, key, (guest, td_report.mrtd, td_report.rtmrs, values), result)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from . import crypto, evidence, td, tpm
 from .crypto import CertChain, Certificate, Digest
@@ -55,32 +55,6 @@ from .evidence import (
     wrap,
 )
 from .tpm import TpmKind
-
-CHECK_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
-
-CHECK_NAMES: Mapping[str, str] = {
-    "C1": "TD report authenticity",
-    "C2": "TPM quote authenticity and AK provenance",
-    "C3": "AK-to-TD binding",
-    "C4": "challenge freshness",
-    "C5": "RTMR/PCR register consistency",
-    "C6": "launch-environment anchors",
-    "C7": "challenge round-trip time",
-    "C8": "AK registry uniqueness",
-}
-
-# Attack classes each check can catch. A failed check raises every flag in
-# its row; the flags drive the per-goal verdict below.
-CHECK_ATTACKS: Mapping[str, Tuple[str, ...]] = {
-    "C1": ("A1",),
-    "C2": ("A1", "A5"),
-    "C3": ("A2", "A5"),
-    "C4": ("A1", "A4"),
-    "C5": ("A3",),
-    "C6": ("A6",),
-    "C7": ("A2",),
-    "C8": ("A5",),
-}
 
 GOALS = ("AB", "F", "MC", "CV", "PO")
 
@@ -288,7 +262,7 @@ def _check_c4(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) 
 
 def _check_c5(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
     result = evidence.check_rtmr_pcr_consistency(
-        bundle.td_report, bundle.tpm_quote, bundle.event_log
+        bundle.td_report, bundle.tpm_quote, bundle.event_log, verifier._c5_memo
     )
     if result.all_matched:
         return True, "TD registers and quoted PCRs replay the same event stream"
@@ -333,7 +307,34 @@ def _check_c8(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) 
     return True, f"quoting key registered to platform {entry.platform_id!r}"
 
 
-_CHECKS = (_check_c1, _check_c2, _check_c3, _check_c4, _check_c5, _check_c6, _check_c7, _check_c8)
+class Check(NamedTuple):
+    """One row of the check table: the check's id and name, the attack
+    classes it can catch (a failed check raises every flag in its row, and
+    the flags drive the per-goal verdict), and its function."""
+
+    check_id: str
+    name: str
+    attacks: Tuple[str, ...]
+    evaluate: Callable[[EvidenceBundle, Challenge, "Verifier"], Tuple[bool, str]]
+
+
+CHECKS: Tuple[Check, ...] = (
+    Check("C1", "TD report authenticity", ("A1",), _check_c1),
+    Check("C2", "TPM quote authenticity and AK provenance", ("A1", "A5"), _check_c2),
+    Check("C3", "AK-to-TD binding", ("A2", "A5"), _check_c3),
+    Check("C4", "challenge freshness", ("A1", "A4"), _check_c4),
+    Check("C5", "RTMR/PCR register consistency", ("A3",), _check_c5),
+    Check("C6", "launch-environment anchors", ("A6",), _check_c6),
+    Check("C7", "challenge round-trip time", ("A2",), _check_c7),
+    Check("C8", "AK registry uniqueness", ("A5",), _check_c8),
+)
+
+# views of the table by id
+CHECK_IDS = tuple(check.check_id for check in CHECKS)
+CHECK_NAMES: Mapping[str, str] = {check.check_id: check.name for check in CHECKS}
+CHECK_ATTACKS: Mapping[str, Tuple[str, ...]] = {check.check_id: check.attacks for check in CHECKS}
+
+_NO_FLAGS: FrozenSet[str] = frozenset()
 
 
 def verify_bundle(
@@ -345,13 +346,16 @@ def verify_bundle(
     """Run every check and fold the outcomes into a verdict.
 
     The checks read the policy, the AK registry, the memo of verified
-    certificate links and the challenge ledger of ``verifier``; none of
-    them writes the ledger (``Verifier.verify`` consumes the challenge
-    afterwards). ``disabled_checks`` is a diagnostic hook for ablation
-    runs; a disabled check is reported as passed without being evaluated.
+    certificate links, the C5 memo and the challenge ledger of
+    ``verifier``; none of them writes the ledger (``Verifier.verify``
+    consumes the challenge afterwards). ``disabled_checks`` is a diagnostic
+    hook for ablation runs; a disabled check is reported as passed without
+    being evaluated.
     """
     checks = []
-    for check_id, evaluate in zip(CHECK_IDS, _CHECKS):
+    accepted = True
+    flags: List[str] = []
+    for check_id, name, attacks, evaluate in CHECKS:
         if check_id in disabled_checks:
             passed, detail = True, "disabled (diagnostic hook)"
         else:
@@ -359,27 +363,23 @@ def verify_bundle(
                 passed, detail = evaluate(bundle, challenge, verifier)
             except DceaError as exc:
                 passed, detail = False, f"{type(exc).__name__}: {exc}"
-        checks.append(CheckResult(check_id, CHECK_NAMES[check_id], passed, detail))
-
-    flags = frozenset(
-        attack for c in checks if not c.passed for attack in CHECK_ATTACKS[c.check_id]
-    )
+            if not passed:
+                accepted = False
+                flags += attacks
+        checks.append(CheckResult(check_id, name, passed, detail))
+    if accepted:
+        return Verdict(True, tuple(checks), _NO_FLAGS, dict.fromkeys(GOALS, True))
     at_risk = frozenset().union(*[ATTACK_GOALS[a] for a in flags])
-    goals = {g: g not in at_risk for g in GOALS}
-    return Verdict(
-        accepted=all(c.passed for c in checks),
-        checks=tuple(checks),
-        attack_flags=flags,
-        goals=goals,
-    )
+    return Verdict(False, tuple(checks), frozenset(flags), {g: g not in at_risk for g in GOALS})
 
 
 class Verifier:
     """Stateful relying party: issues single-use challenges and keeps the
-    consumed-challenge ledger, the AK registry and a bounded memo of
-    certificate links verified under its pinned roots across
-    verifications. Every appraisal runs through one; a one-shot appraisal
-    (``dcea verify``) adopts its challenge into a fresh Verifier."""
+    consumed-challenge ledger, the AK registry, and across verifications a
+    bounded memo of certificate links verified under its pinned roots and a
+    bounded C5 memo (see ``evidence.check_rtmr_pcr_consistency``). Every
+    appraisal runs through one; a one-shot appraisal (``dcea verify``)
+    adopts its challenge into a fresh Verifier."""
 
     def __init__(
         self,
@@ -394,6 +394,7 @@ class Verifier:
         self._outstanding: Dict[bytes, Challenge] = {}
         self._spent: Set[bytes] = set()
         self._known_links: Set[crypto.Link] = set()
+        self._c5_memo: Dict[tuple, tuple] = {}
 
     def challenge(self) -> Challenge:
         n = evidence.NONCE_LEN

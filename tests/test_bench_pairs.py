@@ -2,6 +2,12 @@
 
 import importlib.util
 import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,4 +80,85 @@ def test_a_change_checkout_without_benchmark_json_exits_2_before_any_run(
                               "--workload", "fleet_appraisal", "--pairs", "1"])
         assert exc.value.code == 2
         assert missing in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_1.json").exists()
+
+
+def stub_checkout(root, run_py="", results="{}"):
+    """A checkout with the files the benchmark builds from, plus the run
+    leftovers (results, bytecode) that its id ignores."""
+    for rel, text in (("src/dcea/__init__.py", "x = 1\n"), ("perfbench/run.py", run_py),
+                      ("BENCHMARK.json", '{"end_to_end": [], "per_layer": []}\n'),
+                      ("perfbench/results/run.json", results),
+                      ("src/dcea/__pycache__/x.pyc", results)):
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_a_checkout_without_git_is_recorded_by_its_tree(tmp_path):
+    one = stub_checkout(tmp_path / "one", results="{}")
+    two = stub_checkout(tmp_path / "two", results='{"other": "run"}')
+    ids = {bench_pairs.git_commit(one), bench_pairs.git_commit(two)}
+    assert len(ids) == 1 and ids.pop().startswith("tree-sha256:")
+    before = bench_pairs.git_commit(two)
+    (two / "src/dcea/__init__.py").write_text("x = 2\n")
+    assert bench_pairs.git_commit(two) != before
+
+
+def test_a_git_checkout_is_recorded_by_its_commit(tmp_path):
+    repo = stub_checkout(tmp_path / "repo")
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=repo, capture_output=True, text=True, check=True).stdout
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "stub")
+    assert bench_pairs.git_commit(repo) == git("rev-parse", "HEAD").strip()
+
+
+SLEEPING_RUN = """\
+import os, time
+with open("child.pid", "w") as out:
+    out.write(str(os.getpid()))
+time.sleep(60)
+"""
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_stops_the_running_benchmark(tmp_path):
+    stub = stub_checkout(tmp_path / "stub", run_py=SLEEPING_RUN)
+    script = tmp_path / "scripts" / "bench_pairs.py"  # writes nothing next to this repository
+    script.parent.mkdir()
+    shutil.copy(SCRIPT, script)
+    pid_file = stub / "child.pid"
+    proc = subprocess.Popen([sys.executable, str(script), "--parent", str(stub), "--change",
+                             str(stub), "--n", "1", "--workload", "fleet_appraisal",
+                             "--pairs", "1", "--seconds", "1"], stderr=subprocess.PIPE)
+    pid = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        pid = int(pid_file.read_text())
+        proc.send_signal(signal.SIGTERM)
+        returncode = proc.wait(timeout=15)
+        deadline = time.monotonic() + 5
+        while alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not alive(pid)
+        assert returncode == 128 + signal.SIGTERM
+    finally:
+        for leftover in (proc.pid, pid):
+            if leftover is not None and alive(leftover):
+                os.kill(leftover, signal.SIGKILL)
+        proc.communicate()
     assert not (tmp_path / "BENCH_1.json").exists()

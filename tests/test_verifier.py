@@ -3,15 +3,15 @@
 import itertools
 import json
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
-from dcea import adversary, crypto, evidence, td, tpm, verifier
+from dcea import adversary, crypto, evidence, platform, td, tpm, verifier
 from dcea.tpm import TpmKind
 
 from support import verify_once
-from test_evidence import honest_bundle, honest_pieces
+from test_evidence import empty_intern_tables, honest_bundle, honest_pieces
 from test_td import make_qe
 
 TD_NONCE = b"\x0a" * 32
@@ -518,3 +518,204 @@ def test_only_one_platforms_own_parts_pass(config):
                 accepted.append(parts(bundle))
     assert all(p in own_parts for p in accepted)
     assert all(p in accepted for p in own_parts)
+
+
+# -- the C5 memo of a long-lived Verifier --------------------------------------
+
+def wire_trip(bundle):
+    """The bundle as a verifier receives it: decoded from its wire bytes."""
+    return evidence.deserialize(evidence.serialize(bundle))
+
+
+def warm_wire_verifier():
+    """A world and a long-lived verifier that has accepted one bundle decoded
+    through emptied intern tables, and that bundle."""
+    empty_intern_tables()
+    world = adversary.build_world(adversary.WorldConfig(seed=11))
+    v = new_verifier(world)
+    bundle, challenge = next_bundle(world)
+    bundle = wire_trip(bundle)
+    v.adopt_challenge(challenge)
+    assert v.verify(bundle, challenge).accepted
+    return world, v, bundle
+
+
+def resign_report(world, report):
+    return replace(report, qe_signature=crypto.sign(world.qe, td.report_signing_payload(report)))
+
+
+def resign_quote(world, quote):
+    key = world.vtpms["plat-A"].aks[world.ak_handles["plat-A"]].keypair
+    payload = tpm.quote_signing_payload(quote.values, quote.nonce)
+    return replace(quote, signature=crypto.sign(key, payload))
+
+
+def alter_rtmr1(world, bundle):
+    report = bundle.td_report
+    rtmrs = list(report.rtmrs)
+    rtmrs[1] = crypto.extend(rtmrs[1], crypto.digest(b"unlogged"))
+    return replace(bundle, td_report=resign_report(world, replace(report, rtmrs=tuple(rtmrs))))
+
+
+def alter_pcr2(world, bundle):
+    quote = bundle.tpm_quote
+    values = tuple((i, crypto.extend(d, crypto.digest(b"unlogged")) if i == 2 else d)
+                   for i, d in quote.values)
+    return replace(bundle, tpm_quote=resign_quote(world, replace(quote, values=values)))
+
+
+@pytest.mark.parametrize("alter", [alter_rtmr1, alter_pcr2], ids=["rtmr1", "pcr2"])
+def test_c5_memo_rejects_one_altered_register_under_the_interned_log(alter):
+    world, v, honest = warm_wire_verifier()
+    bundle, challenge = next_bundle(world)
+    bundle = wire_trip(alter(world, bundle))
+    assert all(a is b for a, b in zip(bundle.event_log, honest.event_log))
+    v.adopt_challenge(challenge)
+    verdict = v.verify(bundle, challenge)
+    assert verdict.failed_checks() == ("C5",)
+    assert verdict.checks_by_id()["C5"].detail == "inconsistent registers: RTMR1"
+
+
+def test_c5_memo_returns_the_remembered_result_object():
+    world, v, honest = warm_wire_verifier()
+    bundle, challenge = next_bundle(world)
+    bundle = wire_trip(bundle)
+    args = (bundle.td_report, bundle.tpm_quote, bundle.event_log)
+    remembered = evidence.check_rtmr_pcr_consistency(*args, v._c5_memo)
+    assert remembered is evidence.check_rtmr_pcr_consistency(
+        honest.td_report, honest.tpm_quote, honest.event_log, v._c5_memo
+    )
+    assert remembered == evidence.check_rtmr_pcr_consistency(*args)
+
+
+LIVE_CELLS = [("honest", d) for d in adversary.Deployment] + [
+    (sid, dep) for sid, sc in adversary.SCENARIOS.items() for dep in sc.deployments
+]
+
+
+@pytest.mark.parametrize("sid, dep", LIVE_CELLS, ids=lambda c: getattr(c, "value", c))
+def test_a_warm_verifier_gives_a_fresh_verifiers_verdict(sid, dep):
+    assert len(LIVE_CELLS) == 15
+    for seed in range(5):
+        empty_intern_tables()
+        world = adversary.build_world(adversary.WorldConfig(seed=seed, deployment=dep))
+        scenario = adversary.SCENARIOS.get(sid)
+        policy = adversary.default_policy_for(world, scenario)
+        warm = verifier.Verifier(policy, rng=random.Random(seed))
+        for ak_public, entry in world.registrations:
+            verifier.registry_register(warm.registry, ak_public, entry)
+        challenge = warm.challenge()
+        assert warm.verify(wire_trip(adversary._respond(world, challenge, "honest")),
+                           challenge).accepted
+        challenge = warm.challenge()
+        if scenario is None:
+            bundle = adversary._respond(world, challenge, "honest")
+        else:
+            bundle = scenario.generate(world, challenge)
+        bundle = wire_trip(bundle)
+        fresh = verifier.Verifier(policy)
+        fresh.adopt_challenge(challenge)
+        for v in (warm, fresh):
+            for ak_public, entry in world.registrations:
+                verifier.registry_register(v.registry, ak_public, entry)
+        cold = fresh.verify(bundle, challenge)
+        assert cold.failed_checks() == (() if scenario is None else (scenario.targeted_check,))
+        assert warm.verify(bundle, challenge).to_obj() == cold.to_obj()
+
+
+class Counts:
+    """Counts calls of crypto.verify and crypto.extend, Digest objects built
+    and RowResults built, while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = dict.fromkeys(("verify", "extend", "Digest", "RowResult"), 0)
+        for owner, name, label in ((crypto, "verify", "verify"), (crypto, "extend", "extend"),
+                                   (crypto.Digest, "__post_init__", "Digest"),
+                                   (evidence, "RowResult", "RowResult")):
+            monkeypatch.setattr(owner, name, self._counting(getattr(owner, name), label))
+
+    def _counting(self, real, label):
+        def counting(*args, **kwargs):
+            self.calls[label] += 1
+            return real(*args, **kwargs)
+        return counting
+
+    def take(self):
+        taken = dict(self.calls)
+        self.calls.update(dict.fromkeys(self.calls, 0))
+        return taken
+
+
+def test_c5_memo_never_grows_past_its_bound(monkeypatch):
+    monkeypatch.setattr(evidence, "MAX_C5_MEMO", 8)
+    world, v = warm_verifier()
+    counts = Counts(monkeypatch)
+    for _ in range(12):
+        bundle, challenge = next_bundle(world)
+        # an equal MRTD in a new object: a new key and the same verdict
+        report = replace(bundle.td_report, mrtd=crypto.Digest(bundle.td_report.mrtd.data))
+        bundle = replace(bundle, td_report=report)
+        v.adopt_challenge(challenge)
+        assert v.verify(bundle, challenge).accepted
+        assert len(v._c5_memo) <= evidence.MAX_C5_MEMO
+        counts.take()
+        evidence.check_rtmr_pcr_consistency(report, bundle.tpm_quote, bundle.event_log, v._c5_memo)
+        assert counts.take()["RowResult"] == 0  # the appraisal's result is remembered
+
+
+def test_a_warm_appraisal_replays_nothing_and_builds_no_rows(monkeypatch):
+    empty_intern_tables()
+    world = adversary.build_world(adversary.WorldConfig(seed=11))
+    v = new_verifier(world)
+    wires = [(evidence.serialize(b), c) for b, c in (next_bundle(world) for _ in range(3))]
+    counts = Counts(monkeypatch)
+    seen = []
+    for wire, challenge in wires:
+        counts.take()
+        v.adopt_challenge(challenge)
+        assert v.verify(evidence.deserialize(wire), challenge).accepted
+        seen.append(counts.take())
+    first, *warm = seen
+    assert (first["verify"], first["extend"], first["RowResult"]) == (7, 11, 4)
+    # the one Digest a warm op builds is C3's digest of the quoting key
+    assert warm == [{"verify": 2, "extend": 0, "Digest": 1, "RowResult": 0}] * 2
+
+
+def distinct_stack(world, platform_id):
+    """The reference stack with every image made the platform's own."""
+    images = astuple(world.reference_stack)
+    return platform.HostStack(*[image + platform_id.encode() for image in images])
+
+
+@pytest.mark.parametrize(
+    "n, distinct, rows_per_op",
+    [
+        (8, False, 0.0), (64, False, 0.0), (200, False, 0.0),
+        (8, True, 0.0),
+        # each distinct stack adds 7 digests: past 256 in all, a platform's
+        # PCR 17/18 values decode as new objects, so 29 of 64 platforms miss
+        # the C5 memo and build their 4 rows again (the guest log still hits)
+        (64, True, 29 * 4 / 64),
+    ],
+    ids=str,
+)
+def test_counts_per_warm_op_at_fleet_scale(monkeypatch, n, distinct, rows_per_op):
+    # one verifier, S2, world seed 7; n platforms answer round-robin twice
+    empty_intern_tables()
+    world = adversary.build_world(adversary.WorldConfig(seed=7))
+    for i in range(1, n):
+        pid = f"plat-{i}"
+        adversary._spawn_platform(world, pid, stack=distinct_stack(world, pid) if distinct else None)
+    policy = adversary.default_policy_for(world)
+    v = verifier.Verifier(replace(policy, expected_pcr17_18=None) if distinct else policy)
+    for ak_public, entry in world.registrations:
+        verifier.registry_register(v.registry, ak_public, entry)
+    counts = Counts(monkeypatch)
+    for _ in range(2):
+        counts.take()
+        for pid in world.platforms:
+            challenge = v.challenge()
+            wire = evidence.serialize(adversary._respond(world, challenge, "honest", pid))
+            assert v.verify(evidence.deserialize(wire), challenge).accepted
+    warm = {name: count / n for name, count in counts.take().items()}
+    assert (warm["verify"], warm["extend"], warm["RowResult"]) == (2.0, 0.0, rows_per_op)
