@@ -419,29 +419,6 @@ def _pcr_index(obj, path) -> int:
 
 PCR_INDEX = Codec(_number_text, _pcr_index)
 
-_QUOTED = list_of(pair_of(PCR_INDEX, DIGEST))
-
-
-def _quoted_values(obj, path) -> tuple:
-    """``_QUOTED``'s decode in one pass over the digest table. An array it
-    would not take as it stands, one holding a digest not yet interned
-    included, decodes through ``_QUOTED``, with its values and errors."""
-    if obj.__class__ is list:
-        values = []
-        for item in obj:
-            if item.__class__ is not list or len(item) != 2:
-                break
-            index, text = item
-            if index.__class__ is not int or not 0 <= index < N_PCRS or text.__class__ is not str:
-                break
-            value = _DIGESTS.get(text)
-            if value is None:
-                break
-            values.append((index, value))
-        else:
-            return tuple(values)
-    return _QUOTED.decode(obj, path)
-
 
 def _quote(selection, values, **rest) -> TpmQuote:
     if selection != tuple(index for index, _ in values):
@@ -475,7 +452,7 @@ _BUNDLE = record(_bundle, {
     }),
     "tpm_quote": record(_quote, {
         "selection": list_of(PCR_INDEX),
-        "values": _QUOTED._replace(decode=_quoted_values),
+        "values": list_of(pair_of(PCR_INDEX, DIGEST)),
         "nonce": NONCE,
         "ak_public": hex_bytes(),
         "signature": hex_bytes(),
@@ -537,15 +514,25 @@ def deserialize(data: bytes) -> EvidenceBundle:
 MAX_C5_MEMO = 128
 
 
-def _remember(memo: dict, key: tuple, held: tuple, result):
-    """Store ``result`` under ``key``, which names the objects of ``held`` by
-    ``id()``. The entry keeps them alive, so no id in the key can pass to
+def _remember(memo: dict, key: tuple, entries: tuple, digests: tuple, result):
+    """Store ``result`` under ``key``, which names ``entries`` and ``digests``
+    by ``id()``, when each of them is the object its intern table holds: a
+    later decoded bundle hands over only those objects again, so an entry
+    for any other would never be hit and would only crowd live ones out.
+    The entry keeps its objects alive, so no id in the key can pass to
     another object while the entry lives, and a key found later names these
     very objects. Full means cleared first, as the link memo is. The keys of
     the two C5 functions differ in length, so they never meet."""
+    for d in digests:
+        if _DIGESTS.get(d.data.hex()) is not d:
+            return result
+    for e in entries:
+        held = _ENTRIES.get(e.event_digest.data.hex())
+        if held is None or held[2] is not e:
+            return result
     if len(memo) >= MAX_C5_MEMO:
         memo.clear()
-    memo[key] = (held, result)
+    memo[key] = ((entries, digests), result)
     return result
 
 
@@ -559,15 +546,16 @@ def replay_event_log(
     land in both views and host entries only in the PCR bank.
 
     ``memo`` is a caller's C5 memo (see ``check_rtmr_pcr_consistency``): a
-    log of the very entry objects replayed before, under the same scope,
-    returns the remembered result object.
+    log of the very interned entry objects replayed before, under the same
+    scope, returns the remembered result object. Without one, the call
+    gets a memo of its own.
     """
-    if memo is not None:
-        log = tuple(log)
-        key = (scope, tuple(map(id, log)))
-        held = memo.get(key)
-        if held is not None:
-            return held[1]
+    memo = {} if memo is None else memo
+    log = tuple(log)
+    key = (scope, tuple(map(id, log)))
+    held = memo.get(key)
+    if held is not None:
+        return held[1]
     pcrs = [crypto.ZERO_DIGEST] * N_PCRS
     rtmrs = [crypto.ZERO_DIGEST] * N_RTMRS
     for entry in log:
@@ -577,8 +565,7 @@ def replay_event_log(
             pcrs[entry.pcr_index] = crypto.extend(pcrs[entry.pcr_index], entry.event_digest)
         if entry.rtmr_index is not None:
             rtmrs[entry.rtmr_index] = crypto.extend(rtmrs[entry.rtmr_index], entry.event_digest)
-    result = tuple(pcrs), tuple(rtmrs)
-    return result if memo is None else _remember(memo, key, log, result)
+    return _remember(memo, key, log, (), (tuple(pcrs), tuple(rtmrs)))
 
 
 @dataclass(frozen=True)
@@ -626,26 +613,21 @@ def check_rtmr_pcr_consistency(
     cannot hide a mapped register by narrowing the quote selection.
 
     ``memo`` is a caller's C5 memo, a dict bounded by ``MAX_C5_MEMO`` that
-    this function and ``replay_event_log`` share. Its key here names every
-    input the rows read: the guest entries, MRTD and RTMR 0..2 by identity,
-    and each quoted pair by its index and its digest's identity. Inputs that
-    are the very objects of an earlier call (interned wire values, or a
-    prover's own state) return that call's result object.
+    this function and ``replay_event_log`` share; without one, the call gets
+    a memo of its own. Its key here names every input the rows read: the
+    guest entries, MRTD and RTMR 0..2 by identity, and each quoted pair by
+    its index and its digest's identity. Inputs that are the very interned
+    objects of an earlier call return that call's result object.
     """
+    memo = {} if memo is None else memo
     guest = tuple([e for e in event_log if e.scope is Scope.GUEST])
     pcr_ref, rtmr_ref = replay_event_log(guest, memo=memo)
-    if memo is not None:
-        values = tpm_quote.values
-        key = (
-            tuple(map(id, guest)),
-            id(td_report.mrtd),
-            tuple(map(id, td_report.rtmrs[:3])),
-            tuple(map(itemgetter(0), values)),
-            tuple(map(id, map(itemgetter(1), values))),
-        )
-        held = memo.get(key)
-        if held is not None:
-            return held[1]
+    values = tpm_quote.values
+    digests = (td_report.mrtd, *td_report.rtmrs[:3], *map(itemgetter(1), values))
+    key = (tuple(map(id, guest)), tuple(map(itemgetter(0), values)), tuple(map(id, digests)))
+    held = memo.get(key)
+    if held is not None:
+        return held[1]
     quoted = tpm_quote.values_dict()
     zero = crypto.ZERO_DIGEST
 
@@ -666,7 +648,4 @@ def check_rtmr_pcr_consistency(
         td_expected, td_actual = rtmr_ref[rtmr_index], td_report.rtmrs[rtmr_index]
         rows.append(row(f"RTMR{rtmr_index}", RTMR_PCR_MAP[rtmr_index], td_expected, td_actual,
                         td_actual == td_expected))
-    result = ConsistencyResult(rows=tuple(rows))
-    if memo is None:
-        return result
-    return _remember(memo, key, (guest, td_report.mrtd, td_report.rtmrs, values), result)
+    return _remember(memo, key, guest, digests, ConsistencyResult(rows=tuple(rows)))

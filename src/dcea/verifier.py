@@ -334,8 +334,6 @@ CHECK_IDS = tuple(check.check_id for check in CHECKS)
 CHECK_NAMES: Mapping[str, str] = {check.check_id: check.name for check in CHECKS}
 CHECK_ATTACKS: Mapping[str, Tuple[str, ...]] = {check.check_id: check.attacks for check in CHECKS}
 
-_NO_FLAGS: FrozenSet[str] = frozenset()
-
 
 def verify_bundle(
     bundle: EvidenceBundle,
@@ -353,7 +351,6 @@ def verify_bundle(
     being evaluated.
     """
     checks = []
-    accepted = True
     flags: List[str] = []
     for check_id, name, attacks, evaluate in CHECKS:
         if check_id in disabled_checks:
@@ -364,13 +361,11 @@ def verify_bundle(
             except DceaError as exc:
                 passed, detail = False, f"{type(exc).__name__}: {exc}"
             if not passed:
-                accepted = False
-                flags += attacks
+                flags += attacks  # every row names at least one attack
         checks.append(CheckResult(check_id, name, passed, detail))
-    if accepted:
-        return Verdict(True, tuple(checks), _NO_FLAGS, dict.fromkeys(GOALS, True))
-    at_risk = frozenset().union(*[ATTACK_GOALS[a] for a in flags])
-    return Verdict(False, tuple(checks), frozenset(flags), {g: g not in at_risk for g in GOALS})
+    raised = frozenset(flags)
+    at_risk = frozenset().union(*[ATTACK_GOALS[a] for a in raised])
+    return Verdict(not raised, tuple(checks), raised, {g: g not in at_risk for g in GOALS})
 
 
 class Verifier:

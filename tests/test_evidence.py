@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcea import cli, crypto, evidence, platform, td, tpm, verifier
+from dcea import adversary, cli, crypto, evidence, platform, td, tpm, verifier
 from dcea.errors import IncompleteBundle, ParseError
 
 from support import rand_cert, random_bundle, verify_once
@@ -311,48 +311,6 @@ def test_quote_value_parse_error_names_the_path(value, message):
     with pytest.raises(ParseError) as exc:
         evidence.obj_to_bundle(obj)
     assert str(exc.value) == message
-
-
-GENERIC_QUOTED = evidence.list_of(evidence.pair_of(evidence.PCR_INDEX, evidence.DIGEST))
-
-
-def _decoded(decode, obj):
-    try:
-        return decode(obj, ("$", "values"))
-    except ParseError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        lambda values: values,
-        lambda values: values[:3] + [[3, "ab" * 48]] + values[4:],  # a digest never interned
-        lambda values: values[:2] + [[2, values[2][1].upper()]] + values[3:],
-        lambda values: [[True, values[0][1]]] + values[1:],
-        lambda values: [[-1, values[0][1]]] + values[1:],
-        lambda values: [[24, values[0][1]]] + values[1:],
-        lambda values: [[0, values[0][1], 1]] + values[1:],
-        lambda values: values[:5] + [{"0": values[5][1]}],
-        lambda values: values[:5] + [[5, [values[5][1]]]],  # an unhashable digest
-        lambda values: values[:5] + [[5, None]],
-        lambda values: [],
-        lambda values: {"0": values[0][1]},
-        lambda values: None,
-    ],
-)
-def test_quoted_values_decode_as_the_generic_codec_does(change):
-    obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
-    values = change(obj["tpm_quote"]["values"])
-    for warm in (True, False):
-        empty_intern_tables()
-        if warm:
-            evidence.obj_to_bundle(obj)
-        one_pass = _decoded(evidence._quoted_values, values)
-        generic = _decoded(GENERIC_QUOTED.decode, values)
-        assert one_pass == generic
-        if not isinstance(generic, str):
-            assert all(a is b for (_, a), (_, b) in zip(one_pass, generic))
 
 
 def _spaced(text):
@@ -737,15 +695,19 @@ def test_replay_matches_hashlib_oracle_per_register():
 
 
 def test_replay_memo_answers_only_the_same_entry_objects_under_the_same_scope():
-    _, _, _, _, _, log, _ = honest_pieces()
+    empty_intern_tables()
+    world = adversary.build_world(adversary.WorldConfig(seed=11))
+    log = evidence.deserialize(evidence.serialize(adversary.attest_honest(world).bundle)).event_log
     memo = {}
     first = evidence.replay_event_log(log, memo=memo)
     assert evidence.replay_event_log(list(log), memo=memo) is first
     host = evidence.replay_event_log(log, scope=tpm.Scope.HOST, memo=memo)
     assert host == evidence.replay_event_log(log, scope=tpm.Scope.HOST) != first
+    assert len(memo) == 2
+    # equal entries that no intern table holds are replayed and not stored
     copies = evidence.replay_event_log(tuple(replace(e) for e in log), memo=memo)
     assert copies == first and copies is not first
-    assert len(memo) == 3
+    assert len(memo) == 2
 
 
 # -- consistency -------------------------------------------------------------

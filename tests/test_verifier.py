@@ -576,6 +576,21 @@ def test_c5_memo_rejects_one_altered_register_under_the_interned_log(alter):
     assert verdict.checks_by_id()["C5"].detail == "inconsistent registers: RTMR1"
 
 
+def test_c5_memo_rejects_one_altered_log_entry_under_the_interned_registers():
+    world, v, honest = warm_wire_verifier()
+    bundle, challenge = next_bundle(world)
+    *rest, agent = bundle.event_log
+    log = (*rest, replace(agent, event_digest=crypto.digest(b"unlogged")))
+    bundle = wire_trip(replace(bundle, event_log=log))
+    report, quote = bundle.td_report, bundle.tpm_quote
+    assert all(a is b for a, b in zip(report.rtmrs, honest.td_report.rtmrs))
+    assert all(a is b for (_, a), (_, b) in zip(quote.values, honest.tpm_quote.values))
+    v.adopt_challenge(challenge)
+    verdict = v.verify(bundle, challenge)
+    assert verdict.failed_checks() == ("C5",)
+    assert verdict.checks_by_id()["C5"].detail == "inconsistent registers: RTMR2"
+
+
 def test_c5_memo_returns_the_remembered_result_object():
     world, v, honest = warm_wire_verifier()
     bundle, challenge = next_bundle(world)
@@ -652,15 +667,29 @@ def test_c5_memo_never_grows_past_its_bound(monkeypatch):
     counts = Counts(monkeypatch)
     for _ in range(12):
         bundle, challenge = next_bundle(world)
-        # an equal MRTD in a new object: a new key and the same verdict
-        report = replace(bundle.td_report, mrtd=crypto.Digest(bundle.td_report.mrtd.data))
-        bundle = replace(bundle, td_report=report)
+        # decoded through emptied tables: new interned objects, so two new entries
+        empty_intern_tables()
+        bundle = wire_trip(bundle)
         v.adopt_challenge(challenge)
         assert v.verify(bundle, challenge).accepted
         assert len(v._c5_memo) <= evidence.MAX_C5_MEMO
         counts.take()
-        evidence.check_rtmr_pcr_consistency(report, bundle.tpm_quote, bundle.event_log, v._c5_memo)
+        evidence.check_rtmr_pcr_consistency(
+            bundle.td_report, bundle.tpm_quote, bundle.event_log, v._c5_memo
+        )
         assert counts.take()["RowResult"] == 0  # the appraisal's result is remembered
+
+
+def test_c5_memo_stores_nothing_that_no_intern_table_holds():
+    empty_intern_tables()
+    world, v = warm_verifier()  # appraises the prover's own objects, never decoded
+    assert v._c5_memo == {}
+    empty_intern_tables()
+    bundle, challenge = next_bundle(world)
+    bundle = wire_trip(bundle)
+    v.adopt_challenge(challenge)
+    assert v.verify(bundle, challenge).accepted
+    assert len(v._c5_memo) == 2  # the replay and the rows
 
 
 def test_a_warm_appraisal_replays_nothing_and_builds_no_rows(monkeypatch):
@@ -688,18 +717,21 @@ def distinct_stack(world, platform_id):
 
 
 @pytest.mark.parametrize(
-    "n, distinct, rows_per_op",
+    "n, distinct, rows_per_op, memo_entries",
     [
-        (8, False, 0.0), (64, False, 0.0), (200, False, 0.0),
-        (8, True, 0.0),
+        # one shared replay and one set of rows for every reference-stack platform
+        (8, False, 0.0, 2), (64, False, 0.0, 2), (200, False, 0.0, 2),
+        # one shared replay and each platform's rows
+        (8, True, 0.0, 9),
         # each distinct stack adds 7 digests: past 256 in all, a platform's
         # PCR 17/18 values decode as new objects, so 29 of 64 platforms miss
-        # the C5 memo and build their 4 rows again (the guest log still hits)
-        (64, True, 29 * 4 / 64),
+        # the C5 memo and build their 4 rows again (the guest log still hits),
+        # and their rows, which can never be hit, are not stored
+        (64, True, 29 * 4 / 64, 1 + 64 - 29),
     ],
     ids=str,
 )
-def test_counts_per_warm_op_at_fleet_scale(monkeypatch, n, distinct, rows_per_op):
+def test_counts_per_warm_op_at_fleet_scale(monkeypatch, n, distinct, rows_per_op, memo_entries):
     # one verifier, S2, world seed 7; n platforms answer round-robin twice
     empty_intern_tables()
     world = adversary.build_world(adversary.WorldConfig(seed=7))
@@ -717,5 +749,6 @@ def test_counts_per_warm_op_at_fleet_scale(monkeypatch, n, distinct, rows_per_op
             challenge = v.challenge()
             wire = evidence.serialize(adversary._respond(world, challenge, "honest", pid))
             assert v.verify(evidence.deserialize(wire), challenge).accepted
+        assert len(v._c5_memo) == memo_entries  # the warm round stores nothing
     warm = {name: count / n for name, count in counts.take().items()}
     assert (warm["verify"], warm["extend"], warm["RowResult"]) == (2.0, 0.0, rows_per_op)
