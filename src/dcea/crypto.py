@@ -18,6 +18,9 @@ Canonical signing encodings (byte-exact, also documented in the README):
   ascending lexicographic order ``enc_str(key) || enc_str(value)``.
 * certificate payload: ``enc_str("dcea-cert-v1") || enc_bytes(subject_public)
   || enc_str(issuer_id) || enc_map(claims)``.
+
+The payload builders here, in ``td`` and in ``tpm``, write each payload with
+one ``b"".join`` over precomputed tags and ``enc_len`` prefixes.
 """
 
 from __future__ import annotations
@@ -153,31 +156,33 @@ def key_id(public: bytes) -> str:
 # canonical signing encodings
 # ---------------------------------------------------------------------------
 
-def enc_bytes(data: bytes) -> bytes:
-    return struct.pack(">I", len(data)) + data
+# the 4-byte big-endian length or count prefix of every encoding below
+enc_len = struct.Struct(">I").pack
+
+# the length prefix of a Digest's data, which is always DIGEST_LEN bytes
+DIGEST_PREFIX = enc_len(DIGEST_LEN)
 
 
 def enc_str(text: str) -> bytes:
-    return enc_bytes(text.encode("utf-8"))
+    data = text.encode("utf-8")
+    return enc_len(len(data)) + data
 
 
-def enc_map(items: Sequence[Tuple[str, str]]) -> bytes:
-    ordered = sorted(items)
-    out = struct.pack(">I", len(ordered))
-    for k, v in ordered:
-        out += enc_str(k) + enc_str(v)
-    return out
+_CERT_TAG = enc_str(CERT_DOMAIN_TAG)
 
 
 def cert_signing_payload(
     subject_public: bytes, issuer_id: str, claims: Sequence[Tuple[str, str]]
 ) -> bytes:
-    return (
-        enc_str(CERT_DOMAIN_TAG)
-        + enc_bytes(subject_public)
-        + enc_str(issuer_id)
-        + enc_map(claims)
-    )
+    """The certificate payload, ``enc_map(claims)`` included, in one join."""
+    issuer = issuer_id.encode("utf-8")
+    ordered = sorted(claims)
+    parts = [_CERT_TAG, enc_len(len(subject_public)), subject_public,
+             enc_len(len(issuer)), issuer, enc_len(len(ordered))]
+    for key, value in ordered:
+        key, value = key.encode("utf-8"), value.encode("utf-8")
+        parts += (enc_len(len(key)), key, enc_len(len(value)), value)
+    return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +234,7 @@ class ChainVerdict:
 
 
 _VALID = ChainVerdict(ChainStatus.VALID)
+_UNTRUSTED_ROOT = ChainVerdict(ChainStatus.UNTRUSTED_ROOT)
 
 
 def issue_cert(issuer: KeyPair, subject_public: bytes, claims: Mapping[str, str]) -> Certificate:
@@ -261,22 +267,29 @@ def verify_chain(
     trusted_roots: Iterable[Certificate],
     known_links: Set[Link],
 ) -> ChainVerdict:
-    """Walk leaf to root; every link must verify and the root must be trusted.
+    """Test the chain's anchor, then walk it leaf to root.
 
-    Each certificate's signature is checked under its parent's subject key;
-    the final certificate must be self-signed. BROKEN_LINK carries the index
-    of the first certificate whose signature fails.
+    Status precedence: UNTRUSTED_ROOT, then BROKEN_LINK, then VALID. The
+    last certificate must be one of ``trusted_roots`` (by equality); if it
+    is not, the chain is UNTRUSTED_ROOT after no signature check, however
+    its links stand, as RFC 5280 path validation starts from the trust
+    anchor. Only a chain under a pinned root is walked: each certificate's
+    signature is checked under its parent's subject key, and the root's
+    under its own. BROKEN_LINK carries the index of the first certificate
+    whose signature fails.
 
     ``known_links`` is the caller's memo of verified links: a link in it
     skips its signature check, and every link of a VALID chain is in it
     afterwards (cleared first if the new links would overflow
-    ``MAX_KNOWN_LINKS``). The root-trust test runs on every call, so a link
-    enters the memo only under a trusted root. A link is a certificate plus
-    its signer key, so altering any signed field makes it a new link.
+    ``MAX_KNOWN_LINKS``), so a link enters the memo only under a trusted
+    root and only when its whole chain is valid. A link is a certificate
+    plus its signer key, so altering any signed field makes it a new link.
     """
     certs = chain.certs
     if not certs:
         raise EmptyChain("certificate chain is empty")
+    if certs[-1] not in trusted_roots:
+        return _UNTRUSTED_ROOT
     signers = [cert.subject_public for cert in certs[1:]]
     signers.append(certs[-1].subject_public)
     links = list(zip(certs, signers))
@@ -286,8 +299,6 @@ def verify_chain(
             if not _cert_signature_valid(*link):
                 return ChainVerdict(ChainStatus.BROKEN_LINK, broken_index=i)
             unknown.append(link)
-    if certs[-1] not in trusted_roots:
-        return ChainVerdict(ChainStatus.UNTRUSTED_ROOT)
     if len(known_links) + len(unknown) > MAX_KNOWN_LINKS:
         known_links.clear()
         unknown = links

@@ -31,7 +31,8 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii as _string_text
 from operator import attrgetter, itemgetter
 from typing import (
-    Callable, ClassVar, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple, Type,
+    Callable, ClassVar, Hashable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple,
+    Type,
 )
 
 from . import crypto
@@ -162,8 +163,9 @@ BOOLEAN = scalar(bool, "boolean")
 NUMBER = Codec(_number_text, _number)
 
 
-# Intern tables: digest hex -> Digest (see DIGEST); certificate signature and event digest
-# hex -> (JSON object, its field types or None, decoded value), see ``interned``. A table
+# Intern tables: digest hex -> Digest (see DIGEST); certificate signature hex, and an
+# entry's event digest hex with its scope and register indices (``_entry_key``) ->
+# (JSON object, its field types or None, decoded value), see ``interned``. A table
 # admits values until it holds MAX_INTERNED, then only answers lookups (see README).
 # Platforms on one reference stack and guest image share 22 digests and 11 entries and
 # add 2 certificates each; a platform with a stack of its own adds 7 digests and 5 entries.
@@ -243,13 +245,14 @@ def wrap(codec: Codec, build: Callable, unwrap: Callable) -> Codec:
 _TEXT = "_wire_text"
 
 
-def interned(codec: Codec, key: str, table: dict) -> Codec:
+def interned(codec: Codec, key: Callable[[dict], Hashable], table: dict) -> Codec:
     """``codec`` for JSON objects, sharing each decoded value through
-    ``table`` under the object's hex string field ``key``. A hit needs an
+    ``table`` under ``key(obj)``, one probe per object. A hit needs an
     equal object whose fields have the same JSON types: ``true`` and ``1.0``
     do not match a stored ``1``. Only a number equals a value of another
     JSON type, so an object holding none skips the type check (a nested
-    claims map holds strings). Anything else decodes as ``codec`` does.
+    claims map holds strings). Anything else decodes as ``codec`` does, and
+    an object whose key ``key`` cannot read or hash is never stored.
 
     The first encode of a value renders its text from the value's fields
     and keeps it in the value's instance dict, outside the dataclass
@@ -266,17 +269,20 @@ def interned(codec: Codec, key: str, table: dict) -> Codec:
         return text
 
     def decode_interned(obj, path):
-        text = obj.get(key) if obj.__class__ is dict else None
-        held = table.get(text) if text.__class__ is str else None
+        try:
+            found = key(obj)
+            held = table.get(found)
+        except (KeyError, TypeError):  # no JSON object, a key field missing or unhashable
+            found = held = None
         if held is not None and held[0] == obj and (
                 held[1] is None or held[1] == list(map(type, obj.values()))):
             return held[2]
         value = decode(obj, path)
-        if len(table) < MAX_INTERNED:  # a full table builds no copy
+        if found is not None and len(table) < MAX_INTERNED:  # a full table builds no copy
             copy = {name: dict(v) if v.__class__ is dict else v for name, v in obj.items()}
             types = list(map(type, obj.values()))
             numbers = not {bool, int, float}.isdisjoint(types)
-            table.setdefault(text, (copy, types if numbers else None, value))
+            table.setdefault(found, (copy, types if numbers else None, value))
         return value
 
     return codec._replace(encode=encode_interned, decode=decode_interned)
@@ -404,7 +410,7 @@ _CERT = record(Certificate, {
 })
 
 
-CERT = interned(_CERT, "signature", _CERTS)
+CERT = interned(_CERT, itemgetter("signature"), _CERTS)
 
 _CHAIN = wrap(list_of(CERT), CertChain, attrgetter("certs"))
 
@@ -424,6 +430,17 @@ def _quote(selection, values, **rest) -> TpmQuote:
     if selection != tuple(index for index, _ in values):
         raise ValueError("selection must list exactly the indices of values")
     return TpmQuote(selection=selection, values=values, **rest)
+
+
+# An entry's key in the entry table: its event digest's hex, its scope and its register
+# indices, read from its JSON object; ``_entry_key`` gives the same key for a decoded entry.
+# Entries that measure one image into different registers (a host and a guest ``kernel``)
+# so intern apart.
+_ENTRY_JSON_KEY = itemgetter("event_digest", "scope", "pcr_index", "rtmr_index")
+
+
+def _entry_key(entry: EventLogEntry) -> tuple:
+    return (entry.event_digest.data.hex(), entry.scope.value, entry.pcr_index, entry.rtmr_index)
 
 
 def _bundle(format_version: int, **parts) -> EvidenceBundle:
@@ -466,7 +483,7 @@ _BUNDLE = record(_bundle, {
         "rtmr_index": optional(INTEGER),
         "event_digest": DIGEST,
         "description": STRING,
-    }), "event_digest", _ENTRIES)),
+    }), _ENTRY_JSON_KEY, _ENTRIES)),
     "nonces": record(Nonces, {
         "td_nonce": NONCE,
         "tpm_nonce": NONCE,
@@ -527,7 +544,7 @@ def _remember(memo: dict, key: tuple, entries: tuple, digests: tuple, result):
         if _DIGESTS.get(d.data.hex()) is not d:
             return result
     for e in entries:
-        held = _ENTRIES.get(e.event_digest.data.hex())
+        held = _ENTRIES.get(_entry_key(e))
         if held is None or held[2] is not e:
             return result
     if len(memo) >= MAX_C5_MEMO:

@@ -47,6 +47,7 @@ RTMR_PCR_MAP: Dict[int, Tuple[int, ...]] = {
 }
 
 REPORT_DOMAIN_TAG = "dcea-td-report-v1"
+_REPORT_TAG = crypto.enc_str(REPORT_DOMAIN_TAG)
 
 # owner and TDX-module measurements every simulated report carries
 MROWNER = crypto.digest(b"tenant").data
@@ -146,7 +147,12 @@ def rtmr_extend(td: TdState, event: GuestEvent) -> TdState:
 
 
 def report_signing_payload(report: TdReport) -> bytes:
-    blobs = (
+    enc_len = crypto.enc_len
+    ppid = report.ppid.encode("utf-8")
+    parts = [_REPORT_TAG, crypto.DIGEST_PREFIX, report.mrtd.data, enc_len(len(report.rtmrs))]
+    for rtmr in report.rtmrs:
+        parts += (crypto.DIGEST_PREFIX, rtmr.data)
+    for blob in (
         report.mrconfigid,
         report.mrowner,
         report.mrownerconfig,
@@ -155,15 +161,10 @@ def report_signing_payload(report: TdReport) -> bytes:
         report.mrseam,
         report.seam_attributes,
         report.td_attributes,
-    )
-    return b"".join([
-        crypto.enc_str(REPORT_DOMAIN_TAG),
-        crypto.enc_bytes(report.mrtd.data),
-        len(report.rtmrs).to_bytes(4, "big"),
-        *[crypto.enc_bytes(r.data) for r in report.rtmrs],
-        *[crypto.enc_bytes(blob) for blob in blobs],
-        crypto.enc_str(report.ppid),
-    ])
+        ppid,
+    ):
+        parts += (enc_len(len(blob)), blob)
+    return b"".join(parts)
 
 
 def td_report(td: TdState, report_data: bytes, qe: KeyPair, qe_chain: CertChain) -> TdReport:

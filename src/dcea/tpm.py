@@ -17,7 +17,6 @@ encoding documented in :mod:`dcea.crypto`.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -37,6 +36,7 @@ N_RTMRS = 4
 DEFAULT_POLICY_PCRS = frozenset({17, 18})
 
 QUOTE_DOMAIN_TAG = "dcea-quote-v1"
+_QUOTE_TAG = crypto.enc_str(QUOTE_DOMAIN_TAG)
 
 
 class Scope(str, Enum):
@@ -210,15 +210,12 @@ def default_ak_handle(tpm: TpmState) -> str:
     return next(iter(tpm.aks))
 
 
-# a quoted value's index as 4 big-endian bytes, then the length prefix of
-# ``crypto.enc_bytes(value)``
-_INDEX_AND_LENGTH = struct.Struct(">II").pack
-
-
 def quote_signing_payload(values: Sequence[Tuple[int, Digest]], nonce: bytes) -> bytes:
-    parts = [crypto.enc_str(QUOTE_DOMAIN_TAG), len(values).to_bytes(4, "big")]
-    parts += [_INDEX_AND_LENGTH(idx, len(value.data)) + value.data for idx, value in values]
-    parts.append(crypto.enc_bytes(nonce))
+    enc_len = crypto.enc_len
+    parts = [_QUOTE_TAG, enc_len(len(values))]
+    for idx, value in values:
+        parts += (enc_len(idx), crypto.DIGEST_PREFIX, value.data)
+    parts += (enc_len(len(nonce)), nonce)
     return b"".join(parts)
 
 

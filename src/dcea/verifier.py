@@ -331,7 +331,6 @@ CHECKS: Tuple[Check, ...] = (
 
 # views of the table by id
 CHECK_IDS = tuple(check.check_id for check in CHECKS)
-CHECK_NAMES: Mapping[str, str] = {check.check_id: check.name for check in CHECKS}
 CHECK_ATTACKS: Mapping[str, Tuple[str, ...]] = {check.check_id: check.attacks for check in CHECKS}
 
 

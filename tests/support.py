@@ -11,6 +11,11 @@ import random
 from dcea import crypto, evidence, td, tpm, verifier
 
 
+def empty_intern_tables():
+    for table in evidence._INTERNED:
+        table.clear()
+
+
 def verify_once(bundle, policy, challenge, registry=None, disabled_checks=frozenset()):
     """A one-shot appraisal: a fresh Verifier that has issued ``challenge``
     and holds ``registry`` (an empty one when None)."""

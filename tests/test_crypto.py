@@ -6,12 +6,13 @@ raw library primitives) before the module was written.
 
 import hashlib
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcea import adversary, crypto
+from dcea import adversary, crypto, td, tpm
 from dcea.errors import EmptyChain, InvalidKey, InvalidSeed
 
 # Frozen oracle outputs.
@@ -181,11 +182,14 @@ def test_verify_chain_valid():
     assert verdict.ok
 
 
+def _other_root():
+    other = crypto.keygen(b"other-root", crypto.KeyKind.CA)
+    return crypto.issue_cert(other, other.public, {"role": "root"})
+
+
 def test_verify_chain_untrusted_root():
     chain, _ = _chain()
-    other = crypto.keygen(b"other-root", crypto.KeyKind.CA)
-    other_cert = crypto.issue_cert(other, other.public, {"role": "root"})
-    verdict = crypto.verify_chain(chain, [other_cert], set())
+    verdict = crypto.verify_chain(chain, [_other_root()], set())
     assert verdict.status is crypto.ChainStatus.UNTRUSTED_ROOT
     assert not verdict.ok
 
@@ -195,6 +199,28 @@ def test_verify_chain_broken_middle_link_index_1():
     verdict = crypto.verify_chain(chain, [root], set())
     assert verdict.status is crypto.ChainStatus.BROKEN_LINK
     assert verdict.broken_index == 1
+
+
+@pytest.mark.parametrize("break_middle", [False, True], ids=["valid_links", "broken_middle"])
+def test_a_chain_to_an_unpinned_root_makes_no_verify(monkeypatch, break_middle):
+    # precedence: UNTRUSTED_ROOT before BROKEN_LINK, because the anchor is
+    # tested before any link is walked
+    chain, _ = _chain(break_middle=break_middle)
+    calls, known = [], set()
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args))
+    verdict = crypto.verify_chain(chain, [_other_root()], known)
+    assert verdict == crypto.ChainVerdict(crypto.ChainStatus.UNTRUSTED_ROOT)
+    assert calls == []
+    assert known == set()
+
+
+def test_a_pinned_root_with_a_broken_leaf_reports_index_0_and_remembers_nothing():
+    chain, root = _chain()
+    leaf = replace(chain.leaf, claims=(("role", "altered"),))
+    known = set()
+    verdict = crypto.verify_chain(crypto.CertChain((leaf,) + chain.certs[1:]), [root], known)
+    assert verdict == crypto.ChainVerdict(crypto.ChainStatus.BROKEN_LINK, broken_index=0)
+    assert known == set()
 
 
 def test_full_memo_keeps_a_chain_it_already_holds(monkeypatch):
@@ -223,3 +249,67 @@ def test_self_signed_single_cert_chain():
     ca = crypto.keygen(b"solo", crypto.KeyKind.CA)
     root = crypto.issue_cert(ca, ca.public, {"role": "root"})
     assert crypto.verify_chain(crypto.CertChain((root,)), [root], set()).ok
+
+
+# -- the three signing payloads against the README's "Canonical signing encodings"
+
+def _enc_bytes(data):
+    return struct.pack(">I", len(data)) + data
+
+
+def _enc_str(text):
+    return _enc_bytes(text.encode("utf-8"))
+
+
+def _enc_map(mapping):
+    out = struct.pack(">I", len(mapping))
+    for key in sorted(mapping):
+        out += _enc_str(key) + _enc_str(mapping[key])
+    return out
+
+
+_DIGESTS = st.binary(min_size=48, max_size=48).map(crypto.Digest)
+
+
+@given(st.binary(), st.text(), st.dictionaries(st.text(), st.text(), max_size=4))
+def test_cert_payload_matches_the_readme_field_by_field(subject_public, issuer_id, claims):
+    want = (_enc_str("dcea-cert-v1") + _enc_bytes(subject_public) + _enc_str(issuer_id)
+            + _enc_map(claims))
+    got = crypto.cert_signing_payload(subject_public, issuer_id, tuple(sorted(claims.items())))
+    assert got == want
+
+
+def test_cert_payload_with_non_ascii_and_empty_claims():
+    claims = {"": "", "région": "eu-ouest-1", "провайдер": "☁"}
+    want = _enc_str("dcea-cert-v1") + _enc_bytes(b"") + _enc_str("émetteur") + _enc_map(claims)
+    assert crypto.cert_signing_payload(b"", "émetteur", tuple(sorted(claims.items()))) == want
+    assert crypto.cert_signing_payload(b"\x01", "i", ()) == (
+        _enc_str("dcea-cert-v1") + _enc_bytes(b"\x01") + _enc_str("i") + struct.pack(">I", 0)
+    )
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), _DIGESTS), max_size=24), st.binary())
+def test_quote_payload_matches_the_readme_field_by_field(values, nonce):
+    want = _enc_str("dcea-quote-v1") + struct.pack(">I", len(values))
+    for index, value in values:
+        want += struct.pack(">I", index) + _enc_bytes(value.data)
+    want += _enc_bytes(nonce)
+    assert tpm.quote_signing_payload(tuple(values), nonce) == want
+
+
+REPORT_BLOBS = ("mrconfigid", "mrowner", "mrownerconfig", "report_data", "tee_tcb_svn",
+                "mrseam", "seam_attributes", "td_attributes")
+
+
+@given(_DIGESTS, st.lists(_DIGESTS, max_size=4), st.lists(st.binary(), min_size=8, max_size=8),
+       st.text())
+def test_report_payload_matches_the_readme_field_by_field(mrtd, rtmrs, blobs, ppid):
+    report = td.TdReport(mrtd=mrtd, rtmrs=tuple(rtmrs), **dict(zip(REPORT_BLOBS, blobs)),
+                         ppid=ppid, qe_signature=b"", qe_chain=crypto.CertChain(()))
+    want = _enc_str("dcea-td-report-v1") + _enc_bytes(mrtd.data) + struct.pack(">I", len(rtmrs))
+    for rtmr in rtmrs:
+        want += _enc_bytes(rtmr.data)
+    for blob in blobs:
+        want += _enc_bytes(blob)
+    want += _enc_str(ppid)
+    assert td.report_signing_payload(report) == want

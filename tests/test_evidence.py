@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dcea import adversary, cli, crypto, evidence, platform, td, tpm, verifier
 from dcea.errors import IncompleteBundle, ParseError
 
-from support import rand_cert, random_bundle, verify_once
+from support import empty_intern_tables, rand_cert, random_bundle, verify_once
 from test_platform import make_platform
 from test_td import make_qe
 
@@ -418,11 +418,6 @@ def mutated_goldens(draw, document):
     return pair, obj
 
 
-def empty_intern_tables():
-    for table in evidence._INTERNED:
-        table.clear()
-
-
 def warm_and_cold(golden, appraise):
     """``appraise()`` with the intern tables warmed by decoding the file
     ``golden``, then with them emptied: a ParseError's text or the verdict
@@ -499,7 +494,6 @@ def test_mutated_golden_context_gives_a_parse_error_or_a_verdict(context_file, c
 )
 def test_a_warm_table_decodes_a_changed_value_as_an_empty_one_does(path, change, message):
     obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
-    empty_intern_tables()
     evidence.obj_to_bundle(obj)
     assert all(evidence._INTERNED)
     parent = obj
@@ -514,7 +508,6 @@ def test_a_warm_table_decodes_a_changed_value_as_an_empty_one_does(path, change,
 
 
 def test_intern_tables_fill_to_their_bound_and_keep_what_they_hold():
-    empty_intern_tables()
     golden = evidence.deserialize((FIXTURES / "honest_s1.dcea.json").read_bytes())
     seen = [set(), set(), set()]
     for seed in range(120):
@@ -541,7 +534,6 @@ def _interned_values(bundle):
 @pytest.mark.parametrize("pair", GOLDEN)
 def test_a_second_decode_shares_every_repeated_value(pair):
     data = (FIXTURES / f"{pair}.dcea.json").read_bytes()
-    empty_intern_tables()
     first, second = (_interned_values(evidence.deserialize(data)) for _ in range(2))
     assert len(first) == len(second) > 30
     assert None not in first
@@ -590,7 +582,6 @@ def test_a_second_serialize_renders_no_certificate_or_entry_again():
 @pytest.mark.parametrize("pair", GOLDEN)
 def test_a_bundle_decoded_from_warm_tables_renders_nothing(pair):
     golden = (FIXTURES / f"{pair}.dcea.json").read_bytes()
-    empty_intern_tables()
     assert renders(lambda: evidence.deserialize(golden)) == []
     first = evidence.deserialize(golden)
     assert len(renders(lambda: evidence.serialize(first))) == len(_certs_and_entries(first)) > 10
@@ -695,7 +686,6 @@ def test_replay_matches_hashlib_oracle_per_register():
 
 
 def test_replay_memo_answers_only_the_same_entry_objects_under_the_same_scope():
-    empty_intern_tables()
     world = adversary.build_world(adversary.WorldConfig(seed=11))
     log = evidence.deserialize(evidence.serialize(adversary.attest_honest(world).bundle)).event_log
     memo = {}

@@ -10,8 +10,8 @@ import pytest
 from dcea import adversary, crypto, evidence, platform, td, tpm, verifier
 from dcea.tpm import TpmKind
 
-from support import verify_once
-from test_evidence import empty_intern_tables, honest_bundle, honest_pieces
+from support import empty_intern_tables, verify_once
+from test_evidence import honest_bundle, honest_pieces
 from test_td import make_qe
 
 TD_NONCE = b"\x0a" * 32
@@ -333,6 +333,10 @@ def test_registry_roundtrip_keeps_conflicts():
 
 ALL_CHECKS = frozenset(verifier.CHECK_IDS)
 
+LIVE_CELLS = [("honest", d) for d in adversary.Deployment] + [
+    (sid, dep) for sid, sc in adversary.SCENARIOS.items() for dep in sc.deployments
+]
+
 
 def next_bundle(world):
     """A fresh challenge and honest bundle from the world's platform."""
@@ -439,6 +443,37 @@ def test_warm_appraisal_makes_two_verifies(monkeypatch):
     assert verifies(warm.verify, b0, c0) == 2
     assert verifies(fresh.verify, b1, c1) == 7
     assert verifies(lambda b, c: verify_once(b, warm.policy, c), b2, c2) == 7
+
+
+# Ed25519 verifies a fresh Verifier makes per live cell: honest and the C3-C8
+# cells verify both chains and both signatures (7). A forged quote stops C2
+# after its signature, and a chain to an unpinned root (A1_report_forgery's
+# QE chain, A5_ek_spoof's EK chain) costs no verify, so those cells make 4.
+FRESH_VERIFIES = {"A1_quote_forgery": 4, "A1_report_forgery": 4, "A5_ek_spoof": 4}
+
+
+def test_a_fresh_verifier_spends_no_verify_on_an_unpinned_chain(monkeypatch):
+    calls = []
+    real_verify = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or real_verify(*args))
+    seen = {}
+    for sid, dep in LIVE_CELLS:
+        world = adversary.build_world(adversary.WorldConfig(seed=0, deployment=dep))
+        if sid == "honest":
+            out = adversary.attest_honest(world, disabled_checks=ALL_CHECKS)
+        else:
+            out = adversary.attest_attack(world, sid, disabled_checks=ALL_CHECKS)
+        v = verifier.Verifier(out.policy)
+        for ak_public, entry in world.registrations:
+            verifier.registry_register(v.registry, ak_public, entry)
+        v.adopt_challenge(out.challenge)
+        calls.clear()
+        verdict = v.verify(out.bundle, out.challenge)
+        scenario = adversary.SCENARIOS.get(sid)
+        assert verdict.failed_checks() == (() if scenario is None else (scenario.targeted_check,))
+        seen[sid, dep.value] = len(calls)
+    assert seen == {(sid, dep.value): FRESH_VERIFIES.get(sid, 7) for sid, dep in LIVE_CELLS}
+    assert sum(seen.values()) == 90
 
 
 def test_memo_never_grows_past_its_bound(monkeypatch):
@@ -603,11 +638,6 @@ def test_c5_memo_returns_the_remembered_result_object():
     assert remembered == evidence.check_rtmr_pcr_consistency(*args)
 
 
-LIVE_CELLS = [("honest", d) for d in adversary.Deployment] + [
-    (sid, dep) for sid, sc in adversary.SCENARIOS.items() for dep in sc.deployments
-]
-
-
 @pytest.mark.parametrize("sid, dep", LIVE_CELLS, ids=lambda c: getattr(c, "value", c))
 def test_a_warm_verifier_gives_a_fresh_verifiers_verdict(sid, dep):
     assert len(LIVE_CELLS) == 15
@@ -681,7 +711,6 @@ def test_c5_memo_never_grows_past_its_bound(monkeypatch):
 
 
 def test_c5_memo_stores_nothing_that_no_intern_table_holds():
-    empty_intern_tables()
     world, v = warm_verifier()  # appraises the prover's own objects, never decoded
     assert v._c5_memo == {}
     empty_intern_tables()
@@ -693,7 +722,6 @@ def test_c5_memo_stores_nothing_that_no_intern_table_holds():
 
 
 def test_a_warm_appraisal_replays_nothing_and_builds_no_rows(monkeypatch):
-    empty_intern_tables()
     world = adversary.build_world(adversary.WorldConfig(seed=11))
     v = new_verifier(world)
     wires = [(evidence.serialize(b), c) for b, c in (next_bundle(world) for _ in range(3))]
@@ -708,6 +736,22 @@ def test_a_warm_appraisal_replays_nothing_and_builds_no_rows(monkeypatch):
     assert (first["verify"], first["extend"], first["RowResult"]) == (7, 11, 4)
     # the one Digest a warm op builds is C3's digest of the quoting key
     assert warm == [{"verify": 2, "extend": 0, "Digest": 1, "RowResult": 0}] * 2
+
+
+def test_entries_that_measure_one_image_into_two_registers_intern_apart(monkeypatch):
+    # the host and the guest ``kernel`` entries of honest_pieces share an
+    # event digest; each is interned under its own scope and registers
+    wire = evidence.serialize(honest_bundle())
+    first, second = evidence.deserialize(wire), evidence.deserialize(wire)
+    assert len(first.event_log) == 11
+    assert [a is b for a, b in zip(first.event_log, second.event_log)] == [True] * 11
+    v = verifier.Verifier(honest_policy())
+    challenge = honest_challenge()
+    v.adopt_challenge(challenge)
+    assert v.verify(first, challenge).accepted
+    counts = Counts(monkeypatch)
+    assert v.verify(second, challenge).failed_checks() == ("C4",)  # the spent challenge
+    assert counts.take()["extend"] == 0
 
 
 def distinct_stack(world, platform_id):
@@ -733,7 +777,6 @@ def distinct_stack(world, platform_id):
 )
 def test_counts_per_warm_op_at_fleet_scale(monkeypatch, n, distinct, rows_per_op, memo_entries):
     # one verifier, S2, world seed 7; n platforms answer round-robin twice
-    empty_intern_tables()
     world = adversary.build_world(adversary.WorldConfig(seed=7))
     for i in range(1, n):
         pid = f"plat-{i}"
