@@ -9,6 +9,7 @@ spot: an adversary with no extra hop is indistinguishable by timing.
 """
 
 import argparse
+import math
 import sys
 
 from dcea.adversary import Deployment, WorldConfig, attest_attack, attest_honest, build_world
@@ -24,7 +25,12 @@ def main() -> int:
     args = ap.parse_args()
     if args.seeds < 1:
         ap.error(f"--seeds must be at least 1, got {args.seeds}")
-    relays = [float(r) for r in args.relays.split(",")]
+    try:
+        relays = [float(r) for r in args.relays.split(",")]
+    except ValueError:
+        relays = None
+    if relays is None or not all(math.isfinite(r) and r >= 0 for r in relays):
+        ap.error(f"--relays must list finite delays of at least 0 ms, got {args.relays!r}")
 
     print(f"{'relay (ms)':>10}  {'attack rejected':>16}  {'honest accepted':>16}")
     for relay in relays:

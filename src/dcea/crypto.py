@@ -44,7 +44,7 @@ SIGNATURE_ALGORITHM = "ed25519"
 
 CERT_DOMAIN_TAG = "dcea-cert-v1"
 
-# Most certificate links a known-links memo holds; at this size it is cleared.
+# Most certificate links a known-links memo holds; a full memo only answers lookups.
 MAX_KNOWN_LINKS = 1024
 
 
@@ -279,11 +279,11 @@ def verify_chain(
     whose signature fails.
 
     ``known_links`` is the caller's memo of verified links: a link in it
-    skips its signature check, and every link of a VALID chain is in it
-    afterwards (cleared first if the new links would overflow
-    ``MAX_KNOWN_LINKS``), so a link enters the memo only under a trusted
-    root and only when its whole chain is valid. A link is a certificate
-    plus its signer key, so altering any signed field makes it a new link.
+    skips its signature check. The links of a VALID chain are added while
+    the memo holds fewer than ``MAX_KNOWN_LINKS``; a full memo only answers
+    lookups. So a link enters the memo only under a trusted root and only
+    when its whole chain is valid. A link is a certificate plus its signer
+    key, so altering any signed field makes it a new link.
     """
     certs = chain.certs
     if not certs:
@@ -299,8 +299,7 @@ def verify_chain(
             if not _cert_signature_valid(*link):
                 return ChainVerdict(ChainStatus.BROKEN_LINK, broken_index=i)
             unknown.append(link)
-    if len(known_links) + len(unknown) > MAX_KNOWN_LINKS:
-        known_links.clear()
-        unknown = links
-    known_links.update(unknown)
+    for link in unknown:
+        if len(known_links) < MAX_KNOWN_LINKS:
+            known_links.add(link)
     return _VALID

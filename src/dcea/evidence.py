@@ -9,7 +9,9 @@ its combinators), and each codec defines both directions: it writes a value
 straight to the canonical JSON text and reads a parsed JSON value back, so
 encoder and decoder cannot drift apart; the README documents the same layout.
 A decoded object may carry no key outside its table.
-``serialize(deserialize(x)) == x`` for every well-formed input. Decoded
+``serialize(deserialize(x)) == x`` for canonical input ``x``, the bytes
+``serialize`` writes. Other well-formed spellings, such as an indented
+re-encoding, also decode, but serialize back to the canonical bytes. Decoded
 values may be shared between bundles, and a shared certificate or event-log
 entry keeps the text it was written as (see ``interned``).
 
@@ -164,9 +166,10 @@ NUMBER = Codec(_number_text, _number)
 
 
 # Intern tables: digest hex -> Digest (see DIGEST); certificate signature hex, and an
-# entry's event digest hex with its scope and register indices (``_entry_key``) ->
+# entry's event digest hex with its scope and register indices (``_ENTRY_JSON_KEY``) ->
 # (JSON object, its field types or None, decoded value), see ``interned``. A table
-# admits values until it holds MAX_INTERNED, then only answers lookups (see README).
+# admits values until it holds MAX_INTERNED, then only answers lookups, as every
+# verifier memo does (see README).
 # Platforms on one reference stack and guest image share 22 digests and 11 entries and
 # add 2 certificates each; a platform with a stack of its own adds 7 digests and 5 entries.
 MAX_INTERNED = 256
@@ -433,14 +436,9 @@ def _quote(selection, values, **rest) -> TpmQuote:
 
 
 # An entry's key in the entry table: its event digest's hex, its scope and its register
-# indices, read from its JSON object; ``_entry_key`` gives the same key for a decoded entry.
-# Entries that measure one image into different registers (a host and a guest ``kernel``)
-# so intern apart.
+# indices, read from its JSON object. Entries that measure one image into different
+# registers (a host and a guest ``kernel``) so intern apart.
 _ENTRY_JSON_KEY = itemgetter("event_digest", "scope", "pcr_index", "rtmr_index")
-
-
-def _entry_key(entry: EventLogEntry) -> tuple:
-    return (entry.event_digest.data.hex(), entry.scope.value, entry.pcr_index, entry.rtmr_index)
 
 
 def _bundle(format_version: int, **parts) -> EvidenceBundle:
@@ -527,30 +525,11 @@ def deserialize(data: bytes) -> EvidenceBundle:
 # replay and consistency
 # ---------------------------------------------------------------------------
 
-# Most entries a C5 memo holds; at this size it is cleared.
+# Most entries a C5 memo holds; a full memo only answers lookups.
 MAX_C5_MEMO = 128
 
-
-def _remember(memo: dict, key: tuple, entries: tuple, digests: tuple, result):
-    """Store ``result`` under ``key``, which names ``entries`` and ``digests``
-    by ``id()``, when each of them is the object its intern table holds: a
-    later decoded bundle hands over only those objects again, so an entry
-    for any other would never be hit and would only crowd live ones out.
-    The entry keeps its objects alive, so no id in the key can pass to
-    another object while the entry lives, and a key found later names these
-    very objects. Full means cleared first, as the link memo is. The keys of
-    the two C5 functions differ in length, so they never meet."""
-    for d in digests:
-        if _DIGESTS.get(d.data.hex()) is not d:
-            return result
-    for e in entries:
-        held = _ENTRIES.get(_entry_key(e))
-        if held is None or held[2] is not e:
-            return result
-    if len(memo) >= MAX_C5_MEMO:
-        memo.clear()
-    memo[key] = ((entries, digests), result)
-    return result
+# what the replay and the rows read of an entry: its description is read by neither
+_ENTRY_VALUES = attrgetter("scope", "pcr_index", "rtmr_index", "event_digest.data")
 
 
 def replay_event_log(
@@ -562,17 +541,17 @@ def replay_event_log(
     Entries drive whichever register indices they carry, so guest entries
     land in both views and host entries only in the PCR bank.
 
-    ``memo`` is a caller's C5 memo (see ``check_rtmr_pcr_consistency``): a
-    log of the very interned entry objects replayed before, under the same
-    scope, returns the remembered result object. Without one, the call
-    gets a memo of its own.
+    ``memo`` is a caller's C5 memo (see ``check_rtmr_pcr_consistency``),
+    keyed here by ``scope`` and each entry's scope, register indices and
+    event digest bytes: a log equal in those values to one replayed before
+    under the same scope returns the remembered result object. Without a
+    memo, the call gets one of its own.
     """
     memo = {} if memo is None else memo
-    log = tuple(log)
-    key = (scope, tuple(map(id, log)))
+    key = (scope, tuple(map(_ENTRY_VALUES, log)))
     held = memo.get(key)
     if held is not None:
-        return held[1]
+        return held
     pcrs = [crypto.ZERO_DIGEST] * N_PCRS
     rtmrs = [crypto.ZERO_DIGEST] * N_RTMRS
     for entry in log:
@@ -582,7 +561,10 @@ def replay_event_log(
             pcrs[entry.pcr_index] = crypto.extend(pcrs[entry.pcr_index], entry.event_digest)
         if entry.rtmr_index is not None:
             rtmrs[entry.rtmr_index] = crypto.extend(rtmrs[entry.rtmr_index], entry.event_digest)
-    return _remember(memo, key, log, (), (tuple(pcrs), tuple(rtmrs)))
+    result = tuple(pcrs), tuple(rtmrs)
+    if len(memo) < MAX_C5_MEMO:
+        memo[key] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -629,22 +611,27 @@ def check_rtmr_pcr_consistency(
     count as matched only if their reference is still zero: an attacker
     cannot hide a mapped register by narrowing the quote selection.
 
-    ``memo`` is a caller's C5 memo, a dict bounded by ``MAX_C5_MEMO`` that
-    this function and ``replay_event_log`` share; without one, the call gets
-    a memo of its own. Its key here names every input the rows read: the
-    guest entries, MRTD and RTMR 0..2 by identity, and each quoted pair by
-    its index and its digest's identity. Inputs that are the very interned
-    objects of an earlier call return that call's result object.
+    ``memo`` is a caller's C5 memo, a dict that this function and
+    ``replay_event_log`` share; it admits results while it holds fewer than
+    ``MAX_C5_MEMO`` and then only answers lookups. Without one, the call
+    gets a memo of its own. Its key here holds every value the rows read:
+    each guest entry's scope, register indices and event digest bytes, the
+    bytes of MRTD and RTMR 0..2, and each quoted index with its digest's
+    bytes. Inputs equal in those values to an earlier call's return that
+    call's result object. The two functions' keys differ in length, so
+    they never meet.
     """
     memo = {} if memo is None else memo
-    guest = tuple([e for e in event_log if e.scope is Scope.GUEST])
+    guest = [e for e in event_log if e.scope is Scope.GUEST]
     pcr_ref, rtmr_ref = replay_event_log(guest, memo=memo)
-    values = tpm_quote.values
-    digests = (td_report.mrtd, *td_report.rtmrs[:3], *map(itemgetter(1), values))
-    key = (tuple(map(id, guest)), tuple(map(itemgetter(0), values)), tuple(map(id, digests)))
+    key = (
+        tuple(map(_ENTRY_VALUES, guest)),
+        (td_report.mrtd.data, *[rtmr.data for rtmr in td_report.rtmrs[:3]]),
+        tuple([(index, value.data) for index, value in tpm_quote.values]),
+    )
     held = memo.get(key)
     if held is not None:
-        return held[1]
+        return held
     quoted = tpm_quote.values_dict()
     zero = crypto.ZERO_DIGEST
 
@@ -665,4 +652,7 @@ def check_rtmr_pcr_consistency(
         td_expected, td_actual = rtmr_ref[rtmr_index], td_report.rtmrs[rtmr_index]
         rows.append(row(f"RTMR{rtmr_index}", RTMR_PCR_MAP[rtmr_index], td_expected, td_actual,
                         td_actual == td_expected))
-    return _remember(memo, key, guest, digests, ConsistencyResult(rows=tuple(rows)))
+    result = ConsistencyResult(rows=tuple(rows))
+    if len(memo) < MAX_C5_MEMO:
+        memo[key] = result
+    return result

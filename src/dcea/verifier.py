@@ -370,9 +370,11 @@ def verify_bundle(
 class Verifier:
     """Stateful relying party: issues single-use challenges and keeps the
     consumed-challenge ledger, the AK registry, and across verifications a
-    bounded memo of certificate links verified under its pinned roots and a
-    bounded C5 memo (see ``evidence.check_rtmr_pcr_consistency``). Every
-    appraisal runs through one; a one-shot appraisal (``dcea verify``)
+    memo of certificate links verified under its pinned roots (see
+    ``crypto.verify_chain``) and a C5 memo keyed by the values its results
+    read (see ``evidence.check_rtmr_pcr_consistency``). Each memo admits
+    entries until it reaches its bound and then only answers lookups.
+    Every appraisal runs through one; a one-shot appraisal (``dcea verify``)
     adopts its challenge into a fresh Verifier."""
 
     def __init__(
@@ -388,7 +390,7 @@ class Verifier:
         self._outstanding: Dict[bytes, Challenge] = {}
         self._spent: Set[bytes] = set()
         self._known_links: Set[crypto.Link] = set()
-        self._c5_memo: Dict[tuple, tuple] = {}
+        self._c5_memo: Dict[tuple, object] = {}
 
     def challenge(self) -> Challenge:
         n = evidence.NONCE_LEN

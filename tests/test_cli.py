@@ -395,15 +395,24 @@ def test_matrix_rows_without_a_seed_to_run_raise(seeds):
         cli.matrix_rows(0, seeds)
 
 
-def test_relay_sweep_without_a_seed_to_run_is_usage_error(monkeypatch, capsys):
+# a relay delay that is no number, or that no relay can add: at -200 ms the
+# sweep printed an attack row that is never rejected
+RELAY_SWEEP_USAGE = [("--seeds=0", "--seeds must be at least 1, got 0")] + [
+    (f"--relays={relays}", f"--relays must list finite delays of at least 0 ms, got {relays!r}")
+    for relays in ("x", "-200", "0,nan", "inf", "1,,2")
+]
+
+
+@pytest.mark.parametrize("arg, why", RELAY_SWEEP_USAGE, ids=[arg for arg, _ in RELAY_SWEEP_USAGE])
+def test_relay_sweep_without_a_seed_to_run_is_usage_error(monkeypatch, capsys, arg, why):
     script = Path(__file__).resolve().parent.parent / "scripts" / "relay_sweep.py"
     spec = importlib.util.spec_from_file_location("relay_sweep", script)
     relay_sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(relay_sweep)
-    monkeypatch.setattr("sys.argv", ["relay_sweep.py", "--seeds", "0"])
+    monkeypatch.setattr("sys.argv", ["relay_sweep.py", arg])
     with pytest.raises(SystemExit) as exc:
         relay_sweep.main()
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--seeds must be at least 1, got 0" in captured.err
+    assert why in captured.err

@@ -1,5 +1,6 @@
 """Evidence: bundle assembly, canonical serialization, replay, consistency."""
 
+import functools
 import hashlib
 import json
 import math
@@ -685,19 +686,32 @@ def test_replay_matches_hashlib_oracle_per_register():
     assert rtmrs[1].data == want_rtmr1
 
 
-def test_replay_memo_answers_only_the_same_entry_objects_under_the_same_scope():
+def test_replay_memo_answers_equal_entries_under_the_same_scope():
     world = adversary.build_world(adversary.WorldConfig(seed=11))
-    log = evidence.deserialize(evidence.serialize(adversary.attest_honest(world).bundle)).event_log
+    log = adversary.attest_honest(world).bundle.event_log
     memo = {}
     first = evidence.replay_event_log(log, memo=memo)
-    assert evidence.replay_event_log(list(log), memo=memo) is first
+    # copies that share no object with the log, under another description,
+    # which the replay does not read
+    copies = [replace(e, event_digest=crypto.Digest(bytes(bytearray(e.event_digest.data))),
+                      description=e.description + " (copy)") for e in log]
+    assert evidence.replay_event_log(copies, memo=memo) is first
     host = evidence.replay_event_log(log, scope=tpm.Scope.HOST, memo=memo)
     assert host == evidence.replay_event_log(log, scope=tpm.Scope.HOST) != first
     assert len(memo) == 2
-    # equal entries that no intern table holds are replayed and not stored
-    copies = evidence.replay_event_log(tuple(replace(e) for e in log), memo=memo)
-    assert copies == first and copies is not first
-    assert len(memo) == 2
+    # a change to any field the replay reads is a new key, replayed afresh
+    at, entry = next((i, e) for i, e in enumerate(log) if e.scope is tpm.Scope.GUEST
+                     and e.pcr_index is not None and e.rtmr_index is not None)
+    for changed in (replace(entry, scope=tpm.Scope.HOST),
+                    replace(entry, pcr_index=(entry.pcr_index + 1) % tpm.N_PCRS),
+                    replace(entry, rtmr_index=(entry.rtmr_index + 1) % tpm.N_RTMRS),
+                    replace(entry, event_digest=crypto.digest(b"another image"))):
+        altered = log[:at] + (changed,) + log[at + 1:]
+        for scope in (None, tpm.Scope.GUEST):
+            held = len(memo)
+            replayed = evidence.replay_event_log(altered, scope=scope, memo=memo)
+            assert replayed == evidence.replay_event_log(altered, scope=scope)
+            assert replayed is not first and len(memo) == held + 1
 
 
 # -- consistency -------------------------------------------------------------
@@ -752,3 +766,56 @@ def test_consistency_requires_quote_coverage():
     narrow = tpm.tpm_quote(vtpm, handle, [17, 18], b"\x0b" * 32)
     result = evidence.check_rtmr_pcr_consistency(report, narrow, log)
     assert not result.all_matched
+
+
+@functools.lru_cache(maxsize=None)
+def c5_inputs():
+    _, _, _, report, quote, log, _ = honest_pieces()
+    return report, quote, log
+
+
+# every field the consistency rows read, as a change that draws its new value
+def _change_register(data, report, quote, log, digest):
+    at = data.draw(st.integers(0, 3))  # MRTD, then RTMR 0..2
+    if at == 0:
+        return replace(report, mrtd=digest), quote, log
+    rtmrs = list(report.rtmrs)
+    rtmrs[at - 1] = digest
+    return replace(report, rtmrs=tuple(rtmrs)), quote, log
+
+
+def _change_quoted(data, report, quote, log, digest):
+    values = list(quote.values)
+    at = data.draw(st.integers(0, len(values) - 1))
+    index, value = values[at]
+    if data.draw(st.booleans()):
+        values[at] = (data.draw(st.integers(0, tpm.N_PCRS - 1)), value)
+    else:
+        values[at] = (index, digest)
+    return report, replace(quote, values=tuple(values)), log
+
+
+def _change_guest_entry(data, report, quote, log, digest):
+    at = data.draw(st.sampled_from([i for i, e in enumerate(log) if e.scope is tpm.Scope.GUEST]))
+    entry = log[at]
+    name = data.draw(st.sampled_from(["event_digest", "pcr_index", "rtmr_index"]))
+    if name == "event_digest":
+        changed = replace(entry, event_digest=digest)
+    else:  # an entry keeps at least one register index
+        index = st.integers(0, (tpm.N_PCRS if name == "pcr_index" else tpm.N_RTMRS) - 1)
+        other = entry.rtmr_index if name == "pcr_index" else entry.pcr_index
+        changed = replace(entry, **{name: data.draw(index if other is None else st.none() | index)})
+    return report, quote, log[:at] + (changed,) + log[at + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_populated_c5_memo_answers_any_changed_input_as_an_empty_one(data):
+    report, quote, log = c5_inputs()
+    memo = {}
+    evidence.check_rtmr_pcr_consistency(report, quote, log, memo)
+    change = data.draw(st.sampled_from([_change_register, _change_quoted, _change_guest_entry]))
+    digest = crypto.Digest(data.draw(st.binary(min_size=48, max_size=48)))
+    changed = change(data, report, quote, log, digest)
+    assert (evidence.check_rtmr_pcr_consistency(*changed, memo)
+            == evidence.check_rtmr_pcr_consistency(*changed))

@@ -478,16 +478,29 @@ def test_a_fresh_verifier_spends_no_verify_on_an_unpinned_chain(monkeypatch):
 
 def test_memo_never_grows_past_its_bound(monkeypatch):
     monkeypatch.setattr(crypto, "MAX_KNOWN_LINKS", 8)
-    world, v = warm_verifier()
+    world, v = warm_verifier()  # 5 links: both roots and the QE, EK and AK certificates
     ek = world.vtpms["plat-A"].ek
-    for serial in range(12):
+    ak_cert = next_bundle(world)[0].ak_cert
+    # twelve distinct AK certificates over one key: each is a new link
+    ak_certs = [crypto.issue_cert(ek, ak_cert.subject_public,
+                                  dict(ak_cert.claims + (("serial", str(serial)),)))
+                for serial in range(12)]
+    counts = Counts(monkeypatch)
+
+    def verifies(ak_cert):
         bundle, challenge = next_bundle(world)
-        claims = dict(bundle.ak_cert.claims + (("serial", str(serial)),))
-        ak_cert = crypto.issue_cert(ek, bundle.ak_cert.subject_public, claims)
         v.adopt_challenge(challenge)
+        counts.take()
         assert v.verify(replace(bundle, ak_cert=ak_cert), challenge).accepted
         assert len(v._known_links) <= crypto.MAX_KNOWN_LINKS
-        assert (ak_cert, ek.public) in v._known_links
+        return counts.take()["verify"]
+
+    assert [verifies(cert) for cert in ak_certs] == [3] * 12
+    # the first three were admitted; the memo was then full and admitted no more
+    assert [(cert, ek.public) in v._known_links for cert in ak_certs] == [True] * 3 + [False] * 9
+    known = set(v._known_links)
+    assert [verifies(cert) for cert in ak_certs] == [2] * 3 + [3] * 9
+    assert v._known_links == known
 
 
 # -- AK provenance across two platforms of one provider ------------------------
@@ -691,34 +704,50 @@ class Counts:
         return taken
 
 
+def with_rtmr3_event(bundle, serial):
+    """The bundle with one more guest event, into the reserved RTMR 3: C5
+    replays it, but no row reads RTMR 3, so the bundle is still accepted."""
+    entry = tpm.EventLogEntry(None, crypto.digest(b"rtmr3-%d" % serial), "rtmr3 event",
+                              tpm.Scope.GUEST, rtmr_index=3)
+    return replace(bundle, event_log=bundle.event_log + (entry,))
+
+
 def test_c5_memo_never_grows_past_its_bound(monkeypatch):
     monkeypatch.setattr(evidence, "MAX_C5_MEMO", 8)
-    world, v = warm_verifier()
-    counts = Counts(monkeypatch)
-    for _ in range(12):
+    world, v = warm_verifier()  # 2 entries: the replay and the rows
+    bundles = []
+    for serial in range(12):
         bundle, challenge = next_bundle(world)
-        # decoded through emptied tables: new interned objects, so two new entries
-        empty_intern_tables()
-        bundle = wire_trip(bundle)
+        bundle = with_rtmr3_event(bundle, serial)  # distinct values: two new keys
         v.adopt_challenge(challenge)
         assert v.verify(bundle, challenge).accepted
         assert len(v._c5_memo) <= evidence.MAX_C5_MEMO
+        bundles.append(bundle)
+    held = dict(v._c5_memo)
+    counts = Counts(monkeypatch)
+    for serial, bundle in enumerate(bundles):
+        args = (bundle.td_report, bundle.tpm_quote, bundle.event_log)
         counts.take()
-        evidence.check_rtmr_pcr_consistency(
-            bundle.td_report, bundle.tpm_quote, bundle.event_log, v._c5_memo
-        )
-        assert counts.take()["RowResult"] == 0  # the appraisal's result is remembered
+        result = evidence.check_rtmr_pcr_consistency(*args, v._c5_memo)
+        built = counts.take()["RowResult"]
+        # the first three were admitted and still hit; the rest are computed
+        # again, correctly, and the full memo stores none of them
+        assert built == (0 if serial < 3 else 4)
+        assert any(result is stored for stored in held.values()) == (serial < 3)
+        assert result == evidence.check_rtmr_pcr_consistency(*args)
+    assert v._c5_memo == held
 
 
-def test_c5_memo_stores_nothing_that_no_intern_table_holds():
-    world, v = warm_verifier()  # appraises the prover's own objects, never decoded
-    assert v._c5_memo == {}
-    empty_intern_tables()
-    bundle, challenge = next_bundle(world)
-    bundle = wire_trip(bundle)
-    v.adopt_challenge(challenge)
-    assert v.verify(bundle, challenge).accepted
+def test_an_in_memory_bundle_appraised_again_replays_nothing_and_builds_no_rows(monkeypatch):
+    # the prover's own objects, which no intern table holds: the memo keys
+    # by value, so the second bundle from the platform hits
+    world, v = warm_verifier()
     assert len(v._c5_memo) == 2  # the replay and the rows
+    counts = Counts(monkeypatch)
+    assert appraise(v, world).accepted
+    taken = counts.take()
+    assert (taken["extend"], taken["RowResult"]) == (0, 0)
+    assert len(v._c5_memo) == 2
 
 
 def test_a_warm_appraisal_replays_nothing_and_builds_no_rows(monkeypatch):
@@ -760,23 +789,9 @@ def distinct_stack(world, platform_id):
     return platform.HostStack(*[image + platform_id.encode() for image in images])
 
 
-@pytest.mark.parametrize(
-    "n, distinct, rows_per_op, memo_entries",
-    [
-        # one shared replay and one set of rows for every reference-stack platform
-        (8, False, 0.0, 2), (64, False, 0.0, 2), (200, False, 0.0, 2),
-        # one shared replay and each platform's rows
-        (8, True, 0.0, 9),
-        # each distinct stack adds 7 digests: past 256 in all, a platform's
-        # PCR 17/18 values decode as new objects, so 29 of 64 platforms miss
-        # the C5 memo and build their 4 rows again (the guest log still hits),
-        # and their rows, which can never be hit, are not stored
-        (64, True, 29 * 4 / 64, 1 + 64 - 29),
-    ],
-    ids=str,
-)
-def test_counts_per_warm_op_at_fleet_scale(monkeypatch, n, distinct, rows_per_op, memo_entries):
-    # one verifier, S2, world seed 7; n platforms answer round-robin twice
+def warm_fleet_counts(monkeypatch, n, distinct=False):
+    """One verifier, S2, world seed 7: n platforms answer round-robin twice.
+    Returns the verifier and the counts per op of the second, warm round."""
     world = adversary.build_world(adversary.WorldConfig(seed=7))
     for i in range(1, n):
         pid = f"plat-{i}"
@@ -788,10 +803,41 @@ def test_counts_per_warm_op_at_fleet_scale(monkeypatch, n, distinct, rows_per_op
     counts = Counts(monkeypatch)
     for _ in range(2):
         counts.take()
+        stored = len(v._c5_memo)
         for pid in world.platforms:
             challenge = v.challenge()
             wire = evidence.serialize(adversary._respond(world, challenge, "honest", pid))
             assert v.verify(evidence.deserialize(wire), challenge).accepted
-        assert len(v._c5_memo) == memo_entries  # the warm round stores nothing
-    warm = {name: count / n for name, count in counts.take().items()}
+    assert len(v._c5_memo) == stored  # the warm round stores nothing
+    return v, {name: count / n for name, count in counts.take().items()}
+
+
+@pytest.mark.parametrize(
+    "n, distinct, rows_per_op, memo_entries",
+    [
+        # one shared replay and one set of rows for every reference-stack platform
+        (8, False, 0.0, 2), (64, False, 0.0, 2), (200, False, 0.0, 2),
+        # one shared replay and each platform's rows; past 256 digests in all,
+        # a platform's PCR 17/18 values decode as new objects, and the memo,
+        # keyed by value, still hits
+        (8, True, 0.0, 9), (64, True, 0.0, 65),
+    ],
+    ids=str,
+)
+def test_counts_per_warm_op_at_fleet_scale(monkeypatch, n, distinct, rows_per_op, memo_entries):
+    v, warm = warm_fleet_counts(monkeypatch, n, distinct)
+    assert len(v._c5_memo) == memo_entries
     assert (warm["verify"], warm["extend"], warm["RowResult"]) == (2.0, 0.0, rows_per_op)
+
+
+def test_a_full_link_memo_keeps_answering_for_the_platforms_it_admitted(monkeypatch):
+    # the memo holds 3 shared links (the QE certificate and both roots) and 2
+    # per platform (its AK certificate, then its EK certificate): 1,024 admit
+    # the first 510 platforms whole and the next one's AK certificate, so on
+    # a warm op the other 89 platforms verify both their links again and that
+    # one platform its EK certificate
+    n = 600
+    v, warm = warm_fleet_counts(monkeypatch, n)
+    assert len(v._known_links) == crypto.MAX_KNOWN_LINKS
+    assert warm["verify"] == (2 * n + 2 * 89 + 1) / n
+    assert (warm["extend"], warm["RowResult"]) == (0.0, 0.0)
