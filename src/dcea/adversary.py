@@ -34,8 +34,8 @@ from .crypto import CertChain, Certificate, KeyPair
 from .errors import PolicyViolation, UnknownScenario, WorldError
 from .evidence import EvidenceBundle, Nonces, Timing, encode_report_data
 from .platform import HostStack, Platform
-from .td import GuestEvent, TdState
-from .tpm import Scope, TpmKind, TpmState
+from .td import TdState
+from .tpm import EventLogEntry, Scope, TpmKind, TpmState
 from .verifier import (
     QUOTE_LATENCY_MS,
     BindingChannel,
@@ -80,7 +80,7 @@ class World:
     qe_chain: CertChain
     reference_stack: HostStack
     guest_firmware: bytes
-    guest_events: Tuple[GuestEvent, ...]
+    guest_events: Tuple[EventLogEntry, ...]
     platforms: Dict[str, Platform] = field(default_factory=dict)
     vtpms: Dict[str, TpmState] = field(default_factory=dict)
     ak_handles: Dict[str, str] = field(default_factory=dict)
@@ -136,7 +136,8 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
     qe = crypto.keygen(_seed_bytes(config, "qe"), crypto.KeyKind.QE)
     qe_chain = CertChain((crypto.issue_cert(tee_ca, qe.public, {"role": "qe"}), tee_root))
     events = tuple(
-        GuestEvent(rtmr, pcr, crypto.digest(_seed_bytes(config, f"guest:{label}")), label)
+        EventLogEntry(pcr, crypto.digest(_seed_bytes(config, f"guest:{label}")), label,
+                      Scope.GUEST, rtmr)
         for rtmr, pcr, label in GUEST_BOOT_PLAN
     )
     world = World(
@@ -164,8 +165,8 @@ def _boot_guest(world: World, plat: Platform, bound_pub: bytes) -> TdState:
     """Launch a TD on ``plat`` that binds ``bound_pub``; boot it through the guest events."""
     launch_bind = bound_pub if world.config.binding_channel is BindingChannel.MRCONFIGID else None
     guest = td_mod.td_launch(plat, world.guest_firmware, ak_pub=launch_bind)
-    for ev in world.guest_events:
-        guest = td_mod.rtmr_extend(guest, ev)
+    for entry in world.guest_events:
+        guest = td_mod.rtmr_extend(guest, entry)
     return guest
 
 
@@ -182,7 +183,8 @@ def _spawn_platform(
     """Launch a platform, give it a serving TPM (seed label ``vtpm_seed``,
     ``vtpm:<platform_id>`` by default), boot a guest on it and mirror its log
     into that TPM, and enrol the key the guest binds (``bind_ak_pub``, else
-    its own AK) if ``register``. The mirror doctors the guest-log entry at
+    its own AK) if ``register``. The mirror appends the guest log's own
+    entries, except that it swaps in a doctored copy of the entry at
     ``tamper_index``, as a host that filters the mirror stream would."""
     ca = ca or world.provider_ca
     device = tpm_mod.tpm_init(
@@ -199,13 +201,10 @@ def _spawn_platform(
     bound = bind_ak_pub if bind_ak_pub is not None else vtpm.aks[handle].keypair.public
     guest = _boot_guest(world, plat, bound)
     for i, entry in enumerate(guest.guest_log):
-        delivered = entry.event_digest
         if i == tamper_index:
-            delivered = crypto.digest(b"filtered:" + delivered.data)
-        vtpm = tpm_mod.pcr_extend_digest(
-            vtpm, entry.pcr_index, delivered, entry.description,
-            scope=Scope.GUEST, rtmr_index=entry.rtmr_index,
-        )
+            filtered = crypto.digest(b"filtered:" + entry.event_digest.data)
+            entry = replace(entry, event_digest=filtered)
+        vtpm = tpm_mod.pcr_extend_digest(vtpm, entry)
     world.platforms[platform_id] = plat
     world.vtpms[platform_id] = vtpm
     world.ak_handles[platform_id] = handle

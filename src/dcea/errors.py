@@ -51,10 +51,6 @@ class DoubleLaunch(DceaError):
 
 # -- td ----------------------------------------------------------------------
 
-class InvalidRtmr(DceaError):
-    """RTMR index outside 0..3."""
-
-
 class BadReportData(DceaError):
     """report_data is not exactly 64 bytes."""
 

@@ -124,7 +124,8 @@ def _fail(path, why) -> NoReturn:
 
 
 def _number_text(value) -> str:
-    """What ``json.dumps`` writes for a bool, an int or a float."""
+    """What ``json.dumps`` writes for a bool, an int or a finite float; a
+    NaN or an infinity, which no decoder reads, raises ValueError."""
     if value.__class__ is int:  # the common case first
         return int.__repr__(value)
     if value is True or value is False:
@@ -132,7 +133,7 @@ def _number_text(value) -> str:
     if isinstance(value, float):
         if math.isfinite(value):
             return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+        raise ValueError(f"{value!r} has no canonical JSON form")
     return int.__repr__(value)
 
 

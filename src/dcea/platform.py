@@ -9,20 +9,20 @@ The launch records two chains into the platform's own TPM:
   vTPM binary) into PCR 18.
 
 PCR 17/18 are the anchors everything downstream leans on: the guest-facing
-TPM created by :func:`instantiate_vtpm` mirrors them and seals its
-attestation key to their values, so the key stops quoting the moment the
-launched stack differs from the one it was provisioned for.
+TPM of :func:`instantiate_vtpm` appends the host's own entries for them and
+seals its attestation key to their values, so the key stops quoting the
+moment the launched stack differs from the one it was provisioned for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import crypto, tpm as tpm_mod
 from .crypto import KeyPair
 from .errors import DoubleLaunch
-from .tpm import Scope, TpmKind, TpmState
+from .tpm import TpmKind, TpmState
 
 PCR_FIRMWARE = 0
 PCR_LAUNCH_ENV = 17
@@ -66,7 +66,6 @@ class HostStack:
 class Platform:
     id: str
     tpm: TpmState
-    provider_claims: Mapping[str, str]
 
 
 def measured_launch(
@@ -92,7 +91,7 @@ def measured_launch(
 
     claims = state.ek_cert.claims_dict()
     pid = platform_id or claims.get("platform_id") or f"plat-{crypto.key_id(state.ek.public)[:8]}"
-    return Platform(id=pid, tpm=state, provider_claims=claims)
+    return Platform(id=pid, tpm=state)
 
 
 def instantiate_vtpm(
@@ -103,22 +102,19 @@ def instantiate_vtpm(
 ) -> TpmState:
     """Create the guest-facing TPM for a launched platform.
 
-    The new instance mirrors the host's PCR 17/18 log entries, then seals a
-    fresh AK to a snapshot of those mirrored values and certifies it with
+    The new instance appends the host's own PCR 17/18 log entries, then seals
+    a fresh AK to a snapshot of those mirrored values and certifies it with
     its own EK. The AK therefore inherits the host launch state: quoting
     works exactly while the mirrored anchors match what was sealed.
     """
-    claims = dict(platform.provider_claims)
+    claims = platform.tpm.ek_cert.claims_dict()
     claims.update({"platform_id": platform.id, "tpm_kind": kind.value})
     vtpm = tpm_mod.tpm_init(
         crypto.digest(b"vtpm-ek:" + vtpm_seed).data, provider_ca, claims, kind=kind
     )
     for entry in platform.tpm.log:
         if entry.pcr_index in (PCR_LAUNCH_ENV, PCR_HOST_STACK):
-            vtpm = tpm_mod.pcr_extend_digest(
-                vtpm, entry.pcr_index, entry.event_digest, entry.description,
-                scope=Scope.HOST,
-            )
+            vtpm = tpm_mod.pcr_extend_digest(vtpm, entry)
     vtpm, _handle = tpm_mod.create_sealed_ak(
         vtpm,
         crypto.digest(b"vtpm-ak:" + vtpm_seed).data,

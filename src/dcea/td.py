@@ -15,8 +15,9 @@ in on the guest-facing TPM, following the register correspondence
     RTMR 3 (reserved)     none
     ====================  =================
 
-so one guest event stream drives both views and a verifier can replay it
-against either side.
+so one stream of guest ``EventLogEntry`` values, held as-is by both the guest
+log and the TPM log, drives both views and a verifier can replay it against
+either side.
 
 The launch-time binding lives in MRCONFIGID: the host passes the public
 attestation key of the TPM serving this TD and the TD records its digest.
@@ -31,7 +32,7 @@ from typing import Dict, Optional, Tuple
 
 from . import crypto
 from .crypto import CertChain, Digest, KeyPair
-from .errors import BadReportData, InvalidEntry, InvalidKey, InvalidRtmr
+from .errors import BadReportData, InvalidEntry, InvalidKey
 from .platform import Platform
 from .tpm import N_RTMRS, EventLogEntry, Scope
 
@@ -52,29 +53,6 @@ _REPORT_TAG = crypto.enc_str(REPORT_DOMAIN_TAG)
 # owner and TDX-module measurements every simulated report carries
 MROWNER = crypto.digest(b"tenant").data
 MRSEAM = crypto.digest(b"seam-module").data
-
-
-@dataclass(frozen=True)
-class GuestEvent:
-    """One runtime measurement, addressed to an RTMR and its PCR mirror."""
-
-    rtmr_index: int
-    pcr_index: Optional[int]
-    event_digest: Digest
-    description: str
-
-    def __post_init__(self):
-        if not 0 <= self.rtmr_index < N_RTMRS:
-            raise InvalidRtmr(f"rtmr index {self.rtmr_index} out of range")
-        allowed = RTMR_PCR_MAP[self.rtmr_index]
-        if not allowed:
-            if self.pcr_index is not None:
-                raise InvalidEntry("reserved rtmr 3 has no PCR mirror")
-        elif self.pcr_index not in allowed:
-            raise InvalidEntry(
-                f"rtmr {self.rtmr_index} events mirror into PCRs {allowed}, "
-                f"got {self.pcr_index}"
-            )
 
 
 @dataclass(frozen=True)
@@ -132,17 +110,19 @@ def td_launch(platform: Platform, firmware: bytes, ak_pub: Optional[bytes]) -> T
     )
 
 
-def rtmr_extend(td: TdState, event: GuestEvent) -> TdState:
-    """Fold a runtime event into its RTMR and append it to the guest log."""
+def rtmr_extend(td: TdState, entry: EventLogEntry) -> TdState:
+    """Fold a guest runtime entry into its RTMR and append that same entry to
+    the guest log. The entry must name an RTMR and the PCR that register
+    mirrors into (no PCR for reserved RTMR 3), per ``RTMR_PCR_MAP``."""
+    if entry.scope is not Scope.GUEST or entry.rtmr_index is None:
+        raise InvalidEntry("a runtime event is a guest entry that names an RTMR")
+    allowed = RTMR_PCR_MAP[entry.rtmr_index]
+    if entry.pcr_index not in (allowed or (None,)):
+        raise InvalidEntry(
+            f"rtmr {entry.rtmr_index} events mirror into PCRs {allowed}, got {entry.pcr_index}"
+        )
     rtmrs = list(td.rtmrs)
-    rtmrs[event.rtmr_index] = crypto.extend(rtmrs[event.rtmr_index], event.event_digest)
-    entry = EventLogEntry(
-        pcr_index=event.pcr_index,
-        event_digest=event.event_digest,
-        description=event.description,
-        scope=Scope.GUEST,
-        rtmr_index=event.rtmr_index,
-    )
+    rtmrs[entry.rtmr_index] = crypto.extend(rtmrs[entry.rtmr_index], entry.event_digest)
     return replace(td, rtmrs=tuple(rtmrs), guest_log=td.guest_log + (entry,))
 
 

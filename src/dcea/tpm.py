@@ -5,7 +5,8 @@ can hold many snapshots of one device without aliasing bugs. The model keeps
 the pieces the protocol actually exercises:
 
 * a 24-register SHA-384 PCR bank, zeroed at boot;
-* an append-only event log whose replay reproduces the bank;
+* an append-only event log whose replay reproduces the bank, holding the
+  very entries folded in (a mirror shares the entries of its source log);
 * an endorsement key with a claims certificate from its provisioner;
 * attestation keys sealed to a snapshot of selected PCR values, so a quote
   is only produced while those registers still hold the sealed values
@@ -143,27 +144,15 @@ def tpm_init(
 
 
 def pcr_extend(tpm: TpmState, index: int, event: bytes, description: str = "") -> TpmState:
-    """Digest raw event bytes and fold them into one register."""
-    return pcr_extend_digest(tpm, index, crypto.digest(event), description)
+    """Digest raw event bytes into a host entry and fold it into one register."""
+    if not 0 <= index < N_PCRS:
+        raise InvalidPcrIndex(f"pcr index {index} out of range")
+    return pcr_extend_digest(tpm, EventLogEntry(index, crypto.digest(event), description))
 
 
-def pcr_extend_digest(
-    tpm: TpmState,
-    index: int,
-    event_digest: Digest,
-    description: str = "",
-    scope: Scope = Scope.HOST,
-    rtmr_index: Optional[int] = None,
-) -> TpmState:
-    """Fold an already-digested event; used when mirroring logged events."""
-    bank = tpm.pcrs.with_extended(index, event_digest)
-    entry = EventLogEntry(
-        pcr_index=index,
-        event_digest=event_digest,
-        description=description,
-        scope=scope,
-        rtmr_index=rtmr_index,
-    )
+def pcr_extend_digest(tpm: TpmState, entry: EventLogEntry) -> TpmState:
+    """Fold an entry into its PCR and append that same entry to the log."""
+    bank = tpm.pcrs.with_extended(entry.pcr_index, entry.event_digest)
     return replace(tpm, pcrs=bank, log=tpm.log + (entry,))
 
 

@@ -387,7 +387,7 @@ class Verifier:
         self._rng = rng if rng is not None else random.Random()
         self._clock = clock if clock is not None else (lambda: 0.0)
         self.registry = AkRegistry()
-        self._outstanding: Dict[bytes, Challenge] = {}
+        self._outstanding: Set[bytes] = set()
         self._spent: Set[bytes] = set()
         self._known_links: Set[crypto.Link] = set()
         self._c5_memo: Dict[tuple, object] = {}
@@ -399,12 +399,12 @@ class Verifier:
             if key not in self._outstanding and key not in self._spent:
                 break
         challenge = Challenge(td_nonce=key[:n], tpm_nonce=key[n:], issued_at=float(self._clock()))
-        self._outstanding[key] = challenge
+        self._outstanding.add(key)
         return challenge
 
     def adopt_challenge(self, challenge: Challenge) -> None:
         """Treat an externally built challenge as issued by this verifier."""
-        self._outstanding[_challenge_key(challenge)] = challenge
+        self._outstanding.add(_challenge_key(challenge))
 
     def verify(
         self,
@@ -415,7 +415,7 @@ class Verifier:
         verdict = verify_bundle(bundle, challenge, self, disabled_checks)
         # one shot per challenge, success or not
         key = _challenge_key(challenge)
-        self._outstanding.pop(key, None)
+        self._outstanding.discard(key)
         self._spent.add(key)
         return verdict
 

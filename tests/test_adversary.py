@@ -7,6 +7,7 @@ bundle acceptable. That isolates what each check buys.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -281,6 +282,27 @@ def test_frankenstein_round_mirrors_only_its_spawned_platform(monkeypatch):
         adversary.attest_attack(world, sid)
         counts[sid] = len(calls)
     assert counts == {"A2_frankenstein": 21, "A3_register_desync": 21}
+
+
+@pytest.mark.parametrize("dep", [Deployment.S1, Deployment.S2])
+def test_a_spawned_vtpm_log_holds_its_sources_own_entries(dep):
+    # the mirror appends the host TPM's PCR 17/18 entries and the guest log's
+    # entries themselves; only the entry A3's host doctors is a new value
+    world = world_for(dep, seed=3)
+    adversary.attest_attack(world, "A3_register_desync")
+    for pid in ("plat-A", "plat-D"):
+        host = [e for e in world.platforms[pid].tpm.log if e.pcr_index in (17, 18)]
+        guest_log = world.tds[pid].guest_log
+        mirror = world.vtpms[pid].log
+        assert len(host) == 5 and len(mirror) == len(host) + len(guest_log)
+        assert all(m is h for m, h in zip(mirror, host))
+        assert all(g is e for g, e in zip(guest_log[1:], world.guest_events))
+        for i, (m, g) in enumerate(zip(mirror[len(host):], guest_log)):
+            if pid == "plat-D" and i == adversary.TAMPER_EVENT_INDEX:
+                assert m is not g and m.event_digest != g.event_digest
+                assert m == replace(g, event_digest=m.event_digest)
+            else:
+                assert m is g
 
 
 def test_mix_match_uses_two_platforms():

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from dcea import crypto, td, tpm
-from dcea.errors import BadReportData, InvalidEntry, InvalidRtmr
+from dcea.errors import BadReportData, InvalidEntry
 
 from test_platform import make_platform
 
@@ -46,34 +46,41 @@ def test_launch_without_binding_zeroes_mrconfigid():
     assert guest.mrconfigid == b"\x00" * 48
 
 
+def guest_entry(rtmr, pcr, event_digest=crypto.digest(b"e"), description="e"):
+    return tpm.EventLogEntry(pcr, event_digest, description, tpm.Scope.GUEST, rtmr)
+
+
 def test_rtmr_extend_matches_fold_oracle():
     guest, _, _ = make_td()
-    ev1 = td.GuestEvent(1, 2, crypto.digest(b"kernel"), "kernel")
-    ev2 = td.GuestEvent(1, 3, crypto.digest(b"initrd"), "initrd")
-    guest = td.rtmr_extend(guest, ev1)
-    guest = td.rtmr_extend(guest, ev2)
+    kernel = guest_entry(1, 2, crypto.digest(b"kernel"), "kernel")
+    initrd = guest_entry(1, 3, crypto.digest(b"initrd"), "initrd")
+    guest = td.rtmr_extend(guest, kernel)
+    guest = td.rtmr_extend(guest, initrd)
     acc = b"\x00" * 48
     for payload in (b"kernel", b"initrd"):
         acc = hashlib.sha384(acc + hashlib.sha384(payload).digest()).digest()
     assert guest.rtmrs[1].data == acc
     assert guest.rtmrs[0] == crypto.ZERO_DIGEST
-    assert [e.description for e in guest.guest_log[1:]] == ["kernel", "initrd"]
+    # the log appends the entries it was given, not copies of them
+    assert guest.guest_log[1] is kernel and guest.guest_log[2] is initrd
 
 
 def test_guest_event_pairing_follows_register_map():
-    d = crypto.digest(b"e")
-    td.GuestEvent(0, 1, d, "ok")
-    td.GuestEvent(0, 7, d, "ok")
-    td.GuestEvent(2, 15, d, "ok")
-    td.GuestEvent(3, None, d, "reserved, no mirror")
-    with pytest.raises(InvalidRtmr):
-        td.GuestEvent(4, 1, d, "bad rtmr")
+    guest, _, _ = make_td()
+    for rtmr, pcr in ((0, 1), (0, 7), (2, 15), (3, None)):  # RTMR 3 is reserved: no mirror
+        assert td.rtmr_extend(guest, guest_entry(rtmr, pcr)).guest_log[-1].rtmr_index == rtmr
     with pytest.raises(InvalidEntry):
-        td.GuestEvent(0, 2, d, "pcr 2 belongs to rtmr 1")
-    with pytest.raises(InvalidEntry):
-        td.GuestEvent(3, 8, d, "reserved rtmr cannot mirror")
-    with pytest.raises(InvalidEntry):
-        td.GuestEvent(1, None, d, "mapped rtmr needs its mirror")
+        guest_entry(4, 1)  # no RTMR 4
+    refused = (
+        guest_entry(0, 2),  # PCR 2 belongs to RTMR 1
+        guest_entry(3, 8),  # reserved RTMR 3 cannot mirror
+        guest_entry(1, None),  # a mapped RTMR needs its mirror
+        tpm.EventLogEntry(1, crypto.digest(b"e"), "host", tpm.Scope.HOST, 0),
+        guest_entry(None, 1),  # no RTMR to fold into
+    )
+    for entry in refused:
+        with pytest.raises(InvalidEntry):
+            td.rtmr_extend(guest, entry)
 
 
 def test_report_roundtrip_and_signature_oracle():
