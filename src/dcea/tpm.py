@@ -152,6 +152,8 @@ def pcr_extend(tpm: TpmState, index: int, event: bytes, description: str = "") -
 
 def pcr_extend_digest(tpm: TpmState, entry: EventLogEntry) -> TpmState:
     """Fold an entry into its PCR and append that same entry to the log."""
+    if entry.pcr_index is None:
+        raise InvalidEntry(f"entry {entry.description!r} names no PCR to extend")
     bank = tpm.pcrs.with_extended(entry.pcr_index, entry.event_digest)
     return replace(tpm, pcrs=bank, log=tpm.log + (entry,))
 

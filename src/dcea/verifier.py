@@ -15,8 +15,8 @@ Checks, by what they decide:
 * C3 -- the TD launch configuration binds the quoting key (MRCONFIGID
   carries digest(AK_public), or the report_data tail does, depending on
   the deployment's binding channel).
-* C4 -- both halves of the challenge are echoed verbatim and the
-  challenge has not been consumed before.
+* C4 -- both halves of the challenge are echoed verbatim, the challenge
+  has not been consumed before, and it has not expired (see ``Verifier``).
 * C5 -- the TD's runtime registers and the quoted PCRs are two views of
   the same event stream (see ``evidence.check_rtmr_pcr_consistency``).
 * C6 -- the quoted launch anchors (PCR 17 and 18) equal the values the
@@ -30,6 +30,7 @@ Checks, by what they decide:
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple
@@ -93,13 +94,21 @@ class Challenge:
     tpm_nonce: bytes
     issued_at: float
 
-    def __post_init__(self):  # fixed widths keep the ledger key td_nonce + tpm_nonce one-to-one
+    def __post_init__(self):
+        # fixed widths keep the ledger key td_nonce + tpm_nonce one-to-one
         if len(self.td_nonce) != evidence.NONCE_LEN or len(self.tpm_nonce) != evidence.NONCE_LEN:
             raise ValueError(f"challenge nonces must be {evidence.NONCE_LEN} bytes")
+        # the ledger ages keys by issued_at, and a NaN or infinite one never ages
+        if not math.isfinite(self.issued_at):
+            raise ValueError(f"challenge issued_at must be finite, not {self.issued_at!r}")
 
 
 def _challenge_key(challenge: Challenge) -> bytes:
     return challenge.td_nonce + challenge.tpm_nonce
+
+
+# the fewest keys at which a Verifier's challenge ledger prunes expired ones
+LEDGER_FLOOR = 16
 
 
 @dataclass(frozen=True)
@@ -242,7 +251,14 @@ def _check_c3(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) 
 def _check_c4(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
     key = _challenge_key(challenge)
     problems: List[str] = []
-    if key not in verifier._outstanding:
+    # an expired key may or may not still be held, so the ledger is not read
+    expired = verifier._expired(challenge.issued_at)
+    if expired:
+        problems.append(
+            f"challenge expired: issued more than {verifier.policy.rtt_threshold_ms:.1f}ms"
+            " before the verifier's newest challenge"
+        )
+    elif key not in verifier._outstanding:
         problems.append("challenge was not issued by this verifier")
     if bundle.td_report.report_data[evidence.RD_NONCE] != challenge.td_nonce:
         problems.append("TD report echoes a different nonce")
@@ -253,7 +269,7 @@ def _check_c4(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) 
         or bundle.nonces.tpm_nonce != challenge.tpm_nonce
     ):
         problems.append("bundle nonce record differs from the challenge")
-    if key in verifier._spent:
+    if not expired and key in verifier._spent:
         problems.append("challenge already consumed")
     if problems:
         return False, "; ".join(problems)
@@ -369,13 +385,26 @@ def verify_bundle(
 
 class Verifier:
     """Stateful relying party: issues single-use challenges and keeps the
-    consumed-challenge ledger, the AK registry, and across verifications a
-    memo of certificate links verified under its pinned roots (see
+    challenge ledger, the AK registry, and across verifications a memo of
+    certificate links verified under its pinned roots (see
     ``crypto.verify_chain``) and a C5 memo keyed by the values its results
     read (see ``evidence.check_rtmr_pcr_consistency``). Each memo admits
     entries until it reaches its bound and then only answers lookups.
     Every appraisal runs through one; a one-shot appraisal (``dcea verify``)
-    adopts its challenge into a fresh Verifier."""
+    adopts its challenge into a fresh Verifier.
+
+    The ledger maps each outstanding and each spent challenge key to its
+    ``issued_at``. Its logical clock is the newest ``issued_at`` among the
+    challenges issued or adopted so far, and it only moves forward. A
+    challenge expires once that clock is more than one RTT budget
+    (``policy.rtt_threshold_ms``) past its ``issued_at``, and C4 refuses it
+    from then on, so its key can leave the ledger without reopening a
+    replay. Whenever the ledger holds more than ``LEDGER_FLOOR`` keys and
+    twice the keys its last prune kept, it drops every expired key. So it
+    never holds more than ``max(LEDGER_FLOOR, 2 * W)`` keys, where ``W`` is
+    the most unexpired keys it held at any one time. Challenges that all
+    carry one ``issued_at`` (the default clock returns 0) never expire, and
+    the ledger then keeps each key."""
 
     def __init__(
         self,
@@ -387,8 +416,10 @@ class Verifier:
         self._rng = rng if rng is not None else random.Random()
         self._clock = clock if clock is not None else (lambda: 0.0)
         self.registry = AkRegistry()
-        self._outstanding: Set[bytes] = set()
-        self._spent: Set[bytes] = set()
+        self._outstanding: Dict[bytes, float] = {}
+        self._spent: Dict[bytes, float] = {}
+        self._now = -math.inf  # the ledger's logical clock
+        self._prune_above = LEDGER_FLOOR
         self._known_links: Set[crypto.Link] = set()
         self._c5_memo: Dict[tuple, object] = {}
 
@@ -399,12 +430,13 @@ class Verifier:
             if key not in self._outstanding and key not in self._spent:
                 break
         challenge = Challenge(td_nonce=key[:n], tpm_nonce=key[n:], issued_at=float(self._clock()))
-        self._outstanding.add(key)
+        self.adopt_challenge(challenge)
         return challenge
 
     def adopt_challenge(self, challenge: Challenge) -> None:
         """Treat an externally built challenge as issued by this verifier."""
-        self._outstanding.add(_challenge_key(challenge))
+        self._now = max(self._now, challenge.issued_at)
+        self._hold(self._outstanding, _challenge_key(challenge), challenge.issued_at)
 
     def verify(
         self,
@@ -415,9 +447,22 @@ class Verifier:
         verdict = verify_bundle(bundle, challenge, self, disabled_checks)
         # one shot per challenge, success or not
         key = _challenge_key(challenge)
-        self._outstanding.discard(key)
-        self._spent.add(key)
+        self._outstanding.pop(key, None)
+        self._hold(self._spent, key, challenge.issued_at)
         return verdict
+
+    def _expired(self, issued_at: float) -> bool:
+        return self._now - issued_at > self.policy.rtt_threshold_ms
+
+    def _hold(self, ledger: Dict[bytes, float], key: bytes, issued_at: float) -> None:
+        ledger[key] = issued_at
+        if len(self._outstanding) + len(self._spent) > self._prune_above:
+            # rebuilt rather than deleted from, so the dicts shrink as well
+            self._outstanding, self._spent = [
+                {k: t for k, t in held.items() if not self._expired(t)}
+                for held in (self._outstanding, self._spent)
+            ]
+            self._prune_above = max(LEDGER_FLOOR, 2 * (len(self._outstanding) + len(self._spent)))
 
 
 # ---------------------------------------------------------------------------

@@ -176,3 +176,15 @@ def test_event_log_entry_validation():
             pcr_index=1, event_digest=d, description="x", rtmr_index=4,
             scope=tpm.Scope.GUEST,
         )
+
+
+def test_extend_digest_refuses_an_entry_that_names_no_pcr():
+    state, _ = make_tpm(tpm.TpmKind.VIRTUAL)
+    d = crypto.digest(b"e")
+    # a guest event on the reserved RTMR 3 has no PCR mirror
+    with pytest.raises(InvalidEntry, match="names no PCR"):
+        tpm.pcr_extend_digest(state, tpm.EventLogEntry(None, d, "rtmr3", tpm.Scope.GUEST, 3))
+    mirrored = tpm.EventLogEntry(8, d, "rtmr2", tpm.Scope.GUEST, 2)
+    extended = tpm.pcr_extend_digest(state, mirrored)
+    assert extended.log == (mirrored,)
+    assert tpm.read_pcrs(extended, [8])[8] == crypto.extend(crypto.ZERO_DIGEST, d)

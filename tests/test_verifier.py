@@ -2,10 +2,14 @@
 
 import itertools
 import json
+import math
 import random
 from dataclasses import astuple, replace
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from dcea import adversary, crypto, evidence, platform, td, tpm, verifier
 from dcea.tpm import TpmKind
@@ -315,6 +319,16 @@ def test_challenge_roundtrip():
     challenge = verifier.Challenge(td_nonce=TD_NONCE, tpm_nonce=TPM_NONCE, issued_at=12.5)
     obj = json.loads(verifier.CHALLENGE.encode(challenge))
     assert verifier.CHALLENGE.decode(obj, "$") == challenge
+
+
+@pytest.mark.parametrize("issued_at", [float("nan"), float("inf"), float("-inf")], ids=str)
+def test_a_challenge_refuses_a_non_finite_issued_at(issued_at):
+    with pytest.raises(ValueError, match="issued_at must be finite"):
+        verifier.Challenge(td_nonce=TD_NONCE, tpm_nonce=TPM_NONCE, issued_at=issued_at)
+    v = verifier.Verifier(honest_policy(), rng=random.Random(1), clock=lambda: issued_at)
+    with pytest.raises(ValueError, match="issued_at must be finite"):
+        v.challenge()
+    assert v._outstanding == {}
 
 
 def test_registry_roundtrip_keeps_conflicts():
@@ -841,3 +855,159 @@ def test_a_full_link_memo_keeps_answering_for_the_platforms_it_admitted(monkeypa
     assert len(v._known_links) == crypto.MAX_KNOWN_LINKS
     assert warm["verify"] == (2 * n + 2 * 89 + 1) / n
     assert (warm["extend"], warm["RowResult"]) == (0.0, 0.0)
+
+
+# -- the challenge ledger of a long-lived Verifier ----------------------------
+
+def ledger_size(v):
+    return len(v._outstanding) + len(v._spent)
+
+
+def test_a_fleet_verifiers_ledger_stays_within_its_bound():
+    # each round on a platform issues its challenge one RTT budget after the
+    # last, so at most two challenges are unexpired at once
+    world = adversary.build_world(adversary.WorldConfig(seed=11))
+    v = new_verifier(world)
+    for _ in range(300):
+        assert appraise(v, world).accepted
+        assert ledger_size(v) <= max(verifier.LEDGER_FLOOR, 2 * 2)
+
+
+def expiry_detail(policy):
+    return (
+        f"challenge expired: issued more than {policy.rtt_threshold_ms:.1f}ms"
+        " before the verifier's newest challenge"
+    )
+
+
+def c4(v, challenge):
+    """C4 of appraising the honest bundle re-echoing ``challenge``; the other
+    checks are disabled, as the bundle's signatures no longer cover it."""
+    bundle = honest_bundle()
+    echoed = replace(
+        bundle,
+        td_report=replace(
+            bundle.td_report, report_data=evidence.encode_report_data(challenge.td_nonce)
+        ),
+        tpm_quote=replace(bundle.tpm_quote, nonce=challenge.tpm_nonce),
+        nonces=evidence.Nonces(challenge.td_nonce, challenge.tpm_nonce),
+    )
+    return v.verify(echoed, challenge, ALL_CHECKS - {"C4"}).checks_by_id()["C4"]
+
+
+def test_a_challenge_expires_past_one_budget_and_then_fails_c4_alike_held_or_pruned():
+    policy = honest_policy()
+    now = [0.0]
+    v = verifier.Verifier(policy, rng=random.Random(3), clock=lambda: now[0])
+    old = v.challenge()
+    now[0] = policy.rtt_threshold_ms
+    v.challenge()
+    assert c4(v, old).passed  # exactly one budget old is still fresh
+    now[0] += 1.0
+    v.challenge()
+    assert verifier._challenge_key(old) in v._spent
+    held = c4(v, old)
+    for _ in range(verifier.LEDGER_FLOOR):
+        v.challenge()
+    assert verifier._challenge_key(old) not in v._spent
+    pruned = c4(v, old)
+    assert not held.passed and not pruned.passed
+    assert held.detail == pruned.detail == expiry_detail(policy)
+
+
+class ChallengeLedger(RuleBasedStateMachine):
+    """One long-lived Verifier whose challenges are issued, adopted,
+    answered, replayed and re-adopted while its clock advances. The model
+    keeps every key the ledger would hold if it never pruned."""
+
+    def __init__(self):
+        super().__init__()
+        self.policy = honest_policy()
+        self.wall = 0.0
+        self.v = verifier.Verifier(self.policy, rng=random.Random(0), clock=lambda: self.wall)
+        self.now = -math.inf  # the newest issued_at handed to the verifier
+        self.outstanding = {}  # key -> challenge, as in the verifier's ledger
+        self.spent = {}
+        self.unanswered = []  # handed over once and not yet answered
+        self.peak_unexpired = 0
+        self.serial = 0
+
+    def hand(self, challenge):
+        self.now = max(self.now, challenge.issued_at)
+        self.outstanding[verifier._challenge_key(challenge)] = challenge
+
+    def appraise(self, challenge):
+        key = verifier._challenge_key(challenge)
+        self.outstanding.pop(key, None)
+        self.spent[key] = challenge
+        return c4(self.v, challenge)
+
+    def expired(self, challenge):
+        return self.now - challenge.issued_at > self.policy.rtt_threshold_ms
+
+    @rule()
+    def issue(self):
+        challenge = self.v.challenge()
+        self.hand(challenge)
+        self.unanswered.append(challenge)
+
+    # the clock moves in quarter budgets, so challenges often sit exactly one
+    # budget from the newest
+    @rule(quarters=st.integers(-8, 4))
+    def adopt(self, quarters):
+        self.serial += 1
+        issued_at = max(self.now, 0.0) + quarters * self.policy.rtt_threshold_ms / 4
+        challenge = verifier.Challenge(self.serial.to_bytes(32, "big"), bytes(32), issued_at)
+        self.v.adopt_challenge(challenge)
+        self.hand(challenge)
+        self.unanswered.append(challenge)
+
+    @rule(quarters=st.integers(0, 8))
+    def advance_clock(self, quarters):
+        self.wall += quarters * self.policy.rtt_threshold_ms / 4
+
+    @precondition(lambda self: self.unanswered)
+    @rule(data=st.data())
+    def answer(self, data):
+        challenge = self.unanswered.pop(data.draw(st.integers(0, len(self.unanswered) - 1)))
+        expired = self.expired(challenge)
+        result = self.appraise(challenge)
+        if expired:
+            assert not result.passed and result.detail == expiry_detail(self.policy)
+        else:
+            assert result.passed, result.detail
+
+    @precondition(lambda self: self.spent)
+    @rule(data=st.data())
+    def replay(self, data):
+        challenge = data.draw(st.sampled_from(list(self.spent.values())))
+        result = self.appraise(challenge)
+        assert not result.passed
+        if self.expired(challenge):
+            assert result.detail == expiry_detail(self.policy)
+        else:
+            assert result.detail.endswith("challenge already consumed")
+
+    @precondition(lambda self: self.spent)
+    @rule(data=st.data())
+    def readopt_spent(self, data):
+        challenge = data.draw(st.sampled_from(list(self.spent.values())))
+        self.v.adopt_challenge(challenge)
+        self.hand(challenge)
+
+    @invariant()
+    def ledger_holds_every_unexpired_key_and_stays_within_bound(self):
+        assert self.v._now == self.now
+        unexpired = 0
+        for model, ledger in ((self.outstanding, self.v._outstanding), (self.spent, self.v._spent)):
+            assert ledger.keys() <= model.keys()
+            for key, challenge in model.items():
+                if not self.expired(challenge):
+                    assert ledger[key] == challenge.issued_at
+                    unexpired += 1
+        self.peak_unexpired = max(self.peak_unexpired, unexpired)
+        assert ledger_size(self.v) <= max(verifier.LEDGER_FLOOR, 2 * self.peak_unexpired)
+
+
+TestChallengeLedger = ChallengeLedger.TestCase
+TestChallengeLedger.settings = settings(max_examples=60, stateful_step_count=80, deadline=None)
