@@ -20,9 +20,9 @@ that breaks verdicts must not pass for a timing result. It exits 2 before
 the first run when either checkout is missing or the change checkout's
 ``BENCHMARK.json`` (which names each metric's better direction) cannot be read.
 Each side's ``commits`` entry is its git commit, or a hash of the files the
-benchmark builds from when the checkout has no ``.git``. When the script
-stops early (an exception, Ctrl-C or SIGTERM), it stops the running
-benchmark first.
+benchmark builds from when the checkout has no ``.git`` or those files differ
+from its commit. When the script stops early (an exception, Ctrl-C or
+SIGTERM), it stops the running benchmark first.
 """
 
 from __future__ import annotations
@@ -60,15 +60,22 @@ def tree_id(checkout: Path) -> str:
     return "tree-sha256:" + digest.hexdigest()
 
 
+# git pathspecs of what ``tree_id`` hashes
+BENCH_INPUTS = ("src", ":(glob)perfbench/*.py", "BENCHMARK.json",
+                ":(exclude,glob)**/__pycache__/**")
+
+
 def git_commit(checkout: Path) -> str:
-    """The checkout's commit, or its ``tree_id`` when it is no git checkout
-    (a ``git archive`` or a plain copy)."""
+    """The checkout's commit when what the benchmark builds from matches it,
+    else its ``tree_id``: a checkout with no ``.git`` (a ``git archive`` or a
+    plain copy), or one with uncommitted or untracked changes to those files."""
     if (checkout / ".git").exists():
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True
-        )
-        if proc.returncode == 0:
-            return proc.stdout.strip()
+        def git(*args):
+            return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        head = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=all", "--", *BENCH_INPUTS)
+        if head.returncode == 0 and dirty.returncode == 0 and not dirty.stdout.strip():
+            return head.stdout.strip()
     return tree_id(checkout)
 
 

@@ -38,6 +38,7 @@ from .td import TdState
 from .tpm import EventLogEntry, Scope, TpmKind, TpmState
 from .verifier import (
     QUOTE_LATENCY_MS,
+    AkRegistry,
     BindingChannel,
     Challenge,
     RegistryEntry,
@@ -100,7 +101,7 @@ GUEST_BOOT_PLAN = (
 
 TAMPER_EVENT_INDEX = 3  # guest-log position of the kernel event; lands in the RTMR1 row
 
-QUOTE_SELECTION = tuple(range(16)) + (17, 18)
+QUOTE_SELECTION = tuple(range(16)) + tpm_mod.ANCHOR_PCRS
 
 
 def _seed_bytes(config: WorldConfig, label: str) -> bytes:
@@ -179,7 +180,7 @@ def _spawn_platform(
     register: bool = True,
     tamper_index: Optional[int] = None,
     vtpm_seed: Optional[str] = None,
-) -> str:
+) -> None:
     """Launch a platform, give it a serving TPM (seed label ``vtpm_seed``,
     ``vtpm:<platform_id>`` by default), boot a guest on it and mirror its log
     into that TPM, and enrol the key the guest binds (``bind_ak_pub``, else
@@ -215,7 +216,6 @@ def _spawn_platform(
             (bound, RegistryEntry(platform_id=platform_id, issuer=PROVIDER,
                                   registered_at=world.clock_ms))
         )
-    return platform_id
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,7 @@ def _gen_ak_substitute(world: World, challenge: Challenge) -> EvidenceBundle:
     vtpm_s, handle2 = tpm_mod.create_sealed_ak(
         world.vtpms["plat-S"],
         _seed_bytes(world.config, "substitute-ak"),
-        tpm_mod.DEFAULT_POLICY_PCRS,
+        tpm_mod.ANCHOR_PCRS,
         cert_claims={"platform_id": "plat-S"},
     )
     world.vtpms["plat-S"] = vtpm_s
@@ -424,15 +424,17 @@ def _gen_stack_downgrade(world: World, challenge: Challenge) -> EvidenceBundle:
 @dataclass(frozen=True)
 class AttackScenario:
     scenario_id: str
-    declared_attack: str
     targeted_check: str
     deployments: Tuple[Deployment, ...]
     description: str
     generate: Callable[[World, Challenge], EvidenceBundle]
     policy_overrides: Mapping[str, object] = field(default_factory=dict)
 
+    @property
+    def declared_attack(self) -> str:  # the attack class: the id's prefix
+        return self.scenario_id.split("_", 1)[0]
 
-_BOTH = (Deployment.S1, Deployment.S2)
+
 _S2 = (Deployment.S2,)
 
 
@@ -440,53 +442,53 @@ SCENARIOS: Mapping[str, AttackScenario] = {
     s.scenario_id: s
     for s in (
         AttackScenario(
-            "A1_quote_forgery", "A1", "C2", _BOTH,
+            "A1_quote_forgery", "C2", tuple(Deployment),
             "fabricated TPM quote: honest structure, forged signature",
             _gen_quote_forgery,
         ),
         AttackScenario(
-            "A1_report_forgery", "A1", "C1", _BOTH,
+            "A1_report_forgery", "C1", tuple(Deployment),
             "fabricated TD report signed by a self-minted quoting-enclave chain",
             _gen_report_forgery,
         ),
         AttackScenario(
-            "A2_mix_match", "A2", "C3", _S2,
+            "A2_mix_match", "C3", _S2,
             "TD report from one machine paired with a live quote from another",
             _gen_mix_match,
         ),
         AttackScenario(
-            "A2_frankenstein", "A2", "C7", _S2,
+            "A2_frankenstein", "C7", _S2,
             "local TD vouches for a remote platform's AK; quotes relayed over the wire",
             _gen_frankenstein,
         ),
         AttackScenario(
-            "A3_register_desync", "A3", "C5", _BOTH,
+            "A3_register_desync", "C5", tuple(Deployment),
             "host filters one guest event out of the PCR mirror stream",
             _gen_register_desync,
         ),
         AttackScenario(
-            "A4_replay", "A4", "C4", _S2,
+            "A4_replay", "C4", _S2,
             "previously captured bundle resubmitted against a new challenge",
             _gen_replay,
         ),
         AttackScenario(
-            "A5_ek_spoof", "A5", "C2", _S2,
+            "A5_ek_spoof", "C2", _S2,
             "platform endorsed by a rogue CA that impersonates the provider by name",
             _gen_ek_spoof,
         ),
         AttackScenario(
-            "A5_ak_substitute", "A5", "C3", _S2,
+            "A5_ak_substitute", "C3", _S2,
             "quote made with a second certified AK the TD never bound",
             _gen_ak_substitute,
         ),
         AttackScenario(
-            "A5_ak_clone", "A5", "C8", _S2,
+            "A5_ak_clone", "C8", _S2,
             "victim's sealed AK cloned onto a second platform and enrolled again",
             _gen_ak_clone,
             policy_overrides={"require_ak_registry_uniqueness": True},
         ),
         AttackScenario(
-            "A6_stack_downgrade", "A6", "C6", _S2,
+            "A6_stack_downgrade", "C6", _S2,
             "host rebooted into a patched hypervisor; a fresh AK is sealed to the live state",
             _gen_stack_downgrade,
         ),
@@ -500,11 +502,11 @@ SCENARIOS: Mapping[str, AttackScenario] = {
 
 @dataclass(frozen=True)
 class Outcome:
-    scenario_id: str
     bundle: EvidenceBundle
     challenge: Challenge
     policy: VerifierPolicy
     verdict: Verdict
+    registry: AkRegistry  # the registry the verdict was appraised under
 
 
 def default_policy_for(world: World, scenario: Optional[AttackScenario] = None) -> VerifierPolicy:
@@ -517,7 +519,7 @@ def default_policy_for(world: World, scenario: Optional[AttackScenario] = None) 
     policy = VerifierPolicy(
         trusted_tee_roots=(world.tee_root,),
         trusted_provider_roots=(world.provider_root,),
-        expected_pcr17_18={17: host.pcrs.value(17), 18: host.pcrs.value(18)},
+        expected_pcr17_18={i: host.pcrs.value(i) for i in tpm_mod.ANCHOR_PCRS},
         rtt_threshold_ms=default_rtt_threshold(quoting_kind(world), cfg.one_way_delay_ms),
         binding_channel=cfg.binding_channel,
         provider_allowlist=(PROVIDER,),
@@ -537,17 +539,12 @@ def _attest(world: World, scenario: Optional[AttackScenario], disabled_checks) -
     challenge = verifier.challenge()
     if scenario is None:
         bundle = _respond(world, challenge, "honest")
-        scenario_id = "honest"
     else:
         bundle = scenario.generate(world, challenge)
-        scenario_id = scenario.scenario_id
     for ak_pub, entry in world.registrations:
         registry_register(verifier.registry, ak_pub, entry)
     verdict = verifier.verify(bundle, challenge, disabled_checks=frozenset(disabled_checks))
-    return Outcome(
-        scenario_id=scenario_id, bundle=bundle, challenge=challenge,
-        policy=policy, verdict=verdict,
-    )
+    return Outcome(bundle, challenge, policy, verdict, verifier.registry)
 
 
 def attest_honest(world: World, disabled_checks=frozenset()) -> Outcome:

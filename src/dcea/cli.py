@@ -36,14 +36,7 @@ from .adversary import (
 )
 from .errors import DceaError, ParseError
 from .evidence import optional, record
-from .verifier import (
-    CHALLENGE,
-    POLICY,
-    REGISTRY,
-    AkRegistry,
-    Verifier,
-    registry_register,
-)
+from .verifier import CHALLENGE, POLICY, REGISTRY, Verifier
 
 EXIT_OK = 0
 EXIT_CONTRARY = 1
@@ -86,13 +79,11 @@ _CONTEXT = record(SimpleNamespace, {
 # run
 # ---------------------------------------------------------------------------
 
-def _context_obj(outcome, world) -> dict:
-    registry = AkRegistry()
-    for ak_pub, entry in world.registrations:
-        registry_register(registry, ak_pub, entry)
-    return json.loads(_CONTEXT.encode(
-        SimpleNamespace(policy=outcome.policy, challenge=outcome.challenge, registry=registry)
-    ))
+def _context_obj(outcome) -> dict:
+    """The context the round's own verdict was appraised under."""
+    return json.loads(_CONTEXT.encode(SimpleNamespace(
+        policy=outcome.policy, challenge=outcome.challenge, registry=outcome.registry
+    )))
 
 
 def cmd_run(args) -> int:
@@ -112,16 +103,16 @@ def cmd_run(args) -> int:
     if args.policy:
         _write_text(
             args.policy,
-            json.dumps(_context_obj(outcome, world), sort_keys=True, indent=2) + "\n",
+            json.dumps(_context_obj(outcome), sort_keys=True, indent=2) + "\n",
         )
 
     if args.format == "md":
-        print(f"# {outcome.scenario_id} ({deployment.value}, seed {args.seed})")
+        print(f"# {args.scenario} ({deployment.value}, seed {args.seed})")
         print("\n".join(_verdict_md(outcome.verdict)))
         print(f"as expected: {'yes' if as_expected else 'NO'}")
     else:
         obj = {
-            "scenario": outcome.scenario_id,
+            "scenario": args.scenario,
             "deployment": deployment.value,
             "seed": args.seed,
             "expected": "accept" if expected_accept else "reject",
@@ -165,9 +156,6 @@ def cmd_verify(args) -> int:
 # matrix
 # ---------------------------------------------------------------------------
 
-DEPLOYMENT_ORDER = (Deployment.S1, Deployment.S2)
-
-
 def matrix_rows(seed: int, seeds: int = 1) -> List[dict]:
     """Run honest plus every scenario under both deployments.
 
@@ -179,7 +167,7 @@ def matrix_rows(seed: int, seeds: int = 1) -> List[dict]:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
     rows = []
     for sid in ["honest"] + list(SCENARIOS):
-        for deployment in DEPLOYMENT_ORDER:
+        for deployment in Deployment:
             relevant = sid == "honest" or deployment in SCENARIOS[sid].deployments
             if not relevant:
                 rows.append({
@@ -313,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate one attestation round")
     run_p.add_argument("--scenario", default="honest",
                        help="'honest' or a scenario id (see list-scenarios)")
-    run_p.add_argument("--deployment", choices=["S1", "S2"], default="S2")
+    run_p.add_argument("--deployment", choices=[d.value for d in Deployment], default="S2")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--out", help="write the evidence bundle (*.dcea.json) here")
     run_p.add_argument("--policy", help="write the verification context here")

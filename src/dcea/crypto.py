@@ -99,15 +99,13 @@ class KeyKind(str, Enum):
 
 @dataclass(frozen=True)
 class KeyPair:
-    """An Ed25519 pair. The private bytes are parsed once, here: the library
-    key object is built in ``__post_init__`` and held for every ``sign``, and
-    ``public`` is derived from it. The held object takes no part in equality,
-    hashing or repr."""
+    """An Ed25519 pair: its private bytes and what they derive. The private
+    bytes are parsed once, here: the library key object is built in
+    ``__post_init__`` and held for every ``sign``, and ``public`` is derived
+    from it. The held object takes no part in equality, hashing or repr."""
 
     public: bytes = field(init=False)
     private: bytes
-    kind: KeyKind
-    algorithm: str = SIGNATURE_ALGORITHM
     _key: Ed25519PrivateKey = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -128,7 +126,7 @@ def keygen(seed: bytes, kind: KeyKind) -> KeyPair:
     if not seed:
         raise InvalidSeed("key seed must be non-empty")
     raw = hashlib.sha384(kind.value.encode("ascii") + b":" + seed).digest()[:32]
-    return KeyPair(private=raw, kind=kind)
+    return KeyPair(private=raw)
 
 
 def sign(key: KeyPair, message: bytes) -> bytes:

@@ -8,15 +8,15 @@ The launch records two chains into the platform's own TPM:
   PCR 17, and the stack that hosts confidential guests (kernel, hypervisor,
   vTPM binary) into PCR 18.
 
-PCR 17/18 are the anchors everything downstream leans on: the guest-facing
-TPM of :func:`instantiate_vtpm` appends the host's own entries for them and
-seals its attestation key to their values, so the key stops quoting the
-moment the launched stack differs from the one it was provisioned for.
+PCR 17/18 (``tpm.ANCHOR_PCRS``) are the anchors everything leans on: the
+guest-facing TPM of :func:`instantiate_vtpm` appends the host's entries for
+them and seals its attestation key to their values, so the key stops quoting
+the moment the launched stack differs from the one it was provisioned for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from . import crypto, tpm as tpm_mod
@@ -25,8 +25,7 @@ from .errors import DoubleLaunch
 from .tpm import TpmKind, TpmState
 
 PCR_FIRMWARE = 0
-PCR_LAUNCH_ENV = 17
-PCR_HOST_STACK = 18
+PCR_LAUNCH_ENV, PCR_HOST_STACK = tpm_mod.ANCHOR_PCRS
 
 # (pcr index, payload, description) triples for PCRs 1..7. Real platforms
 # differ wildly here; these just keep the static bank non-trivial.
@@ -50,16 +49,9 @@ class HostStack:
     vtpm_binary: bytes
 
     def __post_init__(self):
-        for name in (
-            "firmware_image",
-            "acm_image",
-            "seamldr_image",
-            "kernel_image",
-            "hypervisor_image",
-            "vtpm_binary",
-        ):
-            if not getattr(self, name):
-                raise ValueError(f"stack image {name} must be non-empty")
+        for f in fields(self):
+            if not getattr(self, f.name):
+                raise ValueError(f"stack image {f.name} must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -113,12 +105,12 @@ def instantiate_vtpm(
         crypto.digest(b"vtpm-ek:" + vtpm_seed).data, provider_ca, claims, kind=kind
     )
     for entry in platform.tpm.log:
-        if entry.pcr_index in (PCR_LAUNCH_ENV, PCR_HOST_STACK):
+        if entry.pcr_index in tpm_mod.ANCHOR_PCRS:
             vtpm = tpm_mod.pcr_extend_digest(vtpm, entry)
     vtpm, _handle = tpm_mod.create_sealed_ak(
         vtpm,
         crypto.digest(b"vtpm-ak:" + vtpm_seed).data,
-        tpm_mod.DEFAULT_POLICY_PCRS,
+        tpm_mod.ANCHOR_PCRS,
         cert_claims={"platform_id": platform.id},
     )
     return vtpm

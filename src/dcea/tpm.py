@@ -34,7 +34,9 @@ from .errors import (
 
 N_PCRS = 24
 N_RTMRS = 4
-DEFAULT_POLICY_PCRS = frozenset({17, 18})
+# the launch anchors: the host's launch environment and the stack it hosts
+# (see ``dcea.platform``), the registers a serving TPM's AK is sealed to
+ANCHOR_PCRS = (17, 18)
 
 QUOTE_DOMAIN_TAG = "dcea-quote-v1"
 _QUOTE_TAG = crypto.enc_str(QUOTE_DOMAIN_TAG)
@@ -88,10 +90,8 @@ class PcrBank:
         return self.registers[index]
 
     def with_extended(self, index: int, event_digest: Digest) -> "PcrBank":
-        if not 0 <= index < N_PCRS:
-            raise InvalidPcrIndex(f"pcr index {index} out of range")
         regs = list(self.registers)
-        regs[index] = crypto.extend(regs[index], event_digest)
+        regs[index] = crypto.extend(self.value(index), event_digest)
         return PcrBank(registers=tuple(regs))
 
 
@@ -173,16 +173,13 @@ def create_sealed_ak(
     indices = sorted(set(policy_pcrs))
     if not indices:
         raise EmptyPolicy("sealing requires at least one PCR index")
-    for idx in indices:
-        if not 0 <= idx < N_PCRS:
-            raise InvalidPcrIndex(f"policy index {idx} out of range")
-    keypair = crypto.keygen(seed, KeyKind.AK)
     policy = tuple((idx, tpm.pcrs.value(idx)) for idx in indices)
+    keypair = crypto.keygen(seed, KeyKind.AK)
     claims = {"role": "ak", "tpm_kind": tpm.kind.value, **(cert_claims or {})}
     ak_cert = crypto.issue_cert(tpm.ek, keypair.public, claims)
     handle = f"ak-{len(tpm.aks) + 1}"
     sealed = SealedAk(keypair=keypair, policy=policy, ak_cert=ak_cert)
-    return replace(tpm, aks={**tpm.aks, handle: sealed}), handle
+    return install_sealed_ak(tpm, handle, sealed), handle
 
 
 def install_sealed_ak(tpm: TpmState, handle: str, sealed: SealedAk) -> TpmState:
@@ -229,9 +226,6 @@ def tpm_quote(
                 f"pcr {idx} = {current.hex()[:12]}.. diverges from sealed policy"
             )
     indices = sorted(set(selection))
-    for idx in indices:
-        if not 0 <= idx < N_PCRS:
-            raise InvalidPcrIndex(f"quote selection index {idx} out of range")
     values = tuple((idx, tpm.pcrs.value(idx)) for idx in indices)
     signature = crypto.sign(sealed.keypair, quote_signing_payload(values, nonce))
     return TpmQuote(
@@ -240,7 +234,6 @@ def tpm_quote(
         nonce=nonce,
         ak_public=sealed.keypair.public,
         signature=signature,
-        algorithm=sealed.keypair.algorithm,
     )
 
 

@@ -469,9 +469,10 @@ class Verifier:
 # JSON codecs for policies, challenges, and registries (CLI files)
 # ---------------------------------------------------------------------------
 
-# a pinned launch-anchor index as the key of a JSON object: "17" or "18"
+# a pinned launch-anchor index as the key of a JSON object, spelled as str writes it
 _PCR_KEY = wrap(
-    checked(STRING, lambda key: key in ("17", "18"), lambda key: f"bad pcr index {key!r}"),
+    checked(STRING, lambda key: key in [str(i) for i in tpm.ANCHOR_PCRS],
+            lambda key: f"bad pcr index {key!r}"),
     int,
     str,
 )

@@ -249,7 +249,7 @@ def test_fifty_seed_matrix_contexts_are_pinned():
                 adversary.attest_honest(world) if sid == "honest"
                 else adversary.attest_attack(world, sid)
             )
-            contexts.update(json.dumps(cli._context_obj(out, world), sort_keys=True).encode())
+            contexts.update(json.dumps(cli._context_obj(out), sort_keys=True).encode())
     assert contexts.hexdigest() == MATRIX_CONTEXTS_SHA256
 
 

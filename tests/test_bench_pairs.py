@@ -115,7 +115,14 @@ def test_a_git_checkout_is_recorded_by_its_commit(tmp_path):
     git("init", "-q")
     git("add", "-A")
     git("commit", "-q", "-m", "stub")
-    assert bench_pairs.git_commit(repo) == git("rev-parse", "HEAD").strip()
+    head = git("rev-parse", "HEAD").strip()
+    assert bench_pairs.git_commit(repo) == head
+    # a run's leftovers are no benchmark input
+    (repo / "perfbench/results/run.json").write_text('{"other": "run"}')
+    assert bench_pairs.git_commit(repo) == head
+    # an uncommitted edit under src/ is no longer HEAD's tree
+    (repo / "src/dcea/__init__.py").write_text("x = 2\n")
+    assert bench_pairs.git_commit(repo) == bench_pairs.tree_id(repo)
 
 
 SLEEPING_RUN = """\

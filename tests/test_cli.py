@@ -1,6 +1,7 @@
 """Command-line interface: run / verify / matrix / list-scenarios."""
 
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -296,6 +297,17 @@ def test_verify_golden_pairs(capsys):
         assert json.loads(out)["failed_checks"] == ([] if want == 0 else ["C8"])
 
 
+def test_verify_markdown_prints_one_line_per_check(capsys):
+    rc, out, _ = run_cli(
+        capsys, "verify", str(FIXTURES / "honest_s1.dcea.json"),
+        "--policy", str(FIXTURES / "honest_s1.policy.json"), "--format", "md",
+    )
+    assert rc == cli.EXIT_OK
+    rows = [line for line in out.splitlines() if line.startswith("- C")]
+    assert [row.split()[1] for row in rows] == [f"C{i}" for i in range(1, 9)]
+    assert all(": pass -- " in row for row in rows)
+
+
 def test_list_scenarios(capsys):
     rc, out, _ = run_cli(capsys, "list-scenarios")
     assert rc == 0
@@ -318,6 +330,17 @@ def test_matrix_csv(capsys):
     assert by_key[("A4_replay", "S2")]["result"] == "rejected"
     assert by_key[("A4_replay", "S2")]["failed_checks"] == "C4"
     assert all(r["as_expected"] in ("yes", "n/a") for r in rows)
+
+
+# SHA-256 of ``dcea matrix --seeds 5 --format json``: every row of the
+# five-seed matrix, run counts and failed checks included
+MATRIX_5_SEEDS_JSON_SHA256 = "bc7fdc2cd5e37117eecf4d7a4144cc40e1e1a9eb489aaaef3dc569e1fdd5aa02"
+
+
+def test_five_seed_matrix_json_is_pinned(capsys):
+    rc, out, _ = run_cli(capsys, "matrix", "--seeds", "5", "--format", "json")
+    assert rc == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_5_SEEDS_JSON_SHA256
 
 
 def test_matrix_markdown_grid(capsys):

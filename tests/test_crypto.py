@@ -67,11 +67,10 @@ def test_keygen_deterministic_frozen():
     again = crypto.keygen(b"unit-seed", crypto.KeyKind.AK)
     assert again == kp
     assert hash(again) == hash(kp)
-    assert crypto.KeyPair(private=kp.private, kind=kp.kind) == kp
+    assert crypto.KeyPair(private=kp.private) == kp
     # the held library key object is no part of the pair's repr
     assert repr(kp) == (
-        f"KeyPair(public={kp.public!r}, private={kp.private!r}, "
-        f"kind={kp.kind!r}, algorithm='ed25519')"
+        f"KeyPair(public={kp.public!r}, private={kp.private!r})"
     )
 
 
@@ -129,7 +128,7 @@ def test_verify_rejects_tampered_message():
 
 def test_malformed_key_raises():
     with pytest.raises(InvalidKey):
-        crypto.KeyPair(private=b"\x01\x02", kind=crypto.KeyKind.AK)
+        crypto.KeyPair(private=b"\x01\x02")
     with pytest.raises(InvalidKey):
         crypto.verify(b"\x01\x02", b"m", b"\x00" * 64)
 

@@ -5,13 +5,14 @@ import json
 import math
 import random
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from dcea import adversary, crypto, evidence, platform, td, tpm, verifier
+from dcea import adversary, cli, crypto, evidence, platform, td, tpm, verifier
 from dcea.tpm import TpmKind
 
 from support import empty_intern_tables, verify_once
@@ -177,6 +178,16 @@ def test_c6_anchor_pin_mismatch():
     assert verdict.attack_flags == frozenset({"A6"})
 
 
+def test_c6_names_a_pinned_register_the_quote_does_not_select():
+    policy = honest_policy()
+    assert 16 not in honest_bundle().tpm_quote.selection
+    anchors = {**policy.expected_pcr17_18, 16: crypto.ZERO_DIGEST}
+    pinned = replace(policy, expected_pcr17_18=anchors)
+    verdict = verify_once(honest_bundle(), pinned, honest_challenge())
+    assert _failed_ids(verdict) == {"C6"}
+    assert verdict.checks_by_id()["C6"].detail == "PCR16 missing from the quote"
+
+
 def test_c6_unpinned_passes():
     policy = replace(honest_policy(), expected_pcr17_18=None)
     verdict = verify_once(honest_bundle(), policy, honest_challenge())
@@ -228,6 +239,35 @@ def test_registry_same_platform_idempotent():
     assert registry.entries == {b"\x01" * 32: entry}
 
 
+GOLDEN = Path(__file__).parent / "fixtures"
+
+
+def golden_s1_with(alter):
+    """Appraise the honest_s1 golden bundle, altered as JSON, under its own context."""
+    obj = json.loads((GOLDEN / "honest_s1.dcea.json").read_text())
+    alter(obj)
+    ctx = cli._load(str(GOLDEN / "honest_s1.policy.json"))
+    return verify_once(evidence.obj_to_bundle(obj), ctx.policy, ctx.challenge, ctx.registry)
+
+
+def test_a_check_that_raises_fails_alone_with_the_error_as_its_detail():
+    def empty_qe_chain(obj):
+        obj["td_report"]["qe_chain"] = []
+
+    def short_ak_public(obj):
+        obj["tpm_quote"]["ak_public"] = obj["tpm_quote"]["ak_public"][:-2]
+
+    verdict = golden_s1_with(empty_qe_chain)
+    assert len(verdict.checks) == 8
+    assert verdict.failed_checks() == ("C1",)
+    assert verdict.checks_by_id()["C1"].detail == "EmptyChain: certificate chain is empty"
+
+    verdict = golden_s1_with(short_ak_public)
+    assert len(verdict.checks) == 8
+    assert verdict.failed_checks() == ("C2", "C3")
+    assert verdict.checks_by_id()["C2"].detail.startswith("InvalidKey: bad public key: ")
+
+
 def test_no_short_circuit_all_checks_evaluated():
     bundle = honest_bundle()
     stale = verifier.Challenge(td_nonce=b"\x01" * 32, tpm_nonce=b"\x02" * 32, issued_at=0.0)
@@ -251,14 +291,15 @@ def test_disabled_check_hook_flips_verdict():
 
 def test_challenge_nonces_unique_and_deterministic():
     v1 = verifier.Verifier(honest_policy(), rng=random.Random(42))
-    seen = set()
+    issued = []
     for _ in range(500):
         ch = v1.challenge()
         assert len(ch.td_nonce) == 32 and len(ch.tpm_nonce) == 32
-        assert (ch.td_nonce, ch.tpm_nonce) not in seen
-        seen.add((ch.td_nonce, ch.tpm_nonce))
-    v2 = verifier.Verifier(honest_policy(), rng=random.Random(42))
-    assert v2.challenge().td_nonce == next(iter(sorted(seen))) or True  # determinism below
+        issued.append((ch.td_nonce, ch.tpm_nonce))
+    assert len(set(issued)) == len(issued)
+    # a second verifier on the same seed issues the same first challenge
+    first = verifier.Verifier(honest_policy(), rng=random.Random(42)).challenge()
+    assert (first.td_nonce, first.tpm_nonce) == issued[0]
     a = verifier.Verifier(honest_policy(), rng=random.Random(7)).challenge()
     b = verifier.Verifier(honest_policy(), rng=random.Random(7)).challenge()
     assert (a.td_nonce, a.tpm_nonce) == (b.td_nonce, b.tpm_nonce)
@@ -319,6 +360,12 @@ def test_challenge_roundtrip():
     challenge = verifier.Challenge(td_nonce=TD_NONCE, tpm_nonce=TPM_NONCE, issued_at=12.5)
     obj = json.loads(verifier.CHALLENGE.encode(challenge))
     assert verifier.CHALLENGE.decode(obj, "$") == challenge
+
+
+@pytest.mark.parametrize("td_len, tpm_len", [(31, 32), (32, 33), (0, 32)])
+def test_a_challenge_refuses_a_nonce_of_another_width(td_len, tpm_len):
+    with pytest.raises(ValueError, match="challenge nonces must be 32 bytes"):
+        verifier.Challenge(td_nonce=b"\x0a" * td_len, tpm_nonce=b"\x0b" * tpm_len, issued_at=0.0)
 
 
 @pytest.mark.parametrize("issued_at", [float("nan"), float("inf"), float("-inf")], ids=str)
