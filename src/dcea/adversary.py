@@ -166,9 +166,7 @@ def _boot_guest(world: World, plat: Platform, bound_pub: bytes) -> TdState:
     """Launch a TD on ``plat`` that binds ``bound_pub``; boot it through the guest events."""
     launch_bind = bound_pub if world.config.binding_channel is BindingChannel.MRCONFIGID else None
     guest = td_mod.td_launch(plat, world.guest_firmware, ak_pub=launch_bind)
-    for entry in world.guest_events:
-        guest = td_mod.rtmr_extend(guest, entry)
-    return guest
+    return td_mod.rtmr_extend(guest, *world.guest_events)
 
 
 def _spawn_platform(
@@ -186,7 +184,8 @@ def _spawn_platform(
     into that TPM, and enrol the key the guest binds (``bind_ak_pub``, else
     its own AK) if ``register``. The mirror appends the guest log's own
     entries, except that it swaps in a doctored copy of the entry at
-    ``tamper_index``, as a host that filters the mirror stream would."""
+    ``tamper_index``, as a host that filters the mirror stream would; an
+    index outside the guest log raises WorldError."""
     ca = ca or world.provider_ca
     device = tpm_mod.tpm_init(
         _seed_bytes(world.config, f"ek:{platform_id}"),
@@ -201,11 +200,16 @@ def _spawn_platform(
     handle = tpm_mod.default_ak_handle(vtpm)
     bound = bind_ak_pub if bind_ak_pub is not None else vtpm.aks[handle].keypair.public
     guest = _boot_guest(world, plat, bound)
-    for i, entry in enumerate(guest.guest_log):
-        if i == tamper_index:
-            filtered = crypto.digest(b"filtered:" + entry.event_digest.data)
-            entry = replace(entry, event_digest=filtered)
-        vtpm = tpm_mod.pcr_extend_digest(vtpm, entry)
+    mirror = list(guest.guest_log)
+    if tamper_index is not None:
+        if not 0 <= tamper_index < len(mirror):
+            raise WorldError(
+                f"tamper index {tamper_index} is outside the {len(mirror)}-entry guest log"
+            )
+        entry = mirror[tamper_index]
+        filtered = crypto.digest(b"filtered:" + entry.event_digest.data)
+        mirror[tamper_index] = replace(entry, event_digest=filtered)
+    vtpm = tpm_mod.pcr_extend_digest(vtpm, *mirror)
     world.platforms[platform_id] = plat
     world.vtpms[platform_id] = vtpm
     world.ak_handles[platform_id] = handle

@@ -86,6 +86,28 @@ def fold(events: Iterable[Digest], start: Digest = ZERO_DIGEST) -> Digest:
     return acc
 
 
+def extend_registers(
+    registers: Sequence[Digest], steps: Iterable[Tuple[int, Digest]]
+) -> Tuple[Digest, ...]:
+    """Fold ``(register index, event digest)`` steps, in order, into a
+    register file by the extend rule.
+
+    The fold runs over raw bytes and builds one Digest per register it
+    touched; untouched registers come back as the same objects. Indices
+    are the caller's to check. ``extend`` and ``fold`` are its oracle.
+    """
+    folded = {}
+    for index, event in steps:
+        old = folded.get(index)
+        if old is None:
+            old = registers[index].data
+        folded[index] = hashlib.sha384(old + event.data).digest()
+    out = list(registers)
+    for index, data in folded.items():
+        out[index] = Digest(data)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # keys
 # ---------------------------------------------------------------------------

@@ -529,6 +529,10 @@ def deserialize(data: bytes) -> EvidenceBundle:
 # Most entries a C5 memo holds; a full memo only answers lookups.
 MAX_C5_MEMO = 128
 
+# the zeroed register files a replay starts from
+_ZERO_PCRS = (crypto.ZERO_DIGEST,) * N_PCRS
+_ZERO_RTMRS = (crypto.ZERO_DIGEST,) * N_RTMRS
+
 # what the replay and the rows read of an entry: its description is read by neither
 _ENTRY_VALUES = attrgetter("scope", "pcr_index", "rtmr_index", "event_digest.data")
 
@@ -536,7 +540,8 @@ _ENTRY_VALUES = attrgetter("scope", "pcr_index", "rtmr_index", "event_digest.dat
 def replay_event_log(
     log: Sequence[EventLogEntry], scope: Optional[Scope] = None, memo: Optional[dict] = None
 ) -> Tuple[Tuple[Digest, ...], Tuple[Digest, ...]]:
-    """Fold a log from zeroed registers into (pcr view, rtmr view).
+    """Fold a log from zeroed registers into (pcr view, rtmr view), each view
+    in one ``crypto.extend_registers`` call.
 
     ``scope`` limits replay to one producer; None replays everything.
     Entries drive whichever register indices they carry, so guest entries
@@ -553,16 +558,16 @@ def replay_event_log(
     held = memo.get(key)
     if held is not None:
         return held
-    pcrs = [crypto.ZERO_DIGEST] * N_PCRS
-    rtmrs = [crypto.ZERO_DIGEST] * N_RTMRS
-    for entry in log:
-        if scope is not None and entry.scope is not scope:
-            continue
-        if entry.pcr_index is not None:
-            pcrs[entry.pcr_index] = crypto.extend(pcrs[entry.pcr_index], entry.event_digest)
-        if entry.rtmr_index is not None:
-            rtmrs[entry.rtmr_index] = crypto.extend(rtmrs[entry.rtmr_index], entry.event_digest)
-    result = tuple(pcrs), tuple(rtmrs)
+    if scope is not None:
+        log = [entry for entry in log if entry.scope is scope]
+    result = (
+        crypto.extend_registers(_ZERO_PCRS, [
+            (entry.pcr_index, entry.event_digest) for entry in log if entry.pcr_index is not None
+        ]),
+        crypto.extend_registers(_ZERO_RTMRS, [
+            (entry.rtmr_index, entry.event_digest) for entry in log if entry.rtmr_index is not None
+        ]),
+    )
     if len(memo) < MAX_C5_MEMO:
         memo[key] = result
     return result

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 from . import crypto, tpm as tpm_mod
 from .crypto import KeyPair
 from .errors import DoubleLaunch
-from .tpm import TpmKind, TpmState
+from .tpm import EventLogEntry, TpmKind, TpmState
 
 PCR_FIRMWARE = 0
 PCR_LAUNCH_ENV, PCR_HOST_STACK = tpm_mod.ANCHOR_PCRS
@@ -34,6 +34,10 @@ STATIC_EVENTS: Tuple[Tuple[int, bytes, str], ...] = (
     (4, b"boot-manager", "boot manager"),
     (5, b"partition-table", "partition table"),
     (7, b"secure-boot-policy", "secure boot policy"),
+)
+# their entries: fixed payloads, so digested once for every launch
+_STATIC_ENTRIES = tuple(
+    EventLogEntry(idx, crypto.digest(payload), desc) for idx, payload, desc in STATIC_EVENTS
 )
 
 
@@ -63,7 +67,8 @@ class Platform:
 def measured_launch(
     stack: HostStack, tpm: TpmState, platform_id: Optional[str] = None
 ) -> Platform:
-    """Boot a platform, measuring the stack into its TPM.
+    """Boot a platform, measuring the stack into its TPM: one launch plan
+    of entries, folded in one ``tpm.pcr_extend_digest`` call.
 
     Pure in the stack: the same inputs produce the same measurement state.
     Raises DoubleLaunch when the TPM already carries a launch (non-zero
@@ -72,14 +77,20 @@ def measured_launch(
     if tpm.pcrs.value(PCR_LAUNCH_ENV) != crypto.ZERO_DIGEST:
         raise DoubleLaunch("tpm already recorded a measured launch")
 
-    state = tpm_mod.pcr_extend(tpm, PCR_FIRMWARE, stack.firmware_image, "host firmware")
-    for idx, payload, desc in STATIC_EVENTS:
-        state = tpm_mod.pcr_extend(state, idx, payload, desc)
-    state = tpm_mod.pcr_extend(state, PCR_LAUNCH_ENV, stack.acm_image, "acm")
-    state = tpm_mod.pcr_extend(state, PCR_LAUNCH_ENV, stack.seamldr_image, "seamldr")
-    state = tpm_mod.pcr_extend(state, PCR_HOST_STACK, stack.kernel_image, "kernel")
-    state = tpm_mod.pcr_extend(state, PCR_HOST_STACK, stack.hypervisor_image, "hypervisor")
-    state = tpm_mod.pcr_extend(state, PCR_HOST_STACK, stack.vtpm_binary, "vtpm binary")
+    def entry(idx, image, desc):
+        return EventLogEntry(idx, crypto.digest(image), desc)
+
+    # the firmware, the static chain, then the PCR 17 and PCR 18 chains
+    state = tpm_mod.pcr_extend_digest(
+        tpm,
+        entry(PCR_FIRMWARE, stack.firmware_image, "host firmware"),
+        *_STATIC_ENTRIES,
+        entry(PCR_LAUNCH_ENV, stack.acm_image, "acm"),
+        entry(PCR_LAUNCH_ENV, stack.seamldr_image, "seamldr"),
+        entry(PCR_HOST_STACK, stack.kernel_image, "kernel"),
+        entry(PCR_HOST_STACK, stack.hypervisor_image, "hypervisor"),
+        entry(PCR_HOST_STACK, stack.vtpm_binary, "vtpm binary"),
+    )
 
     claims = state.ek_cert.claims_dict()
     pid = platform_id or claims.get("platform_id") or f"plat-{crypto.key_id(state.ek.public)[:8]}"
@@ -104,9 +115,9 @@ def instantiate_vtpm(
     vtpm = tpm_mod.tpm_init(
         crypto.digest(b"vtpm-ek:" + vtpm_seed).data, provider_ca, claims, kind=kind
     )
-    for entry in platform.tpm.log:
-        if entry.pcr_index in tpm_mod.ANCHOR_PCRS:
-            vtpm = tpm_mod.pcr_extend_digest(vtpm, entry)
+    vtpm = tpm_mod.pcr_extend_digest(vtpm, *[
+        entry for entry in platform.tpm.log if entry.pcr_index in tpm_mod.ANCHOR_PCRS
+    ])
     vtpm, _handle = tpm_mod.create_sealed_ak(
         vtpm,
         crypto.digest(b"vtpm-ak:" + vtpm_seed).data,

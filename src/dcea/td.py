@@ -110,20 +110,24 @@ def td_launch(platform: Platform, firmware: bytes, ak_pub: Optional[bytes]) -> T
     )
 
 
-def rtmr_extend(td: TdState, entry: EventLogEntry) -> TdState:
-    """Fold a guest runtime entry into its RTMR and append that same entry to
-    the guest log. The entry must name an RTMR and the PCR that register
-    mirrors into (no PCR for reserved RTMR 3), per ``RTMR_PCR_MAP``."""
-    if entry.scope is not Scope.GUEST or entry.rtmr_index is None:
-        raise InvalidEntry("a runtime event is a guest entry that names an RTMR")
-    allowed = RTMR_PCR_MAP[entry.rtmr_index]
-    if entry.pcr_index not in (allowed or (None,)):
-        raise InvalidEntry(
-            f"rtmr {entry.rtmr_index} events mirror into PCRs {allowed}, got {entry.pcr_index}"
-        )
-    rtmrs = list(td.rtmrs)
-    rtmrs[entry.rtmr_index] = crypto.extend(rtmrs[entry.rtmr_index], entry.event_digest)
-    return replace(td, rtmrs=tuple(rtmrs), guest_log=td.guest_log + (entry,))
+def rtmr_extend(td: TdState, *entries: EventLogEntry) -> TdState:
+    """Fold guest runtime entries, in order, into their RTMRs and append those
+    same entries to the guest log, building the new state once. Each entry
+    must name an RTMR and the PCR that register mirrors into (no PCR for
+    reserved RTMR 3), per ``RTMR_PCR_MAP``; a bad one raises before anything
+    is folded."""
+    steps = []
+    for entry in entries:
+        if entry.scope is not Scope.GUEST or entry.rtmr_index is None:
+            raise InvalidEntry("a runtime event is a guest entry that names an RTMR")
+        allowed = RTMR_PCR_MAP[entry.rtmr_index]
+        if entry.pcr_index not in (allowed or (None,)):
+            raise InvalidEntry(
+                f"rtmr {entry.rtmr_index} events mirror into PCRs {allowed}, got {entry.pcr_index}"
+            )
+        steps.append((entry.rtmr_index, entry.event_digest))
+    rtmrs = crypto.extend_registers(td.rtmrs, steps)
+    return TdState(td.mrtd, rtmrs, td.mrconfigid, td.guest_log + entries, td.ppid)
 
 
 def report_signing_payload(report: TdReport) -> bytes:

@@ -89,11 +89,6 @@ class PcrBank:
             raise InvalidPcrIndex(f"pcr index {index} out of range")
         return self.registers[index]
 
-    def with_extended(self, index: int, event_digest: Digest) -> "PcrBank":
-        regs = list(self.registers)
-        regs[index] = crypto.extend(self.value(index), event_digest)
-        return PcrBank(registers=tuple(regs))
-
 
 @dataclass(frozen=True)
 class SealedAk:
@@ -150,12 +145,17 @@ def pcr_extend(tpm: TpmState, index: int, event: bytes, description: str = "") -
     return pcr_extend_digest(tpm, EventLogEntry(index, crypto.digest(event), description))
 
 
-def pcr_extend_digest(tpm: TpmState, entry: EventLogEntry) -> TpmState:
-    """Fold an entry into its PCR and append that same entry to the log."""
-    if entry.pcr_index is None:
-        raise InvalidEntry(f"entry {entry.description!r} names no PCR to extend")
-    bank = tpm.pcrs.with_extended(entry.pcr_index, entry.event_digest)
-    return replace(tpm, pcrs=bank, log=tpm.log + (entry,))
+def pcr_extend_digest(tpm: TpmState, *entries: EventLogEntry) -> TpmState:
+    """Fold entries, in order, into their PCRs and append those same entries
+    to the log, building the new state once. An entry that names no PCR
+    raises before anything is folded."""
+    steps = []
+    for entry in entries:
+        if entry.pcr_index is None:
+            raise InvalidEntry(f"entry {entry.description!r} names no PCR to extend")
+        steps.append((entry.pcr_index, entry.event_digest))
+    bank = PcrBank(crypto.extend_registers(tpm.pcrs.registers, steps))
+    return TpmState(bank, tpm.log + entries, tpm.ek, tpm.ek_cert, tpm.aks, tpm.kind)
 
 
 def create_sealed_ak(

@@ -266,13 +266,13 @@ def test_frankenstein_margin_scales_with_relay():
 
 def test_frankenstein_round_mirrors_only_its_spawned_platform(monkeypatch):
     # both rounds spawn one platform, whose launch and guest mirror make 21
-    # extends; frankenstein's boot of a guest on plat-A feeds no TPM
+    # extend steps; frankenstein's boot of a guest on plat-A feeds no TPM
     real_extend = tpm.pcr_extend_digest
     calls = []
 
-    def counting_extend(*args, **kwargs):
-        calls.append(args[1])
-        return real_extend(*args, **kwargs)
+    def counting_extend(state, *entries):
+        calls.extend(entries)
+        return real_extend(state, *entries)
 
     monkeypatch.setattr(tpm, "pcr_extend_digest", counting_extend)
     counts = {}
@@ -282,6 +282,16 @@ def test_frankenstein_round_mirrors_only_its_spawned_platform(monkeypatch):
         adversary.attest_attack(world, sid)
         counts[sid] = len(calls)
     assert counts == {"A2_frankenstein": 21, "A3_register_desync": 21}
+
+
+@pytest.mark.parametrize("tamper_index", [99, 6, -1])
+def test_a_tamper_index_outside_the_guest_log_raises(tamper_index):
+    # the guest log holds 6 entries: the firmware event and 5 boot events;
+    # a mirror that tampers with nothing would be an honest one
+    world = world_for(Deployment.S2, seed=0)
+    with pytest.raises(WorldError, match="outside the 6-entry guest log"):
+        adversary._spawn_platform(world, "plat-D", tamper_index=tamper_index)
+    assert "plat-D" not in world.platforms and len(world.registrations) == 1
 
 
 @pytest.mark.parametrize("dep", [Deployment.S1, Deployment.S2])

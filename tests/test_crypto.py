@@ -270,6 +270,20 @@ def _enc_map(mapping):
 _DIGESTS = st.binary(min_size=48, max_size=48).map(crypto.Digest)
 
 
+@given(st.data(), st.sampled_from((4, 24)))
+def test_extend_registers_matches_the_fold_oracle(data, width):
+    registers = tuple(data.draw(st.lists(_DIGESTS, min_size=width, max_size=width)))
+    steps = data.draw(st.lists(st.tuples(st.integers(0, width - 1), _DIGESTS), max_size=12))
+    out = crypto.extend_registers(registers, steps)
+    assert len(out) == width
+    for index, register in enumerate(registers):
+        events = [event for i, event in steps if i == index]
+        if events:
+            assert out[index] == crypto.fold(events, start=register)
+        else:  # untouched: the very object passed in
+            assert out[index] is register
+
+
 @given(st.binary(), st.text(), st.dictionaries(st.text(), st.text(), max_size=4))
 def test_cert_payload_matches_the_readme_field_by_field(subject_public, issuer_id, claims):
     want = (_enc_str("dcea-cert-v1") + _enc_bytes(subject_public) + _enc_str(issuer_id)

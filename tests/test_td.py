@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dcea import crypto, td, tpm
 from dcea.errors import BadReportData, InvalidEntry
@@ -128,3 +130,37 @@ def test_report_data_width_enforced():
         td.td_report(guest, b"\x00" * 63, qe, chain)
     with pytest.raises(BadReportData):
         td.td_report(guest, b"\x00" * 65, qe, chain)
+
+
+_GUEST, _, _ = make_td()
+# every (rtmr, pcr) pair a runtime entry may carry
+_PAIRS = [(rtmr, pcr) for rtmr, pcrs in td.RTMR_PCR_MAP.items() for pcr in pcrs or (None,)]
+_GUEST_ENTRIES = st.builds(
+    lambda pair, payload: guest_entry(*pair, crypto.digest(payload)),
+    st.sampled_from(_PAIRS), st.binary(max_size=8),
+)
+_REFUSED = (
+    tpm.EventLogEntry(1, crypto.digest(b"e"), "host", tpm.Scope.HOST, 0),  # a host entry
+    guest_entry(0, 2),  # PCR 2 is outside RTMR 0's row of RTMR_PCR_MAP
+    guest_entry(3, 8),  # reserved RTMR 3 cannot mirror
+    guest_entry(None, 1),  # no RTMR to fold into
+)
+
+
+@given(st.lists(_GUEST_ENTRIES, max_size=12))
+def test_a_batched_rtmr_extend_equals_its_entries_one_at_a_time(entries):
+    one_by_one = _GUEST
+    for entry in entries:
+        one_by_one = td.rtmr_extend(one_by_one, entry)
+    batched = td.rtmr_extend(_GUEST, *entries)
+    assert batched == one_by_one
+    assert batched.guest_log == _GUEST.guest_log + tuple(entries)
+
+
+@given(st.lists(_GUEST_ENTRIES, max_size=6), st.sampled_from(_REFUSED),
+       st.lists(_GUEST_ENTRIES, max_size=6))
+def test_an_invalid_entry_anywhere_in_a_batch_fails_it_whole(before, bad, after):
+    rtmrs, log = _GUEST.rtmrs, _GUEST.guest_log
+    with pytest.raises(InvalidEntry):
+        td.rtmr_extend(_GUEST, *before, bad, *after)
+    assert _GUEST.rtmrs is rtmrs and _GUEST.guest_log is log

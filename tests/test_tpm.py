@@ -188,3 +188,30 @@ def test_extend_digest_refuses_an_entry_that_names_no_pcr():
     extended = tpm.pcr_extend_digest(state, mirrored)
     assert extended.log == (mirrored,)
     assert tpm.read_pcrs(extended, [8])[8] == crypto.extend(crypto.ZERO_DIGEST, d)
+
+
+_STATE, _ = make_tpm(tpm.TpmKind.VIRTUAL)
+_HOST_ENTRIES = st.builds(
+    lambda index, payload: tpm.EventLogEntry(index, crypto.digest(payload), "e"),
+    st.integers(0, tpm.N_PCRS - 1), st.binary(max_size=8),
+)
+
+
+@given(st.lists(_HOST_ENTRIES, max_size=12))
+def test_a_batched_extend_equals_its_entries_one_at_a_time(entries):
+    one_by_one = _STATE
+    for entry in entries:
+        one_by_one = tpm.pcr_extend_digest(one_by_one, entry)
+    batched = tpm.pcr_extend_digest(_STATE, *entries)
+    assert batched == one_by_one
+    assert all(got is entry for got, entry in zip(batched.log, entries))
+
+
+@given(st.lists(_HOST_ENTRIES, max_size=6), st.lists(_HOST_ENTRIES, max_size=6))
+def test_an_entry_that_names_no_pcr_anywhere_in_a_batch_fails_it_whole(before, after):
+    # a guest event on the reserved RTMR 3 has no PCR mirror
+    bad = tpm.EventLogEntry(None, crypto.digest(b"e"), "rtmr3", tpm.Scope.GUEST, 3)
+    registers, log = _STATE.pcrs.registers, _STATE.log
+    with pytest.raises(InvalidEntry, match="names no PCR"):
+        tpm.pcr_extend_digest(_STATE, *before, bad, *after)
+    assert _STATE.pcrs.registers is registers and _STATE.log is log

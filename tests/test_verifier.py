@@ -743,20 +743,29 @@ def test_a_warm_verifier_gives_a_fresh_verifiers_verdict(sid, dep):
 
 
 class Counts:
-    """Counts calls of crypto.verify and crypto.extend, Digest objects built
-    and RowResults built, while installed."""
+    """Counts calls of crypto.verify, extend steps folded by
+    crypto.extend_registers, Digest objects built and RowResults built,
+    while installed."""
 
     def __init__(self, monkeypatch):
         self.calls = dict.fromkeys(("verify", "extend", "Digest", "RowResult"), 0)
-        for owner, name, label in ((crypto, "verify", "verify"), (crypto, "extend", "extend"),
+        for owner, name, label in ((crypto, "verify", "verify"),
                                    (crypto.Digest, "__post_init__", "Digest"),
                                    (evidence, "RowResult", "RowResult")):
             monkeypatch.setattr(owner, name, self._counting(getattr(owner, name), label))
+        monkeypatch.setattr(crypto, "extend_registers", self._counting_steps(crypto.extend_registers))
 
     def _counting(self, real, label):
         def counting(*args, **kwargs):
             self.calls[label] += 1
             return real(*args, **kwargs)
+        return counting
+
+    def _counting_steps(self, real):
+        def counting(registers, steps):
+            steps = list(steps)
+            self.calls["extend"] += len(steps)
+            return real(registers, steps)
         return counting
 
     def take(self):
