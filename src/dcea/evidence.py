@@ -13,7 +13,9 @@ A decoded object may carry no key outside its table.
 ``serialize`` writes. Other well-formed spellings, such as an indented
 re-encoding, also decode, but serialize back to the canonical bytes. Decoded
 values may be shared between bundles, and a shared certificate or event-log
-entry keeps the text it was written as (see ``interned``).
+entry keeps the text it was written as (see ``interned``). ``deserialize``
+finds an array or object whose canonical text it read before by that text
+(see ``_read``).
 
 report_data layout (64 bytes):
 
@@ -26,6 +28,7 @@ report_data layout (64 bytes):
 from __future__ import annotations
 
 import json
+import json.scanner
 import math
 from binascii import unhexlify
 from dataclasses import dataclass, field
@@ -110,6 +113,12 @@ class Codec(NamedTuple):
     encode: Callable
     decode: Callable
     optional: bool = False  # a record may omit the key, which reads as None
+    # a record's field table in wire order and the ``make`` it decodes through;
+    # None for every other codec, which the canonical reader reads as one value.
+    # A combinator over a record (``checked``, ``interned``) drops both, so the
+    # reader never walks past the check it adds.
+    fields: Optional[Tuple[Tuple[str, "Codec"], ...]] = None
+    make: Optional[Callable] = None
 
 
 def _json_path(path) -> str:
@@ -232,7 +241,7 @@ def checked(codec: Codec, ok: Callable, why: Callable) -> Codec:
             _fail(path, why(value))
         return value
 
-    return codec._replace(decode=decode)
+    return Codec(codec.encode, decode, codec.optional)
 
 
 def exactly(codec: Codec, want, what: str) -> Codec:
@@ -289,7 +298,7 @@ def interned(codec: Codec, key: Callable[[dict], Hashable], table: dict) -> Code
             table.setdefault(found, (copy, types if numbers else None, value))
         return value
 
-    return codec._replace(encode=encode_interned, decode=decode_interned)
+    return Codec(encode_interned, decode_interned, codec.optional)
 
 
 def optional(codec: Codec) -> Codec:
@@ -302,13 +311,16 @@ def optional(codec: Codec) -> Codec:
     )
 
 
-def list_of(item: Codec) -> Codec:
-    """A JSON array of ``item``, read as a tuple."""
+def list_of(item: Codec, most: Optional[int] = None) -> Codec:
+    """A JSON array of ``item``, read as a tuple; of at most ``most`` items
+    when given, which is checked before any item is decoded."""
     decode_item, encode = item.decode, item.encode
 
     def decode(obj, path):
         if not isinstance(obj, list):
             _fail(path, "expected array")
+        if most is not None and len(obj) > most:
+            _fail(path, f"expected at most {most} items, got {len(obj)}")
         return tuple([decode_item(x, (path, i)) for i, x in enumerate(obj)])
 
     return Codec(lambda values: "[" + ",".join([encode(v) for v in values]) + "]", decode)
@@ -374,9 +386,10 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
     names = frozenset(fields)
     required = frozenset(name for name, codec in fields.items() if not codec.optional)
     decoders = tuple((name, codec.decode) for name, codec in fields.items())
-    # in sort_keys order: each field's '"name":' prefix, its getter and its encoder
-    encoders = tuple((_string_text(name) + ":", attrgetter(name), fields[name].encode)
-                     for name in sorted(fields))
+    table = tuple((name, fields[name]) for name in sorted(fields))  # in sort_keys order
+    # each field's '"name":' prefix, its getter and its encoder
+    encoders = tuple((_string_text(name) + ":", attrgetter(name), codec.encode)
+                     for name, codec in table)
 
     def decode(obj, path):
         if obj.__class__ is not dict or obj.keys() != names:
@@ -398,7 +411,7 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
     def encode(value):
         return "{" + ",".join([prefix + enc(get(value)) for prefix, get, enc in encoders]) + "}"
 
-    return Codec(encode, decode)
+    return Codec(encode, decode, fields=table, make=make)
 
 
 # -- the bundle's wire types; the README documents the same layout ----------
@@ -442,6 +455,12 @@ def _quote(selection, values, **rest) -> TpmQuote:
 _ENTRY_JSON_KEY = itemgetter("event_digest", "scope", "pcr_index", "rtmr_index")
 
 
+# Most entries a bundle's event log may hold; a longer log fails to decode. Every
+# honest bundle carries 11 (about 190 bytes of text each), and the cap bounds the
+# entries of a held log and of a C5 memo key.
+MAX_LOG_ENTRIES = 64
+
+
 def _bundle(format_version: int, **parts) -> EvidenceBundle:
     return EvidenceBundle(**parts)  # the version is checked by its codec
 
@@ -482,7 +501,7 @@ _BUNDLE = record(_bundle, {
         "rtmr_index": optional(INTEGER),
         "event_digest": DIGEST,
         "description": STRING,
-    }), _ENTRY_JSON_KEY, _ENTRIES)),
+    }), _ENTRY_JSON_KEY, _ENTRIES), MAX_LOG_ENTRIES),
     "nonces": record(Nonces, {
         "td_nonce": NONCE,
         "tpm_nonce": NONCE,
@@ -516,10 +535,96 @@ def load_json(data: bytes):
         raise ParseError(f"not valid UTF-8 at byte {exc.start}", offset=exc.start) from exc
 
 
+# -- the canonical reader: a repeated value is found by its text, not parsed -----
+
+# Held texts: (a codec's decode, the first HELD_PREFIX characters of a JSON array or
+# object it decoded) -> (that value's whole text, the immutable value decoded from it).
+# Like the intern tables, the table admits entries until it holds MAX_HELD, and then
+# only answers lookups. A platform's bundles repeat six such values; see README.
+MAX_HELD = 128
+HELD_PREFIX = 128  # also the shortest text held: a shorter value is cheaper to parse
+_HELD: dict = {}
+
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _plan(codec: Codec):
+    """How the reader walks a record: its ``make``, and for each field in wire
+    order the tag ``serialize`` writes before its value, its name, its decode
+    and, for a field that is itself a record, that record's plan."""
+    steps = []
+    for i, (name, field) in enumerate(codec.fields):
+        tag = ("{" if i == 0 else ",") + _string_text(name) + ":"
+        steps.append((tag, name, field.decode, field.fields and _plan(field)))
+    return codec.make, tuple(steps)
+
+
+_BUNDLE_PLAN = _plan(_BUNDLE)
+_FIRST_VALUE_AT = len(_BUNDLE_PLAN[1][0][0])  # where the first field's value starts
+
+
+def _read(text: str, pos: int, plan, misses: list):
+    """The record ``plan`` read from ``text`` at ``pos``, with the position
+    after it. Raises on any text ``serialize`` would not write around a value.
+    Appends each array or object that was parsed, not found, to ``misses``."""
+    make, steps = plan
+    values = {}
+    for tag, name, decode, inner in steps:
+        if not text.startswith(tag, pos):
+            raise ValueError(f"no {tag!r} at {pos}")
+        pos += len(tag)
+        if inner:
+            values[name], pos = _read(text, pos, inner, misses)
+            continue
+        key = None
+        if text[pos] in "[{":
+            key = (decode, text[pos:pos + HELD_PREFIX])
+            held = _HELD.get(key)
+            if held is not None and text.startswith(held[0], pos):
+                values[name] = held[1]
+                pos += len(held[0])
+                continue
+            if len(_HELD) >= MAX_HELD:
+                if pos == _FIRST_VALUE_AT:  # nothing here is held, and nothing can be
+                    raise LookupError("a full table and a new first value")
+                key = None
+        obj, end = _scan(text, pos)
+        values[name] = decode(obj, "$")
+        if key is not None and end - pos >= HELD_PREFIX:
+            misses.append((key, text[pos:end], values[name]))
+        pos = end
+    if not text.startswith("}", pos):
+        raise ValueError(f"no '}}' at {pos}")
+    return make(**values), pos + 1
+
+
 def deserialize(data: bytes) -> EvidenceBundle:
-    """Parse canonical bundle bytes; ParseError carries the byte offset for
-    lexical failures and 0 for schema-level ones."""
-    return obj_to_bundle(load_json(data))
+    """Parse bundle bytes; ParseError carries the byte offset for lexical
+    failures and 0 for schema-level ones.
+
+    Canonical text is read by ``_read``: a JSON array or object whose exact
+    text was decoded before returns the value decoded then, and every other
+    value is parsed by the ``json`` scanner and decoded by its codec. Any
+    other text, and any failure, goes to ``obj_to_bundle(load_json(data))``,
+    which alone reports errors, so both paths decode alike. A document read
+    completely admits its new, immutable arrays and objects to the table."""
+    misses = []
+    try:
+        text = data.decode()
+        bundle, end = _read(text, 0, _BUNDLE_PLAN, misses)
+        if end != len(text):
+            raise ValueError(f"text after the bundle at {end}")
+    except Exception:  # the full path decodes it, or says why it cannot
+        return obj_to_bundle(load_json(data))
+    for key, held_text, value in misses:
+        if len(_HELD) >= MAX_HELD:
+            break
+        try:
+            hash(value)  # every immutable value here hashes, and a dict does not
+        except TypeError:
+            continue
+        _HELD.setdefault(key, (held_text, value))
+    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -217,10 +217,14 @@ def _check_c1(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) 
 
 def _check_c2(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
     policy, known_links = verifier.policy, verifier._known_links
+    ek_chain = bundle.ek_cert_chain
+    # the provider anchor first, as verify_chain tests it: a chain under an
+    # unpinned root fails however the quote stands, so no verify is spent on it
+    if ek_chain.certs[-1] not in policy.trusted_provider_roots:
+        return False, f"AK provenance chain: {crypto.ChainStatus.UNTRUSTED_ROOT.value}"
     quote = bundle.tpm_quote
     if not tpm.verify_quote_signature(quote):
         return False, "quote signature does not verify under the presented AK"
-    ek_chain = bundle.ek_cert_chain
     if policy.provider_allowlist:
         provider = ek_chain.leaf.claims_dict().get("provider")
         if provider not in policy.provider_allowlist:

@@ -1,6 +1,6 @@
-"""Every test starts from empty intern tables, so a test that relies on
-decoded values being shared by identity sees the same tables whatever ran
-before it."""
+"""Every test starts from empty intern tables and an empty table of held
+texts, so a test that relies on decoded values being shared by identity sees
+the same tables whatever ran before it."""
 
 import pytest
 

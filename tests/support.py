@@ -12,8 +12,10 @@ from dcea import crypto, evidence, td, tpm, verifier
 
 
 def empty_intern_tables():
+    """Empty the three intern tables and the canonical reader's held texts."""
     for table in evidence._INTERNED:
         table.clear()
+    evidence._HELD.clear()
 
 
 def verify_once(bundle, policy, challenge, registry=None, disabled_checks=frozenset()):

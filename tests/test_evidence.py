@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -543,6 +544,196 @@ def test_a_second_decode_shares_every_repeated_value(pair):
     assert None not in first
     for i, (a, b) in enumerate(zip(first, second)):
         assert a is b, (i, a)
+
+
+def test_a_second_decode_parses_no_repeated_array_or_object(monkeypatch):
+    # the reader finds the held texts: no json.loads, and only the values that
+    # are short (the quote selection) or mutable (scenario_meta) are parsed again
+    data = (FIXTURES / "honest_s1.dcea.json").read_bytes()
+    first, obj = evidence.deserialize(data), json.loads(data)
+    loads, scanned = [], []
+    real_scan = evidence._scan
+    monkeypatch.setattr(json, "loads", lambda *args, **kw: loads.append(args))
+
+    def scan(text, pos):
+        obj, end = real_scan(text, pos)
+        scanned.append(obj)
+        return obj, end
+
+    monkeypatch.setattr(evidence, "_scan", scan)
+    second = evidence.deserialize(data)
+    assert loads == []
+    assert [value for value in scanned if isinstance(value, (list, dict))] == [
+        obj["scenario_meta"], obj["tpm_quote"]["selection"]]
+    for held in (lambda b: b.event_log, lambda b: b.ek_cert_chain, lambda b: b.ak_cert,
+                 lambda b: b.td_report.qe_chain, lambda b: b.td_report.rtmrs,
+                 lambda b: b.tpm_quote.values):
+        assert held(second) is held(first)
+    assert second == first
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {k: _reversed_keys(value[k]) for k in sorted(value, reverse=True)}
+    if isinstance(value, list):
+        return [_reversed_keys(v) for v in value]
+    return value
+
+
+def _with_a_duplicate(value, at, path=()):
+    """Canonical text of the JSON ``value`` in which the object at ``at`` writes its
+    first key again, last."""
+    if isinstance(value, dict):
+        parts = [json.dumps(k) + ":" + _with_a_duplicate(v, at, path + (k,))
+                 for k, v in sorted(value.items())]
+        if path == at:
+            parts.append(parts[0])
+        return "{" + ",".join(parts) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(_with_a_duplicate(v, at, path + (i,)) for i, v in enumerate(value)) + "]"
+    return json.dumps(value)
+
+
+def _spots(text, pattern):
+    return [m.span() for m in re.finditer(pattern, text)]
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def reader_inputs(draw):
+    """(a canonical bundle, a document made from it): a golden or random bundle,
+    unchanged or with one change that serialize would never write."""
+    source = draw(st.one_of(st.sampled_from(GOLDEN), st.integers(0, 2**32 - 1)))
+    if isinstance(source, str):
+        data = (FIXTURES / f"{source}.dcea.json").read_bytes()
+    else:
+        data = evidence.serialize(random_bundle(source))
+    text = data.decode()
+    kind = draw(st.sampled_from(["none", "byte", "indent", "reversed", "duplicate", "one",
+                                 "upper", "escape", "trailing"]))
+    if kind == "byte":
+        i = draw(st.integers(0, len(data) - 1))
+        flip = draw(st.integers(1, 255))
+        return data, data[:i] + bytes([data[i] ^ flip]) + data[i + 1:]
+    if kind == "indent":
+        return data, json.dumps(json.loads(data), indent=1).encode()
+    if kind == "reversed":
+        return data, json.dumps(_reversed_keys(json.loads(data)), separators=(",", ":")).encode()
+    if kind == "duplicate":
+        obj = json.loads(data)
+        assert _with_a_duplicate(obj, None) == text
+        at = draw(st.sampled_from([p for p in _json_paths(obj) if isinstance(_at(obj, p), dict)
+                                   and _at(obj, p)]))
+        return data, _with_a_duplicate(obj, at).encode()
+    spots, spell = {
+        "one": (_spots(text, r"(?<=[:\[,])1(?=[,\]}])"), lambda s: draw(st.sampled_from(["true", "1.0"]))),
+        "upper": (_spots(text, r"(?<=\")[0-9]*[a-f]"), str.upper),
+        "escape": (_spots(text, r"[a-z]"), lambda s: f"\\u{ord(s):04x}"),
+        "trailing": ([(len(text), len(text))], lambda s: draw(st.sampled_from([" ", "\n", "\t"]))),
+        "none": ([(0, 0)], lambda s: s),
+    }[kind]
+    start, end = draw(st.sampled_from(spots))
+    return data, (text[:start] + spell(text[start:end]) + text[end:]).encode()
+
+
+def _decoded(decode, data):
+    """What ``decode(data)`` returns, or the type, text and offset of what it raises."""
+    try:
+        return decode(data)
+    except Exception as exc:  # any outcome must match the full path's
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def _full_path(data):
+    return evidence.obj_to_bundle(evidence.load_json(data))
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader_inputs())
+def test_the_reader_decodes_as_the_full_path_does_from_warm_and_empty_tables(case):
+    original, data = case
+    for warm in (True, False):
+        empty_intern_tables()
+        if warm:
+            evidence.deserialize(original)
+            assert evidence._HELD
+        got = _decoded(evidence.deserialize, data)
+        assert got == _decoded(_full_path, data), warm
+        if isinstance(got, evidence.EvidenceBundle):
+            assert got == evidence.deserialize(data)  # a second decode, from what the first held
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda t: t.replace('"algorithm":"ed25519"', '"algorithm":"rsa"'),  # the last record's value
+    lambda t: t.replace('"selection":[0,', '"selection":[', 1),  # the quote's make refuses it
+    lambda t: t + "x",  # every value read, then text after the bundle
+    lambda t: t + " ",  # the full path decodes it, and only the reader admits
+])
+def test_a_document_the_reader_does_not_finish_admits_nothing(spoil):
+    text = (FIXTURES / "honest_s2.dcea.json").read_text()
+    spoilt = spoil(text)
+    assert spoilt != text
+    _decoded(evidence.deserialize, spoilt.encode())
+    assert evidence._HELD == {}
+    evidence.deserialize(text.encode())
+    assert len(evidence._HELD) == 6
+
+
+def test_the_held_table_fills_to_its_bound_and_keeps_answering(monkeypatch):
+    golden = (FIXTURES / "honest_s1.dcea.json").read_bytes()
+    first = evidence.deserialize(golden)
+    for seed in range(60):
+        evidence.deserialize(evidence.serialize(random_bundle(seed)))
+        assert len(evidence._HELD) <= evidence.MAX_HELD
+    assert len(evidence._HELD) == evidence.MAX_HELD
+    assert all(isinstance(value, (tuple, crypto.Certificate, crypto.CertChain))
+               for _, value in evidence._HELD.values())
+    held = dict(evidence._HELD)
+    again = evidence.deserialize(golden)
+    assert again.event_log is first.event_log and again.ek_cert_chain is first.ek_cert_chain
+    # a new bundle against a full table: its first value is new, so the reader
+    # parses nothing and the full path reads it
+    new = evidence.serialize(random_bundle(10**6))
+    scanned = []
+    monkeypatch.setattr(evidence, "_scan", lambda *args: scanned.append(args))
+    assert evidence.deserialize(new) == _full_path(new)
+    assert scanned == []
+    assert evidence._HELD == held
+
+
+@pytest.mark.parametrize("note", ["", "x" * evidence.HELD_PREFIX])
+def test_every_decode_returns_a_fresh_scenario_meta(note):
+    obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
+    obj["scenario_meta"]["note"] = note  # long enough to be held, were a dict admitted
+    data = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    first, second = evidence.deserialize(data), evidence.deserialize(data)
+    assert first.event_log is second.event_log  # the second was read from held texts
+    assert first.scenario_meta == second.scenario_meta == obj["scenario_meta"]
+    assert first.scenario_meta is not second.scenario_meta
+    first.scenario_meta["seed"] = "changed"
+    assert evidence.deserialize(data).scenario_meta == second.scenario_meta != first.scenario_meta
+
+
+@pytest.mark.parametrize("reencode", [
+    lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":")),  # what the reader reads
+    lambda obj: json.dumps(obj, indent=1),  # what only the full path reads
+])
+def test_the_event_log_is_capped_on_both_decode_paths(reencode):
+    obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
+    entries = obj["event_log"]
+    cap = evidence.MAX_LOG_ENTRIES
+    obj["event_log"] = [entries[i % len(entries)] for i in range(cap)]
+    assert len(evidence.deserialize(reencode(obj).encode()).event_log) == cap
+    obj["event_log"].append(entries[0])
+    for decode in (evidence.deserialize, _full_path):
+        with pytest.raises(ParseError) as exc:
+            decode(reencode(obj).encode())
+        assert str(exc.value) == f"$.event_log: expected at most {cap} items, got {cap + 1}"
 
 
 # -- interned values keep the text they were first written as ----------------

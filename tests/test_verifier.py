@@ -508,9 +508,10 @@ def test_warm_appraisal_makes_two_verifies(monkeypatch):
 
 # Ed25519 verifies a fresh Verifier makes per live cell: honest and the C3-C8
 # cells verify both chains and both signatures (7). A forged quote stops C2
-# after its signature, and a chain to an unpinned root (A1_report_forgery's
-# QE chain, A5_ek_spoof's EK chain) costs no verify, so those cells make 4.
-FRESH_VERIFIES = {"A1_quote_forgery": 4, "A1_report_forgery": 4, "A5_ek_spoof": 4}
+# after its signature, and a chain to an unpinned root costs no verify:
+# A1_report_forgery's QE chain leaves C2's four, and C2 tests A5_ek_spoof's
+# EK anchor before its quote, which leaves C1's three.
+FRESH_VERIFIES = {"A1_quote_forgery": 4, "A1_report_forgery": 4, "A5_ek_spoof": 3}
 
 
 def test_a_fresh_verifier_spends_no_verify_on_an_unpinned_chain(monkeypatch):
@@ -534,7 +535,7 @@ def test_a_fresh_verifier_spends_no_verify_on_an_unpinned_chain(monkeypatch):
         assert verdict.failed_checks() == (() if scenario is None else (scenario.targeted_check,))
         seen[sid, dep.value] = len(calls)
     assert seen == {(sid, dep.value): FRESH_VERIFIES.get(sid, 7) for sid, dep in LIVE_CELLS}
-    assert sum(seen.values()) == 90
+    assert sum(seen.values()) == 89
 
 
 def test_memo_never_grows_past_its_bound(monkeypatch):
