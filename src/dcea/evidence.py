@@ -8,6 +8,8 @@ changes. Each wire type is one table of field codecs below (``record`` and
 its combinators), and each codec defines both directions: it writes a value
 straight to the canonical JSON text and reads a parsed JSON value back, so
 encoder and decoder cannot drift apart; the README documents the same layout.
+Each decodes through code compiled from those tables at import (see
+``_compile``), and the combinators' own walk is the reference it must equal.
 A decoded object may carry no key outside its table.
 ``serialize(deserialize(x)) == x`` for canonical input ``x``, the bytes
 ``serialize`` writes. Other well-formed spellings, such as an indented
@@ -27,6 +29,7 @@ report_data layout (64 bytes):
 
 from __future__ import annotations
 
+import inspect
 import json
 import json.scanner
 import math
@@ -106,12 +109,19 @@ class Codec(NamedTuple):
     """A wire form: ``encode`` maps a value to its canonical JSON text, the
     very text ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
     writes for the JSON value ``obj`` that ``decode(obj, path)`` reads back.
-    ``decode`` raises ParseError that names where ``obj`` sits. A path is
-    ``"$"`` or a ``(parent path, key or index)`` pair, rendered only for an
-    error."""
+    ``walk`` is the combinator decode, built from the walks of the codec's
+    parts: the reference that ``decode`` equals, and the only decode that
+    raises ParseError, naming where ``obj`` sits. ``decode`` is compiled
+    from ``inline`` (see ``_compile``), or is ``walk`` for a codec without
+    one. A path is ``"$"`` or a ``(parent path, key or index)`` pair,
+    rendered only for an error."""
 
     encode: Callable
     decode: Callable
+    walk: Callable
+    # ``inline(codec, source, x, path, depth)`` writes the codec's checks into
+    # compiled code (see ``_Source``); None for a codec that compiled code calls
+    inline: Optional[Callable] = None
     optional: bool = False  # a record may omit the key, which reads as None
     # a record's field table in wire order and the ``make`` it decodes through;
     # None for every other codec, which the canonical reader reads as one value.
@@ -119,6 +129,67 @@ class Codec(NamedTuple):
     # reader never walks past the check it adds.
     fields: Optional[Tuple[Tuple[str, "Codec"], ...]] = None
     make: Optional[Callable] = None
+
+
+class _Source:
+    """The text of one compiled decode, and the values that text names.
+
+    ``codec.inline(codec, source, x, path, depth)`` writes, at ``depth``,
+    statements that turn the local ``x``, a JSON value, into its decoded
+    value. ``path`` is the text of an expression for ``x``'s path, and it is
+    written only into the branch that a failed check takes, which hands
+    ``x`` and its path to the codec's walk: the walk alone raises, and
+    should it accept ``x`` after all, its value stands."""
+
+    def __init__(self):
+        self.lines: list = []
+        self.values: dict = {}  # id -> (name, value)
+        self.locals = 0
+
+    def name(self, value) -> str:
+        """The name under which compiled code reads ``value``."""
+        return self.values.setdefault(id(value), (f"_{len(self.values)}", value))[0]
+
+    def local(self) -> str:
+        self.locals += 1
+        return f"x{self.locals}"
+
+    def line(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
+
+    def walk(self, codec: Codec, x: str, path: str) -> str:
+        return f"{self.name(codec.walk)}({x}, {path})"
+
+    def call(self, codec: Codec, x: str, path: str, depth: int) -> None:
+        self.line(depth, f"{x} = {self.name(codec.decode)}({x}, {path})")
+
+    def emit(self, codec: Codec, x: str, path: str, depth: int) -> None:
+        """Code that turns ``x`` into ``codec``'s value: inlined, or a call."""
+        if codec.inline is None:
+            self.call(codec, x, path, depth)
+        else:
+            codec.inline(codec, self, x, path, depth)
+
+
+def _compile(codec: Codec) -> Callable:
+    """``codec``'s decode as one function, written from its codec tables
+    alone, never from input, as ``dataclasses`` writes ``__init__``. It
+    reads the intern tables and their bound as module globals, as the walks
+    do."""
+    source = _Source()
+    source.emit(codec, "obj", "path", 2)
+    names, values = zip(*source.values.values())
+    text = "\n".join([f"def build({', '.join(names)}):", "    def decode(obj, path):",
+                      *source.lines, "        return obj", "    return decode"])
+    scope: dict = {}
+    exec(compile(text, "<compiled decode>", "exec"), globals(), scope)
+    return scope["build"](*values)
+
+
+def _codec(encode: Callable, walk: Callable, inline: Optional[Callable] = None, **rest) -> Codec:
+    """A codec whose decode is compiled from ``inline``, or is ``walk``."""
+    codec = Codec(encode, walk, walk, inline, **rest)
+    return codec if inline is None else codec._replace(decode=_compile(codec))
 
 
 def _json_path(path) -> str:
@@ -150,12 +221,16 @@ def scalar(kind: type, name: str) -> Codec:
     """A JSON string, integer or boolean of Python type ``kind``; the type
     must match exactly, as JSON true and false are bools, a subclass of int."""
 
-    def decode(obj, path):
+    def walk(obj, path):
         if obj.__class__ is not kind:
             _fail(path, f"expected {name}")
         return obj
 
-    return Codec(_string_text if kind is str else _number_text, decode)
+    def inline(self, source, x, path, depth):
+        source.line(depth, f"if {x}.__class__ is not {source.name(kind)}:")
+        source.line(depth + 1, f"{x} = {source.walk(self, x, path)}")
+
+    return _codec(_string_text if kind is str else _number_text, walk, inline)
 
 
 def _number(obj, path) -> float:
@@ -169,10 +244,16 @@ def _number(obj, path) -> float:
     _fail(path, "expected a finite number")
 
 
+def _inline_number(self, source, x, path, depth):
+    # an integer, which reads as a float, takes the walk
+    source.line(depth, f"if {x}.__class__ is not float or not {source.name(math.isfinite)}({x}):")
+    source.line(depth + 1, f"{x} = {source.walk(self, x, path)}")
+
+
 STRING = scalar(str, "string")
 INTEGER = scalar(int, "integer")
 BOOLEAN = scalar(bool, "boolean")
-NUMBER = Codec(_number_text, _number)
+NUMBER = _codec(_number_text, _number, _inline_number)
 
 
 # Intern tables: digest hex -> Digest (see DIGEST); certificate signature hex, and an
@@ -192,7 +273,7 @@ def hex_bytes(width: Optional[int] = None, build: Optional[Callable] = None) -> 
     given. ``build`` makes the decoded value of the bytes, and that value's
     ``hex()`` writes it back; the digest table interns it, so only DIGEST has a ``build``."""
 
-    def decode(text, path):
+    def walk(text, path):
         if text.__class__ is not str:
             _fail(path, "expected hex string")
         if build is not None:
@@ -213,14 +294,40 @@ def hex_bytes(width: Optional[int] = None, build: Optional[Callable] = None) -> 
             return _DIGESTS.setdefault(text, build(raw))
         return build(raw)
 
-    return Codec(lambda value: f'"{value.hex()}"', decode)  # hex needs no escape
+    def inline(self, source, x, path, depth):
+        line, raw = source.line, source.local()
+        if build is not None:
+            line(depth, f"{raw} = _DIGESTS.get({x}) if {x}.__class__ is str else None")
+            line(depth, f"if {raw} is not None:")
+            line(depth + 1, f"{x} = {raw}")
+            line(depth, "else:")
+            depth += 1
+        line(depth, f"{raw} = None")
+        line(depth, f"if {x}.__class__ is str:")
+        line(depth + 1, "try:")
+        line(depth + 2, f"{raw} = unhexlify({x})")
+        line(depth + 1, "except ValueError:")
+        line(depth + 2, "pass")
+        fits = "" if width is None else f" or len({raw}) != {width}"
+        line(depth, f"if {raw} is None{fits} or {raw}.hex() != {x}:")
+        line(depth + 1, f"{x} = {source.walk(self, x, path)}")
+        if build is None:
+            line(depth, "else:")
+            line(depth + 1, f"{x} = {raw}")
+            return
+        line(depth, "elif len(_DIGESTS) < MAX_INTERNED:")
+        line(depth + 1, f"{x} = _DIGESTS.setdefault({x}, {source.name(build)}({raw}))")
+        line(depth, "else:")
+        line(depth + 1, f"{x} = {source.name(build)}({raw})")
+
+    return _codec(lambda value: f'"{value.hex()}"', walk, inline)  # hex needs no escape
 
 
 def enum_of(cls: Type[Enum], what: str) -> Codec:
     """An Enum member as its string value."""
     members = {member.value: member for member in cls}
 
-    def decode(text, path):
+    def walk(text, path):
         if text.__class__ is not str:
             _fail(path, "expected string")
         member = members.get(text)
@@ -228,20 +335,32 @@ def enum_of(cls: Type[Enum], what: str) -> Codec:
             _fail(path, f"unknown {what} {text!r}")
         return member
 
-    return Codec(lambda member: _string_text(member.value), decode)
+    def inline(self, source, x, path, depth):
+        member = source.local()
+        source.line(depth, f"{member} = {source.name(members)}.get({x}) if {x}.__class__ is str else None")
+        source.line(depth, f"{x} = {source.walk(self, x, path)} if {member} is None else {member}")
+
+    return _codec(lambda member: _string_text(member.value), walk, inline)
 
 
 def checked(codec: Codec, ok: Callable, why: Callable) -> Codec:
     """``codec`` for the decoded values ``ok`` accepts; ``why(value)`` says
     what is wrong with any other."""
+    walk_value = codec.walk
 
-    def decode(obj, path):
-        value = codec.decode(obj, path)
+    def walk(obj, path):
+        value = walk_value(obj, path)
         if not ok(value):
             _fail(path, why(value))
         return value
 
-    return Codec(codec.encode, decode, codec.optional)
+    def inline(self, source, x, path, depth):
+        value = source.local()
+        source.line(depth, f"{value} = {x}")
+        source.emit(codec, value, path, depth)
+        source.line(depth, f"{x} = {value} if {source.name(ok)}({value}) else {source.walk(self, x, path)}")
+
+    return _codec(codec.encode, walk, inline, optional=codec.optional)
 
 
 def exactly(codec: Codec, want, what: str) -> Codec:
@@ -251,7 +370,13 @@ def exactly(codec: Codec, want, what: str) -> Codec:
 
 def wrap(codec: Codec, build: Callable, unwrap: Callable) -> Codec:
     """``codec``'s wire form for what ``build`` makes of its decoded value."""
-    return Codec(lambda v: codec.encode(unwrap(v)), lambda o, path: build(codec.decode(o, path)))
+    walk_value = codec.walk
+
+    def inline(self, source, x, path, depth):
+        source.emit(codec, x, path, depth)
+        source.line(depth, f"{x} = {source.name(build)}({x})")
+
+    return _codec(lambda v: codec.encode(unwrap(v)), lambda o, path: build(walk_value(o, path)), inline)
 
 
 # the instance-dict key under which an interned value keeps its text
@@ -273,7 +398,7 @@ def interned(codec: Codec, key: Callable[[dict], Hashable], table: dict) -> Code
     that object, in any bundle, reuses it. The value is frozen and its
     fields are immutable, so the text cannot go stale; ``dataclasses.replace``
     builds a new object, which renders again. Decoding renders nothing."""
-    encode, decode = codec.encode, codec.decode
+    encode, walk_value = codec.encode, codec.walk
 
     def encode_interned(value):
         text = value.__dict__.get(_TEXT)
@@ -281,7 +406,7 @@ def interned(codec: Codec, key: Callable[[dict], Hashable], table: dict) -> Code
             text = value.__dict__[_TEXT] = encode(value)
         return text
 
-    def decode_interned(obj, path):
+    def walk(obj, path):
         try:
             found = key(obj)
             held = table.get(found)
@@ -290,54 +415,105 @@ def interned(codec: Codec, key: Callable[[dict], Hashable], table: dict) -> Code
         if held is not None and held[0] == obj and (
                 held[1] is None or held[1] == list(map(type, obj.values()))):
             return held[2]
-        value = decode(obj, path)
+        value = walk_value(obj, path)
         if found is not None and len(table) < MAX_INTERNED:  # a full table builds no copy
-            copy = {name: dict(v) if v.__class__ is dict else v for name, v in obj.items()}
-            types = list(map(type, obj.values()))
-            numbers = not {bool, int, float}.isdisjoint(types)
-            table.setdefault(found, (copy, types if numbers else None, value))
+            _hold(table, found, obj, value)
         return value
 
-    return Codec(encode_interned, decode_interned, codec.optional)
+    def inline(self, source, x, path, depth):
+        line, found, held, value = source.line, source.local(), source.local(), source.local()
+        table_name = source.name(table)
+        line(depth, "try:")
+        line(depth + 1, f"{found} = {source.name(key)}({x})")
+        line(depth + 1, f"{held} = {table_name}.get({found})")
+        line(depth, "except (KeyError, TypeError):")
+        line(depth + 1, f"{found} = {held} = None")
+        line(depth, f"if {held} is not None and {held}[0] == {x} and ("
+                    f"{held}[1] is None or {held}[1] == list(map(type, {x}.values()))):")
+        line(depth + 1, f"{x} = {held}[2]")
+        line(depth, "else:")
+        line(depth + 1, f"{value} = {x}")
+        source.emit(codec, value, path, depth + 1)
+        line(depth + 1, f"if {found} is not None and len({table_name}) < MAX_INTERNED:")
+        line(depth + 2, f"_hold({table_name}, {found}, {x}, {value})")
+        line(depth + 1, f"{x} = {value}")
+
+    return _codec(encode_interned, walk, inline, optional=codec.optional)
+
+
+def _hold(table: dict, found, obj: dict, value) -> None:
+    """Intern ``value`` under ``found``, with a copy of the JSON object it was
+    decoded from and, when that object holds a number, its field types."""
+    copy = {name: dict(v) if v.__class__ is dict else v for name, v in obj.items()}
+    types = list(map(type, obj.values()))
+    numbers = not {bool, int, float}.isdisjoint(types)
+    table.setdefault(found, (copy, types if numbers else None, value))
 
 
 def optional(codec: Codec) -> Codec:
     """``codec`` or null, which reads as None."""
-    encode, decode = codec.encode, codec.decode
-    return Codec(
+    encode, walk_value = codec.encode, codec.walk
+
+    def inline(self, source, x, path, depth):
+        source.line(depth, f"if {x} is not None:")
+        source.emit(codec, x, path, depth + 1)
+
+    return _codec(
         lambda value: "null" if value is None else encode(value),
-        lambda obj, path: None if obj is None else decode(obj, path),
-        optional=True,
+        lambda obj, path: None if obj is None else walk_value(obj, path),
+        inline, optional=True,
     )
 
 
 def list_of(item: Codec, most: Optional[int] = None) -> Codec:
     """A JSON array of ``item``, read as a tuple; of at most ``most`` items
     when given, which is checked before any item is decoded."""
-    decode_item, encode = item.decode, item.encode
+    encode, walk_item = item.encode, item.walk
 
-    def decode(obj, path):
+    def walk(obj, path):
         if not isinstance(obj, list):
             _fail(path, "expected array")
         if most is not None and len(obj) > most:
             _fail(path, f"expected at most {most} items, got {len(obj)}")
-        return tuple([decode_item(x, (path, i)) for i, x in enumerate(obj)])
+        return tuple([walk_item(x, (path, i)) for i, x in enumerate(obj)])
 
-    return Codec(lambda values: "[" + ",".join([encode(v) for v in values]) + "]", decode)
+    def inline(self, source, x, path, depth):
+        items, i, value = source.local(), source.local(), source.local()
+        fits = "" if most is None else f" and len({x}) <= {most}"
+        source.line(depth, f"if {x}.__class__ is list{fits}:")
+        source.line(depth + 1, f"{items} = []")
+        source.line(depth + 1, f"for {i}, {value} in enumerate({x}):")
+        source.emit(item, value, f"({path}, {i})", depth + 2)
+        source.line(depth + 2, f"{items}.append({value})")
+        source.line(depth + 1, f"{x} = tuple({items})")
+        source.line(depth, "else:")
+        source.line(depth + 1, f"{x} = {source.walk(self, x, path)}")
+
+    return _codec(lambda values: "[" + ",".join([encode(v) for v in values]) + "]", walk, inline)
 
 
 def pair_of(first: Codec, second: Codec) -> Codec:
     """A two-item JSON array, read as a tuple."""
-    decode_first, decode_second = first.decode, second.decode
+    walk_first, walk_second = first.walk, second.walk
     encode_first, encode_second = first.encode, second.encode
 
-    def decode(obj, path):
+    def walk(obj, path):
         if obj.__class__ is not list or len(obj) != 2:
             _fail(path, "expected a two-item array")
-        return decode_first(obj[0], (path, 0)), decode_second(obj[1], (path, 1))
+        return walk_first(obj[0], (path, 0)), walk_second(obj[1], (path, 1))
 
-    return Codec(
-        lambda pair: "[" + encode_first(pair[0]) + "," + encode_second(pair[1]) + "]", decode
+    def inline(self, source, x, path, depth):
+        a, b = source.local(), source.local()
+        source.line(depth, f"if {x}.__class__ is list and len({x}) == 2:")
+        source.line(depth + 1, f"{a}, {b} = {x}")
+        source.emit(first, a, f"({path}, 0)", depth + 1)
+        source.emit(second, b, f"({path}, 1)", depth + 1)
+        source.line(depth + 1, f"{x} = {a}, {b}")
+        source.line(depth, "else:")
+        source.line(depth + 1, f"{x} = {source.walk(self, x, path)}")
+
+    return _codec(
+        lambda pair: "[" + encode_first(pair[0]) + "," + encode_second(pair[1]) + "]", walk, inline
     )
 
 
@@ -352,15 +528,15 @@ def map_of(key: Codec, value: Codec) -> Codec:
     """A JSON object with any keys, read as a dict; ``key`` is the codec
     between a dict key and its JSON string."""
 
-    def decode(obj, path):
+    def walk(obj, path):
         if not isinstance(obj, dict):
             _fail(path, "expected object")
-        return {key.decode(k, (path, k)): value.decode(v, (path, k)) for k, v in obj.items()}
+        return {key.walk(k, (path, k)): value.walk(v, (path, k)) for k, v in obj.items()}
 
     def encode(m):  # sorted by the raw key, so each key's text is parsed back
         return _object_text({json.loads(key.encode(k)): v for k, v in m.items()}, value.encode)
 
-    return Codec(encode, decode)
+    return _codec(encode, walk)
 
 
 def _string_map(obj, path) -> dict:
@@ -372,26 +548,45 @@ def _string_map(obj, path) -> dict:
     return dict(obj)
 
 
-STRING_MAP = Codec(lambda pairs: _object_text(pairs, _string_text), _string_map)
+STRING_MAP = _codec(lambda pairs: _object_text(pairs, _string_text), _string_map)
 
 # what a value's constructor raises for a combination of fields it refuses
 _REFUSED = (InvalidEntry, IncompleteBundle, ValueError)
+
+
+def _arguments(make: Callable, values: Mapping[str, str]) -> str:
+    """The arguments of a call of ``make`` with the named ``values``: by
+    position for the leading parameters they fill, which a call binds
+    faster, and by keyword for the rest."""
+    by_keyword = dict(values)
+    by_position = []
+    try:
+        parameters = inspect.signature(make).parameters.values()
+    except ValueError:  # a builtin, such as SimpleNamespace, that states none
+        parameters = ()
+    for parameter in parameters:
+        if parameter.kind not in (parameter.POSITIONAL_ONLY, parameter.POSITIONAL_OR_KEYWORD) \
+                or parameter.name not in by_keyword:
+            break
+        by_position.append(by_keyword.pop(parameter.name))
+    return ", ".join(by_position + [f"{name}={value}" for name, value in by_keyword.items()])
 
 
 def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
     """A JSON object with exactly the keys of ``fields``: written from the
     value's attributes of those names, read as ``make(**values)``. An
     InvalidEntry, IncompleteBundle or ValueError from ``make`` fails at the
-    object's path."""
+    object's path. Compiled code holds the checks of every field in place,
+    a nested record's too, and calls ``make`` once."""
     names = frozenset(fields)
     required = frozenset(name for name, codec in fields.items() if not codec.optional)
-    decoders = tuple((name, codec.decode) for name, codec in fields.items())
+    walks = tuple((name, codec.walk) for name, codec in fields.items())
     table = tuple((name, fields[name]) for name in sorted(fields))  # in sort_keys order
     # each field's '"name":' prefix, its getter and its encoder
     encoders = tuple((_string_text(name) + ":", attrgetter(name), codec.encode)
                      for name, codec in table)
 
-    def decode(obj, path):
+    def walk(obj, path):
         if obj.__class__ is not dict or obj.keys() != names:
             if not isinstance(obj, dict):
                 _fail(path, "expected object")
@@ -401,17 +596,35 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
             if not required <= keys:
                 _fail(path, f"missing field {min(required - keys)!r}")
         values = {}
-        for name, dec in decoders:  # a loop costs less than a comprehension's call
-            values[name] = dec(obj.get(name), (path, name))
+        for name, walk_field in walks:  # a loop costs less than a comprehension's call
+            values[name] = walk_field(obj.get(name), (path, name))
         try:
             return make(**values)
         except _REFUSED as exc:
             _fail(path, exc)
 
+    def inline(self, source, x, path, depth):
+        line = source.line
+        line(depth, f"if {x}.__class__ is dict and {x}.keys() == {source.name(names)}:")
+        values = {}
+        for name, codec in fields.items():  # the walk's order, so the same check fails first
+            value = values[name] = source.local()
+            line(depth + 1, f"{value} = {x}[{name!r}]")
+            # a record field is called: it runs once per object, and written out
+            # in place it would make the memory compiling its parent takes grow
+            write = source.call if codec.fields else source.emit
+            write(codec, value, f"({path}, {name!r})", depth + 1)
+        line(depth + 1, "try:")
+        line(depth + 2, f"{x} = {source.name(make)}({_arguments(make, values)})")
+        line(depth + 1, "except _REFUSED:")
+        line(depth + 2, f"{x} = {source.walk(self, x, path)}")
+        line(depth, "else:")
+        line(depth + 1, f"{x} = {source.walk(self, x, path)}")
+
     def encode(value):
         return "{" + ",".join([prefix + enc(get(value)) for prefix, get, enc in encoders]) + "}"
 
-    return Codec(encode, decode, fields=table, make=make)
+    return _codec(encode, walk, inline, fields=table, make=make)
 
 
 # -- the bundle's wire types; the README documents the same layout ----------
@@ -432,15 +645,8 @@ CERT = interned(_CERT, itemgetter("signature"), _CERTS)
 _CHAIN = wrap(list_of(CERT), CertChain, attrgetter("certs"))
 
 
-def _pcr_index(obj, path) -> int:
-    if obj.__class__ is not int:
-        _fail(path, "expected integer")
-    if not 0 <= obj < N_PCRS:
-        _fail(path, f"pcr index {obj} out of range")
-    return obj
-
-
-PCR_INDEX = Codec(_number_text, _pcr_index)
+PCR_INDEX = checked(INTEGER, lambda index: 0 <= index < N_PCRS,
+                    lambda index: f"pcr index {index} out of range")
 
 
 def _quote(selection, values, **rest) -> TpmQuote:

@@ -138,13 +138,6 @@ def tpm_init(
     return TpmState(pcrs=bank, log=(), ek=ek, ek_cert=ek_cert, aks={}, kind=kind)
 
 
-def pcr_extend(tpm: TpmState, index: int, event: bytes, description: str = "") -> TpmState:
-    """Digest raw event bytes into a host entry and fold it into one register."""
-    if not 0 <= index < N_PCRS:
-        raise InvalidPcrIndex(f"pcr index {index} out of range")
-    return pcr_extend_digest(tpm, EventLogEntry(index, crypto.digest(event), description))
-
-
 def pcr_extend_digest(tpm: TpmState, *entries: EventLogEntry) -> TpmState:
     """Fold entries, in order, into their PCRs and append those same entries
     to the log, building the new state once. An entry that names no PCR

@@ -282,7 +282,7 @@ def _check_c4(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) 
 
 def _check_c5(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
     result = evidence.check_rtmr_pcr_consistency(
-        bundle.td_report, bundle.tpm_quote, bundle.event_log, verifier._c5_memo
+        bundle.td_report, bundle.tpm_quote, bundle.event_log, verifier._c5_staged
     )
     if result.all_matched:
         return True, "TD registers and quoted PCRs replay the same event stream"
@@ -354,6 +354,33 @@ CHECK_IDS = tuple(check.check_id for check in CHECKS)
 CHECK_ATTACKS: Mapping[str, Tuple[str, ...]] = {check.check_id: check.attacks for check in CHECKS}
 
 
+class _StagedMemo:
+    """One appraisal's view of a verifier's C5 memo: it answers from the memo
+    and from the entries the appraisal computed, and keeps those apart until
+    ``commit`` stores them in the memo, up to its bound."""
+
+    __slots__ = ("memo", "new")
+
+    def __init__(self, memo: dict):
+        self.memo, self.new = memo, {}
+
+    def get(self, key):
+        held = self.memo.get(key)
+        return self.new.get(key) if held is None else held
+
+    def __len__(self) -> int:
+        return len(self.memo) + len(self.new)
+
+    def __setitem__(self, key, value) -> None:
+        self.new[key] = value
+
+    def commit(self) -> None:
+        for key, value in self.new.items():
+            if len(self.memo) >= evidence.MAX_C5_MEMO:
+                break
+            self.memo.setdefault(key, value)
+
+
 def verify_bundle(
     bundle: EvidenceBundle,
     challenge: Challenge,
@@ -365,10 +392,13 @@ def verify_bundle(
     The checks read the policy, the AK registry, the memo of verified
     certificate links, the C5 memo and the challenge ledger of
     ``verifier``; none of them writes the ledger (``Verifier.verify``
-    consumes the challenge afterwards). ``disabled_checks`` is a diagnostic
+    consumes the challenge afterwards). C5 stores what it computed in the C5
+    memo only once the verdict accepts with no check disabled, so a rejected
+    bundle cannot fill the memo. ``disabled_checks`` is a diagnostic
     hook for ablation runs; a disabled check is reported as passed without
     being evaluated.
     """
+    staged = verifier._c5_staged = _StagedMemo(verifier._c5_memo)
     checks = []
     flags: List[str] = []
     for check_id, name, attacks, evaluate in CHECKS:
@@ -383,6 +413,8 @@ def verify_bundle(
                 flags += attacks  # every row names at least one attack
         checks.append(CheckResult(check_id, name, passed, detail))
     raised = frozenset(flags)
+    if not raised and not disabled_checks:
+        staged.commit()
     at_risk = frozenset().union(*[ATTACK_GOALS[a] for a in raised])
     return Verdict(not raised, tuple(checks), raised, {g: g not in at_risk for g in GOALS})
 
@@ -392,7 +424,8 @@ class Verifier:
     challenge ledger, the AK registry, and across verifications a memo of
     certificate links verified under its pinned roots (see
     ``crypto.verify_chain``) and a C5 memo keyed by the values its results
-    read (see ``evidence.check_rtmr_pcr_consistency``). Each memo admits
+    read (see ``evidence.check_rtmr_pcr_consistency``), which admits only
+    from appraisals it accepted (see ``verify_bundle``). Each memo admits
     entries until it reaches its bound and then only answers lookups.
     Every appraisal runs through one; a one-shot appraisal (``dcea verify``)
     adopts its challenge into a fresh Verifier.

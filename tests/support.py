@@ -18,6 +18,12 @@ def empty_intern_tables():
     evidence._HELD.clear()
 
 
+def extend(state, index, event, description=""):
+    """``state`` with the digest of the raw ``event`` bytes folded into PCR
+    ``index`` as one host entry."""
+    return tpm.pcr_extend_digest(state, tpm.EventLogEntry(index, crypto.digest(event), description))
+
+
 def verify_once(bundle, policy, challenge, registry=None, disabled_checks=frozenset()):
     """A one-shot appraisal: a fresh Verifier that has issued ``challenge``
     and holds ``registry`` (an empty one when None)."""

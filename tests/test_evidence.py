@@ -668,6 +668,97 @@ def test_the_reader_decodes_as_the_full_path_does_from_warm_and_empty_tables(cas
             assert got == evidence.deserialize(data)  # a second decode, from what the first held
 
 
+@st.composite
+def compiled_inputs(draw):
+    """A document from ``reader_inputs``, or its canonical bundle with one
+    value changed: to another JSON type, a string cut short or in upper case,
+    an integer or a number out of range, an integer spelt as a float or a
+    bool, an array one item short or longer than the log cap, an object short
+    of a key or with a key more."""
+    original, data = draw(reader_inputs())
+    cap = evidence.MAX_LOG_ENTRIES
+
+    def drop_key(value):
+        gone = draw(st.sampled_from(sorted(value)))
+        return {k: v for k, v in value.items() if k != gone}
+
+    changes = {
+        "retype": (lambda v: True, lambda v: draw(st.sampled_from(
+            [other for other in _OTHER_TYPES if type(other) is not type(v)]))),
+        "truncate": (lambda v: isinstance(v, str) and v,
+                     lambda v: v[:draw(st.integers(0, len(v) - 1))]),
+        "uppercase": (lambda v: isinstance(v, str) and v != v.upper(), str.upper),
+        "renumber": (lambda v: type(v) is int, lambda v: draw(st.sampled_from([-1, 2, 24, 2**64]))),
+        "respell": (lambda v: type(v) is int, lambda v: draw(st.sampled_from([float(v), v == 1]))),
+        "non-finite": (lambda v: type(v) is float,
+                       lambda v: draw(st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))),
+        "shorten": (lambda v: isinstance(v, list) and v, lambda v: v[1:]),
+        "lengthen": (lambda v: isinstance(v, list) and len(v) > 2,  # not a pair
+                     lambda v: (v * (cap + 1))[:cap + 1]),
+        "drop key": (lambda v: isinstance(v, dict) and v, drop_key),
+        "extra key": (lambda v: isinstance(v, dict),
+                      lambda v: {**v, "extra": draw(st.sampled_from(_OTHER_TYPES))}),
+    }
+    kind = draw(st.sampled_from(["reader", *changes]))
+    if kind == "reader":
+        return data
+    fits, change = changes[kind]
+    obj = json.loads(original)
+    *path, key = draw(st.sampled_from([p for p in _json_paths(obj) if p and fits(_at(obj, p))]))
+    parent = _at(obj, path)
+    parent[key] = change(parent[key])
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+_TABLES = (*evidence._INTERNED, evidence._HELD)
+
+
+@functools.lru_cache(maxsize=None)
+def full_tables():
+    """Copies of the intern tables and the held texts, each filled to its
+    bound by decoding the goldens and then random bundles."""
+    for pair in GOLDEN:
+        evidence.deserialize((FIXTURES / f"{pair}.dcea.json").read_bytes())
+    for seed in range(120):
+        evidence.deserialize(evidence.serialize(random_bundle(seed)))
+    bounds = [evidence.MAX_INTERNED] * 3 + [evidence.MAX_HELD]
+    assert [len(table) for table in _TABLES] == bounds
+    tables = tuple(dict(table) for table in _TABLES)
+    empty_intern_tables()
+    return tables
+
+
+def _decode_outcome(decode, obj, tables):
+    """From ``tables`` (None for empty ones): the repr of what ``decode(obj, "$")``
+    returns, or the type and text of what it raises, and the keys of the intern
+    tables after it."""
+    empty_intern_tables()
+    for table, held in zip(_TABLES, tables or ()):
+        table.update(held)
+    try:
+        outcome = repr(decode(obj, "$"))
+    except Exception as exc:  # any outcome must match the walk's
+        outcome = type(exc), str(exc)
+    return outcome, [list(table) for table in evidence._INTERNED]
+
+
+@settings(max_examples=500, deadline=None)
+@given(compiled_inputs())
+def test_the_compiled_decode_decodes_as_the_combinator_walk(data):
+    try:
+        obj = evidence.load_json(data)
+    except ParseError:
+        return  # no JSON value to decode
+    for tables in (None, full_tables()):
+        compiled = _decode_outcome(evidence._BUNDLE.decode, obj, tables)
+        assert compiled == _decode_outcome(evidence._BUNDLE.walk, obj, tables)
+
+
+def test_every_record_decodes_through_compiled_code():
+    for codec in (evidence._BUNDLE, evidence._CERT, verifier.POLICY, verifier.REGISTRY, cli._CONTEXT):
+        assert codec.decode.__code__.co_filename == "<compiled decode>"
+
+
 @pytest.mark.parametrize("spoil", [
     lambda t: t.replace('"algorithm":"ed25519"', '"algorithm":"rsa"'),  # the last record's value
     lambda t: t.replace('"selection":[0,', '"selection":[', 1),  # the quote's make refuses it

@@ -15,6 +15,8 @@ from dcea.errors import (
     UnknownAk,
 )
 
+from support import extend
+
 # Frozen via the hashlib fold oracle: PCR 17 after extending the digests of
 # b"acm-image" then b"seamldr-image" from a reset register.
 PCR17_ACM_SEAMLDR = (
@@ -38,25 +40,25 @@ def test_init_all_pcrs_zero():
 
 def test_extend_pcr17_twice_matches_fold_oracle():
     state, _ = make_tpm()
-    state = tpm.pcr_extend(state, 17, b"acm-image", "acm")
-    state = tpm.pcr_extend(state, 17, b"seamldr-image", "seamldr")
+    state = extend(state, 17, b"acm-image", "acm")
+    state = extend(state, 17, b"seamldr-image", "seamldr")
     assert tpm.read_pcrs(state, [17])[17].hex() == PCR17_ACM_SEAMLDR
     assert [e.description for e in state.log] == ["acm", "seamldr"]
 
 
 def test_extend_leaves_original_state_untouched():
     state, _ = make_tpm()
-    bumped = tpm.pcr_extend(state, 3, b"ev", "e")
+    bumped = extend(state, 3, b"ev", "e")
     assert tpm.read_pcrs(state, [3])[3] == crypto.ZERO_DIGEST
     assert tpm.read_pcrs(bumped, [3])[3] != crypto.ZERO_DIGEST
 
 
 def test_extend_rejects_bad_index():
     state, _ = make_tpm()
-    with pytest.raises(InvalidPcrIndex):
-        tpm.pcr_extend(state, 24, b"ev")
-    with pytest.raises(InvalidPcrIndex):
-        tpm.pcr_extend(state, -1, b"ev")
+    with pytest.raises(InvalidEntry):
+        extend(state, 24, b"ev")
+    with pytest.raises(InvalidEntry):
+        extend(state, -1, b"ev")
 
 
 def test_read_pcrs_empty_selection_and_bad_index():
@@ -71,7 +73,7 @@ def test_log_replay_soundness(events):
     # Folding the recorded log from a reset bank reproduces every register.
     state, _ = make_tpm()
     for idx, payload in events:
-        state = tpm.pcr_extend(state, idx, payload)
+        state = extend(state, idx, payload)
     for idx in range(tpm.N_PCRS):
         expected = crypto.fold(
             e.event_digest for e in state.log if e.pcr_index == idx
@@ -81,9 +83,9 @@ def test_log_replay_soundness(events):
 
 def test_create_sealed_ak_snapshots_policy():
     state, ca = make_tpm()
-    state = tpm.pcr_extend(state, 17, b"acm-image")
-    state = tpm.pcr_extend(state, 17, b"seamldr-image")
-    state = tpm.pcr_extend(state, 18, b"kernel-image")
+    state = extend(state, 17, b"acm-image")
+    state = extend(state, 17, b"seamldr-image")
+    state = extend(state, 18, b"kernel-image")
     state, handle = tpm.create_sealed_ak(state, b"ak-seed", {17, 18})
     sealed = state.aks[handle]
     policy = dict(sealed.policy)
@@ -106,8 +108,8 @@ def test_create_sealed_ak_empty_policy_rejected():
 
 def test_quote_roundtrip_and_signature_oracle():
     state, _ = make_tpm()
-    state = tpm.pcr_extend(state, 17, b"acm-image")
-    state = tpm.pcr_extend(state, 18, b"kernel-image")
+    state = extend(state, 17, b"acm-image")
+    state = extend(state, 18, b"kernel-image")
     state, handle = tpm.create_sealed_ak(state, b"ak-seed", {17, 18})
     nonce = b"\xab" * 32
     quote = tpm.tpm_quote(state, handle, [18, 17], nonce)
@@ -135,20 +137,20 @@ def test_quote_unknown_handle():
 
 def test_quote_policy_violation_after_policy_index_extend():
     state, _ = make_tpm()
-    state = tpm.pcr_extend(state, 17, b"acm-image")
-    state = tpm.pcr_extend(state, 18, b"vtpm-binary")
+    state = extend(state, 17, b"acm-image")
+    state = extend(state, 18, b"vtpm-binary")
     state, handle = tpm.create_sealed_ak(state, b"ak-seed", {17, 18})
     tpm.tpm_quote(state, handle, [17, 18], b"\x01" * 32)  # sanity: succeeds
-    mutated = tpm.pcr_extend(state, 18, b"malicious-vtpm-binary")
+    mutated = extend(state, 18, b"malicious-vtpm-binary")
     with pytest.raises(PolicyViolation):
         tpm.tpm_quote(mutated, handle, [17, 18], b"\x01" * 32)
 
 
 def test_quote_non_policy_extend_still_quotes():
     state, _ = make_tpm()
-    state = tpm.pcr_extend(state, 17, b"acm-image")
+    state = extend(state, 17, b"acm-image")
     state, handle = tpm.create_sealed_ak(state, b"ak-seed", {17})
-    state = tpm.pcr_extend(state, 8, b"guest-app")
+    state = extend(state, 8, b"guest-app")
     quote = tpm.tpm_quote(state, handle, [8, 17], b"\x02" * 32)
     assert quote.values_dict()[8] != crypto.ZERO_DIGEST
 
@@ -156,10 +158,10 @@ def test_quote_non_policy_extend_still_quotes():
 def test_install_sealed_ak_moves_policy_across_boots():
     # Seal on an honest boot, mutate the stack, reboot, reuse the old blob.
     honest, ca = make_tpm()
-    honest = tpm.pcr_extend(honest, 18, b"vtpm-binary")
+    honest = extend(honest, 18, b"vtpm-binary")
     honest, handle = tpm.create_sealed_ak(honest, b"ak-seed", {18})
     rebooted, _ = make_tpm()
-    rebooted = tpm.pcr_extend(rebooted, 18, b"vtpm-binary-evil")
+    rebooted = extend(rebooted, 18, b"vtpm-binary-evil")
     rebooted = tpm.install_sealed_ak(rebooted, handle, honest.aks[handle])
     with pytest.raises(PolicyViolation):
         tpm.tpm_quote(rebooted, handle, [18], b"\x03" * 32)

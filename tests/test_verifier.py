@@ -838,6 +838,50 @@ def test_a_warm_appraisal_replays_nothing_and_builds_no_rows(monkeypatch):
     assert warm == [{"verify": 2, "extend": 0, "Digest": 1, "RowResult": 0}] * 2
 
 
+def with_unlogged_guest_entries(bundle, serial, n=40):
+    """The bundle with ``n`` more guest entries on RTMR 1 that no register
+    reflects: C5 alone rejects it."""
+    pcr = td.RTMR_PCR_MAP[1][0]
+    junk = tuple(tpm.EventLogEntry(pcr, crypto.digest(b"junk-%d-%d" % (serial, i)), "junk",
+                                   tpm.Scope.GUEST, rtmr_index=1) for i in range(n))
+    return replace(bundle, event_log=bundle.event_log + junk)
+
+
+def test_a_rejected_stream_stores_nothing_in_the_c5_memo(monkeypatch):
+    # each rejected appraisal computes a replay and rows of its own; stored, 64
+    # of them would fill the memo, and honest warm ops would replay again
+    world = adversary.build_world(adversary.WorldConfig(seed=0, deployment=adversary.Deployment.S2))
+    v = new_verifier(world)
+    for serial in range(70):
+        bundle, challenge = next_bundle(world)
+        bundle = wire_trip(with_unlogged_guest_entries(bundle, serial))
+        assert len(bundle.event_log) == 51 <= evidence.MAX_LOG_ENTRIES
+        v.adopt_challenge(challenge)
+        assert v.verify(bundle, challenge).failed_checks() == ("C5",)
+    assert v._c5_memo == {}
+    counts = Counts(monkeypatch)
+    extends = []
+    for _ in range(2):
+        counts.take()
+        bundle, challenge = next_bundle(world)
+        v.adopt_challenge(challenge)
+        assert v.verify(wire_trip(bundle), challenge).accepted
+        extends.append(counts.take()["extend"])
+    assert extends == [11, 0]
+    assert len(v._c5_memo) == 2  # the replay and the rows
+
+
+def test_an_appraisal_with_a_check_disabled_stores_nothing_in_the_c5_memo():
+    world = adversary.build_world(adversary.WorldConfig(seed=11))
+    v = new_verifier(world)
+    bundle, challenge = next_bundle(world)
+    v.adopt_challenge(challenge)
+    assert v.verify(bundle, challenge, frozenset({"C7"})).accepted
+    assert v._c5_memo == {}
+    assert appraise(v, world).accepted
+    assert len(v._c5_memo) == 2
+
+
 def test_entries_that_measure_one_image_into_two_registers_intern_apart(monkeypatch):
     # the host and the guest ``kernel`` entries of honest_pieces share an
     # event digest; each is interned under its own scope and registers
