@@ -8,16 +8,17 @@ changes. Each wire type is one table of field codecs below (``record`` and
 its combinators), and each codec defines both directions: it writes a value
 straight to the canonical JSON text and reads a parsed JSON value back, so
 encoder and decoder cannot drift apart; the README documents the same layout.
-Each decodes through code compiled from those tables at import (see
-``_compile``), and the combinators' own walk is the reference it must equal.
+Records and the fields the canonical reader reads decode through code
+compiled from those tables at import (see ``_compile``), and the
+combinators' own walk is the reference it must equal.
 A decoded object may carry no key outside its table.
 ``serialize(deserialize(x)) == x`` for canonical input ``x``, the bytes
 ``serialize`` writes. Other well-formed spellings, such as an indented
-re-encoding, also decode, but serialize back to the canonical bytes. Decoded
-values may be shared between bundles, and a shared certificate or event-log
-entry keeps the text it was written as (see ``interned``). ``deserialize``
-finds an array or object whose canonical text it read before by that text
-(see ``_read``).
+re-encoding, also decode, but serialize back to the canonical bytes. A
+certificate or event-log entry keeps the text it was first written as (see
+``kept_text``). ``deserialize`` finds an array or object whose canonical
+text it read before by that text and returns the value decoded then, so
+decoded values may be shared between bundles (see ``_read``).
 
 report_data layout (64 bytes):
 
@@ -29,6 +30,7 @@ report_data layout (64 bytes):
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import json.scanner
@@ -37,10 +39,9 @@ from binascii import unhexlify
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _string_text
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import (
-    Callable, ClassVar, Hashable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple,
-    Type,
+    Callable, ClassVar, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple, Type,
 )
 
 from . import crypto
@@ -111,9 +112,10 @@ class Codec(NamedTuple):
     writes for the JSON value ``obj`` that ``decode(obj, path)`` reads back.
     ``walk`` is the combinator decode, built from the walks of the codec's
     parts: the reference that ``decode`` equals, and the only decode that
-    raises ParseError, naming where ``obj`` sits. ``decode`` is compiled
-    from ``inline`` (see ``_compile``), or is ``walk`` for a codec without
-    one. A path is ``"$"`` or a ``(parent path, key or index)`` pair,
+    raises ParseError, naming where ``obj`` sits. A record's ``decode`` is
+    compiled from ``inline`` (see ``_compile``); any other codec's is
+    ``walk``, and compiled code that holds the codec writes its ``inline``
+    in place. A path is ``"$"`` or a ``(parent path, key or index)`` pair,
     rendered only for an error."""
 
     encode: Callable
@@ -121,12 +123,13 @@ class Codec(NamedTuple):
     walk: Callable
     # ``inline(codec, source, x, path, depth)`` writes the codec's checks into
     # compiled code (see ``_Source``); None for a codec that compiled code calls
+    # through its walk
     inline: Optional[Callable] = None
     optional: bool = False  # a record may omit the key, which reads as None
     # a record's field table in wire order and the ``make`` it decodes through;
     # None for every other codec, which the canonical reader reads as one value.
-    # A combinator over a record (``checked``, ``interned``) drops both, so the
-    # reader never walks past the check it adds.
+    # A combinator over a record that adds a check (``checked``) drops both, so
+    # the reader never walks past it; ``kept_text``, which adds none, keeps them.
     fields: Optional[Tuple[Tuple[str, "Codec"], ...]] = None
     make: Optional[Callable] = None
 
@@ -171,11 +174,13 @@ class _Source:
             codec.inline(codec, self, x, path, depth)
 
 
+@functools.cache
 def _compile(codec: Codec) -> Callable:
     """``codec``'s decode as one function, written from its codec tables
-    alone, never from input, as ``dataclasses`` writes ``__init__``. It
-    reads the intern tables and their bound as module globals, as the walks
-    do."""
+    alone, never from input, as ``dataclasses`` writes ``__init__``; once
+    per codec. A codec without ``inline`` decodes by its walk."""
+    if codec.inline is None:
+        return codec.walk
     source = _Source()
     source.emit(codec, "obj", "path", 2)
     names, values = zip(*source.values.values())
@@ -187,9 +192,8 @@ def _compile(codec: Codec) -> Callable:
 
 
 def _codec(encode: Callable, walk: Callable, inline: Optional[Callable] = None, **rest) -> Codec:
-    """A codec whose decode is compiled from ``inline``, or is ``walk``."""
-    codec = Codec(encode, walk, walk, inline, **rest)
-    return codec if inline is None else codec._replace(decode=_compile(codec))
+    """A codec that decodes by ``walk``."""
+    return Codec(encode, walk, walk, inline, **rest)
 
 
 def _json_path(path) -> str:
@@ -256,30 +260,14 @@ BOOLEAN = scalar(bool, "boolean")
 NUMBER = _codec(_number_text, _number, _inline_number)
 
 
-# Intern tables: digest hex -> Digest (see DIGEST); certificate signature hex, and an
-# entry's event digest hex with its scope and register indices (``_ENTRY_JSON_KEY``) ->
-# (JSON object, its field types or None, decoded value), see ``interned``. A table
-# admits values until it holds MAX_INTERNED, then only answers lookups, as every
-# verifier memo does (see README).
-# Platforms on one reference stack and guest image share 22 digests and 11 entries and
-# add 2 certificates each; a platform with a stack of its own adds 7 digests and 5 entries.
-MAX_INTERNED = 256
-_INTERNED = _DIGESTS, _CERTS, _ENTRIES = ({}, {}, {})
-
-
-def hex_bytes(width: Optional[int] = None, build: Optional[Callable] = None) -> Codec:
+def hex_bytes(width: Optional[int] = None) -> Codec:
     """Bytes as hex text in the one spelling ``bytes.hex`` writes: digit
     pairs, lowercase, nothing between them. Exactly ``width`` bytes when
-    given. ``build`` makes the decoded value of the bytes, and that value's
-    ``hex()`` writes it back; the digest table interns it, so only DIGEST has a ``build``."""
+    given."""
 
     def walk(text, path):
         if text.__class__ is not str:
             _fail(path, "expected hex string")
-        if build is not None:
-            value = _DIGESTS.get(text)
-            if value is not None:
-                return value
         try:
             raw = unhexlify(text)  # unlike bytes.fromhex, refuses spaces
         except ValueError:
@@ -288,20 +276,10 @@ def hex_bytes(width: Optional[int] = None, build: Optional[Callable] = None) -> 
             _fail(path, "hex must be lowercase")
         if width is not None and len(raw) != width:
             _fail(path, f"expected {width} bytes, got {len(raw)}")
-        if build is None:
-            return raw
-        if len(_DIGESTS) < MAX_INTERNED:
-            return _DIGESTS.setdefault(text, build(raw))
-        return build(raw)
+        return raw
 
     def inline(self, source, x, path, depth):
         line, raw = source.line, source.local()
-        if build is not None:
-            line(depth, f"{raw} = _DIGESTS.get({x}) if {x}.__class__ is str else None")
-            line(depth, f"if {raw} is not None:")
-            line(depth + 1, f"{x} = {raw}")
-            line(depth, "else:")
-            depth += 1
         line(depth, f"{raw} = None")
         line(depth, f"if {x}.__class__ is str:")
         line(depth + 1, "try:")
@@ -311,14 +289,8 @@ def hex_bytes(width: Optional[int] = None, build: Optional[Callable] = None) -> 
         fits = "" if width is None else f" or len({raw}) != {width}"
         line(depth, f"if {raw} is None{fits} or {raw}.hex() != {x}:")
         line(depth + 1, f"{x} = {source.walk(self, x, path)}")
-        if build is None:
-            line(depth, "else:")
-            line(depth + 1, f"{x} = {raw}")
-            return
-        line(depth, "elif len(_DIGESTS) < MAX_INTERNED:")
-        line(depth + 1, f"{x} = _DIGESTS.setdefault({x}, {source.name(build)}({raw}))")
         line(depth, "else:")
-        line(depth + 1, f"{x} = {source.name(build)}({raw})")
+        line(depth + 1, f"{x} = {raw}")
 
     return _codec(lambda value: f'"{value.hex()}"', walk, inline)  # hex needs no escape
 
@@ -379,75 +351,27 @@ def wrap(codec: Codec, build: Callable, unwrap: Callable) -> Codec:
     return _codec(lambda v: codec.encode(unwrap(v)), lambda o, path: build(walk_value(o, path)), inline)
 
 
-# the instance-dict key under which an interned value keeps its text
+# the instance-dict key under which a value keeps its text
 _TEXT = "_wire_text"
 
 
-def interned(codec: Codec, key: Callable[[dict], Hashable], table: dict) -> Codec:
-    """``codec`` for JSON objects, sharing each decoded value through
-    ``table`` under ``key(obj)``, one probe per object. A hit needs an
-    equal object whose fields have the same JSON types: ``true`` and ``1.0``
-    do not match a stored ``1``. Only a number equals a value of another
-    JSON type, so an object holding none skips the type check (a nested
-    claims map holds strings). Anything else decodes as ``codec`` does, and
-    an object whose key ``key`` cannot read or hash is never stored.
+def kept_text(codec: Codec) -> Codec:
+    """``codec``, with an encode that keeps each value's text. The first
+    encode of a value renders its text from the value's fields and keeps it
+    in the value's instance dict, outside the dataclass fields, so equality,
+    hashing and repr ignore it; every later encode of that object, in any
+    bundle, reuses it. The value is frozen and its fields are immutable, so
+    the text cannot go stale; ``dataclasses.replace`` builds a new object,
+    which renders again. Decoding is ``codec``'s and renders nothing."""
+    encode = codec.encode
 
-    The first encode of a value renders its text from the value's fields
-    and keeps it in the value's instance dict, outside the dataclass
-    fields, so equality, hashing and repr ignore it; every later encode of
-    that object, in any bundle, reuses it. The value is frozen and its
-    fields are immutable, so the text cannot go stale; ``dataclasses.replace``
-    builds a new object, which renders again. Decoding renders nothing."""
-    encode, walk_value = codec.encode, codec.walk
-
-    def encode_interned(value):
+    def encode_kept(value):
         text = value.__dict__.get(_TEXT)
         if text is None:
             text = value.__dict__[_TEXT] = encode(value)
         return text
 
-    def walk(obj, path):
-        try:
-            found = key(obj)
-            held = table.get(found)
-        except (KeyError, TypeError):  # no JSON object, a key field missing or unhashable
-            found = held = None
-        if held is not None and held[0] == obj and (
-                held[1] is None or held[1] == list(map(type, obj.values()))):
-            return held[2]
-        value = walk_value(obj, path)
-        if found is not None and len(table) < MAX_INTERNED:  # a full table builds no copy
-            _hold(table, found, obj, value)
-        return value
-
-    def inline(self, source, x, path, depth):
-        line, found, held, value = source.line, source.local(), source.local(), source.local()
-        table_name = source.name(table)
-        line(depth, "try:")
-        line(depth + 1, f"{found} = {source.name(key)}({x})")
-        line(depth + 1, f"{held} = {table_name}.get({found})")
-        line(depth, "except (KeyError, TypeError):")
-        line(depth + 1, f"{found} = {held} = None")
-        line(depth, f"if {held} is not None and {held}[0] == {x} and ("
-                    f"{held}[1] is None or {held}[1] == list(map(type, {x}.values()))):")
-        line(depth + 1, f"{x} = {held}[2]")
-        line(depth, "else:")
-        line(depth + 1, f"{value} = {x}")
-        source.emit(codec, value, path, depth + 1)
-        line(depth + 1, f"if {found} is not None and len({table_name}) < MAX_INTERNED:")
-        line(depth + 2, f"_hold({table_name}, {found}, {x}, {value})")
-        line(depth + 1, f"{x} = {value}")
-
-    return _codec(encode_interned, walk, inline, optional=codec.optional)
-
-
-def _hold(table: dict, found, obj: dict, value) -> None:
-    """Intern ``value`` under ``found``, with a copy of the JSON object it was
-    decoded from and, when that object holds a number, its field types."""
-    copy = {name: dict(v) if v.__class__ is dict else v for name, v in obj.items()}
-    types = list(map(type, obj.values()))
-    numbers = not {bool, int, float}.isdisjoint(types)
-    table.setdefault(found, (copy, types if numbers else None, value))
+    return codec._replace(encode=encode_kept)
 
 
 def optional(codec: Codec) -> Codec:
@@ -576,8 +500,9 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
     """A JSON object with exactly the keys of ``fields``: written from the
     value's attributes of those names, read as ``make(**values)``. An
     InvalidEntry, IncompleteBundle or ValueError from ``make`` fails at the
-    object's path. Compiled code holds the checks of every field in place,
-    a nested record's too, and calls ``make`` once."""
+    object's path. Its decode is compiled: the checks of every field are
+    written in place, a field that is itself a record is called through its
+    own decode, and ``make`` is called once."""
     names = frozenset(fields)
     required = frozenset(name for name, codec in fields.items() if not codec.optional)
     walks = tuple((name, codec.walk) for name, codec in fields.items())
@@ -624,12 +549,13 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
     def encode(value):
         return "{" + ",".join([prefix + enc(get(value)) for prefix, get, enc in encoders]) + "}"
 
-    return _codec(encode, walk, inline, fields=table, make=make)
+    codec = _codec(encode, walk, inline, fields=table, make=make)
+    return codec._replace(decode=_compile(codec))
 
 
 # -- the bundle's wire types; the README documents the same layout ----------
 
-DIGEST = hex_bytes(crypto.DIGEST_LEN, Digest)
+DIGEST = wrap(hex_bytes(crypto.DIGEST_LEN), Digest, attrgetter("data"))
 NONCE = hex_bytes(NONCE_LEN)
 
 _CERT = record(Certificate, {
@@ -640,7 +566,7 @@ _CERT = record(Certificate, {
 })
 
 
-CERT = interned(_CERT, itemgetter("signature"), _CERTS)
+CERT = kept_text(_CERT)
 
 _CHAIN = wrap(list_of(CERT), CertChain, attrgetter("certs"))
 
@@ -653,12 +579,6 @@ def _quote(selection, values, **rest) -> TpmQuote:
     if selection != tuple(index for index, _ in values):
         raise ValueError("selection must list exactly the indices of values")
     return TpmQuote(selection=selection, values=values, **rest)
-
-
-# An entry's key in the entry table: its event digest's hex, its scope and its register
-# indices, read from its JSON object. Entries that measure one image into different
-# registers (a host and a guest ``kernel``) so intern apart.
-_ENTRY_JSON_KEY = itemgetter("event_digest", "scope", "pcr_index", "rtmr_index")
 
 
 # Most entries a bundle's event log may hold; a longer log fails to decode. Every
@@ -701,13 +621,13 @@ _BUNDLE = record(_bundle, {
     }),
     "ek_cert_chain": _CHAIN,
     "ak_cert": optional(CERT),
-    "event_log": list_of(interned(record(EventLogEntry, {
+    "event_log": list_of(kept_text(record(EventLogEntry, {
         "scope": enum_of(Scope, "scope"),
         "pcr_index": optional(INTEGER),
         "rtmr_index": optional(INTEGER),
         "event_digest": DIGEST,
         "description": STRING,
-    }), _ENTRY_JSON_KEY, _ENTRIES), MAX_LOG_ENTRIES),
+    })), MAX_LOG_ENTRIES),
     "nonces": record(Nonces, {
         "td_nonce": NONCE,
         "tpm_nonce": NONCE,
@@ -732,21 +652,30 @@ def serialize(bundle: EvidenceBundle) -> bytes:
 
 def load_json(data: bytes):
     """UTF-8 JSON bytes to a JSON value; a ParseError names and carries the byte offset."""
+    return _parse_json(_utf8(data))
+
+
+def _utf8(data: bytes) -> str:
     try:
-        return json.loads(data.decode("utf-8"))
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8 at byte {exc.start}", offset=exc.start) from exc
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         offset = len(exc.doc[:exc.pos].encode())  # exc.pos counts characters
         raise ParseError(f"not valid JSON at byte {offset}: {exc.msg}", offset=offset) from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8 at byte {exc.start}", offset=exc.start) from exc
 
 
 # -- the canonical reader: a repeated value is found by its text, not parsed -----
 
 # Held texts: (a codec's decode, the first HELD_PREFIX characters of a JSON array or
 # object it decoded) -> (that value's whole text, the immutable value decoded from it).
-# Like the intern tables, the table admits entries until it holds MAX_HELD, and then
-# only answers lookups. A platform's bundles repeat six such values; see README.
+# The table admits entries until it holds MAX_HELD, and then only answers lookups, as
+# every verifier memo does. A platform's bundles repeat six such values; see README.
 MAX_HELD = 128
 HELD_PREFIX = 128  # also the shortest text held: a shorter value is cheaper to parse
 _HELD: dict = {}
@@ -756,12 +685,13 @@ _scan = json.scanner.make_scanner(json.JSONDecoder())
 
 def _plan(codec: Codec):
     """How the reader walks a record: its ``make``, and for each field in wire
-    order the tag ``serialize`` writes before its value, its name, its decode
-    and, for a field that is itself a record, that record's plan."""
+    order the tag ``serialize`` writes before its value, its name, and its
+    compiled decode or, for a field that is itself a record, that record's plan."""
     steps = []
     for i, (name, field) in enumerate(codec.fields):
         tag = ("{" if i == 0 else ",") + _string_text(name) + ":"
-        steps.append((tag, name, field.decode, field.fields and _plan(field)))
+        inner = field.fields and _plan(field)
+        steps.append((tag, name, None if inner else _compile(field), inner))
     return codec.make, tuple(steps)
 
 
@@ -811,17 +741,18 @@ def deserialize(data: bytes) -> EvidenceBundle:
     Canonical text is read by ``_read``: a JSON array or object whose exact
     text was decoded before returns the value decoded then, and every other
     value is parsed by the ``json`` scanner and decoded by its codec. Any
-    other text, and any failure, goes to ``obj_to_bundle(load_json(data))``,
-    which alone reports errors, so both paths decode alike. A document read
+    other text, and any failure, goes to the full path,
+    ``obj_to_bundle(load_json(data))`` on the text already decoded, which
+    alone reports errors, so both paths decode alike. A document read
     completely admits its new, immutable arrays and objects to the table."""
+    text = _utf8(data)
     misses = []
     try:
-        text = data.decode()
         bundle, end = _read(text, 0, _BUNDLE_PLAN, misses)
         if end != len(text):
             raise ValueError(f"text after the bundle at {end}")
     except Exception:  # the full path decodes it, or says why it cannot
-        return obj_to_bundle(load_json(data))
+        return obj_to_bundle(_parse_json(text))
     for key, held_text, value in misses:
         if len(_HELD) >= MAX_HELD:
             break

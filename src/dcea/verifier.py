@@ -473,7 +473,7 @@ class Verifier:
     def adopt_challenge(self, challenge: Challenge) -> None:
         """Treat an externally built challenge as issued by this verifier."""
         self._now = max(self._now, challenge.issued_at)
-        self._hold(self._outstanding, _challenge_key(challenge), challenge.issued_at)
+        self._enter(self._outstanding, _challenge_key(challenge), challenge.issued_at)
 
     def verify(
         self,
@@ -485,13 +485,13 @@ class Verifier:
         # one shot per challenge, success or not
         key = _challenge_key(challenge)
         self._outstanding.pop(key, None)
-        self._hold(self._spent, key, challenge.issued_at)
+        self._enter(self._spent, key, challenge.issued_at)
         return verdict
 
     def _expired(self, issued_at: float) -> bool:
         return self._now - issued_at > self.policy.rtt_threshold_ms
 
-    def _hold(self, ledger: Dict[bytes, float], key: bytes, issued_at: float) -> None:
+    def _enter(self, ledger: Dict[bytes, float], key: bytes, issued_at: float) -> None:
         ledger[key] = issued_at
         if len(self._outstanding) + len(self._spent) > self._prune_above:
             # rebuilt rather than deleted from, so the dicts shrink as well

@@ -1,12 +1,12 @@
-"""Every test starts from empty intern tables and an empty table of held
-texts, so a test that relies on decoded values being shared by identity sees
-the same tables whatever ran before it."""
+"""Every test starts from an empty table of held texts, so a test that relies
+on decoded values being shared by identity sees the same table whatever ran
+before it."""
 
 import pytest
 
-from support import empty_intern_tables
+from support import empty_held_texts
 
 
 @pytest.fixture(autouse=True)
-def _empty_intern_tables():
-    empty_intern_tables()
+def _empty_held_texts():
+    empty_held_texts()

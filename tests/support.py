@@ -11,10 +11,8 @@ import random
 from dcea import crypto, evidence, td, tpm, verifier
 
 
-def empty_intern_tables():
-    """Empty the three intern tables and the canonical reader's held texts."""
-    for table in evidence._INTERNED:
-        table.clear()
+def empty_held_texts():
+    """Empty the canonical reader's held texts, the one decode state."""
     evidence._HELD.clear()
 
 

@@ -8,6 +8,7 @@ import random
 import re
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from dcea import adversary, cli, crypto, evidence, platform, td, tpm, verifier
 from dcea.errors import IncompleteBundle, ParseError
 
-from support import empty_intern_tables, rand_cert, random_bundle, verify_once
+from support import empty_held_texts, rand_cert, random_bundle, verify_once
 from test_platform import make_platform
 from test_td import make_qe
 
@@ -423,25 +424,25 @@ def mutated_goldens(draw, document):
     return pair, obj
 
 
+def appraised(appraise):
+    """A ParseError's text, or the JSON of the verdict ``appraise()`` returns."""
+    try:
+        verdict = appraise()
+    except ParseError as exc:
+        return str(exc)
+    assert isinstance(verdict, verifier.Verdict)
+    return json.dumps(cli._verdict_obj(verdict), sort_keys=True)
+
+
 def warm_and_cold(golden, appraise):
-    """``appraise()`` with the intern tables warmed by decoding the file
-    ``golden``, then with them emptied: a ParseError's text or the verdict
-    JSON, which must be the same both times."""
+    """``appraise()`` with the held texts warmed by decoding the bundle file
+    ``golden``, then with them emptied, which must give the same outcome."""
     outcomes = []
     for warm in (True, False):
-        empty_intern_tables()
+        empty_held_texts()
         if warm:
-            if golden.name.endswith(".policy.json"):
-                cli._load(str(golden))
-            else:
-                evidence.deserialize(golden.read_bytes())
-        try:
-            verdict = appraise()
-        except ParseError as exc:
-            outcomes.append(str(exc))
-            continue
-        assert isinstance(verdict, verifier.Verdict)
-        outcomes.append(json.dumps(cli._verdict_obj(verdict), sort_keys=True))
+            evidence.deserialize(golden.read_bytes())
+        outcomes.append(appraised(appraise))
     assert outcomes[0] == outcomes[1]
 
 
@@ -474,15 +475,15 @@ def test_mutated_golden_context_gives_a_parse_error_or_a_verdict(context_file, c
         ctx = cli._load(str(context_file))
         return verify_once(bundle, ctx.policy, ctx.challenge, ctx.registry)
 
-    warm_and_cold(FIXTURES / f"{pair}.policy.json", appraise)
+    appraised(appraise)  # a context decodes with no state: one appraisal is the whole check
 
 
-# -- intern tables: a hit only for the exact JSON value decoded before -------
+# -- a changed value fails at its path, with its reason ----------------------
 
 @pytest.mark.parametrize(
     "path, change, message",
     [
-        # true == 1 and 1.0 == 1 in Python: the warm entry has pcr_index 1, rtmr_index 0
+        # true == 1 and 1.0 == 1 in Python: the entry has pcr_index 1, rtmr_index 0
         (("event_log", 6, "pcr_index"), lambda old: True, "$.event_log[6].pcr_index: expected integer"),
         (("event_log", 6, "rtmr_index"), lambda old: False, "$.event_log[6].rtmr_index: expected integer"),
         (("event_log", 6, "pcr_index"), float, "$.event_log[6].pcr_index: expected integer"),
@@ -497,53 +498,62 @@ def test_mutated_golden_context_gives_a_parse_error_or_a_verdict(context_file, c
          "$.event_log[6].event_digest: hex must be lowercase"),
     ],
 )
-def test_a_warm_table_decodes_a_changed_value_as_an_empty_one_does(path, change, message):
+def test_a_changed_value_fails_at_its_path_with_its_reason(path, change, message):
     obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
-    evidence.obj_to_bundle(obj)
-    assert all(evidence._INTERNED)
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = change(parent.get(path[-1]))
-    for tables in ("warm", "empty"):
-        with pytest.raises(ParseError) as exc:
-            evidence.obj_to_bundle(obj)
-        assert str(exc.value) == message, tables
-        empty_intern_tables()
+    with pytest.raises(ParseError) as exc:
+        evidence.obj_to_bundle(obj)
+    assert str(exc.value) == message
 
 
-def test_intern_tables_fill_to_their_bound_and_keep_what_they_hold():
-    golden = evidence.deserialize((FIXTURES / "honest_s1.dcea.json").read_bytes())
-    seen = [set(), set(), set()]
-    for seed in range(120):
-        bundle = evidence.deserialize(evidence.serialize(random_bundle(seed)))
-        seen[0].update(bundle.td_report.rtmrs)
-        seen[1].update(bundle.ek_cert_chain.certs + bundle.td_report.qe_chain.certs)
-        seen[2].update(bundle.event_log)
-        assert all(len(table) <= evidence.MAX_INTERNED for table in evidence._INTERNED)
-    assert all(len(values) > evidence.MAX_INTERNED for values in seen)
-    assert [len(table) for table in evidence._INTERNED] == [evidence.MAX_INTERNED] * 3
-    again = evidence.deserialize((FIXTURES / "honest_s1.dcea.json").read_bytes())
-    assert again.td_report.mrtd is golden.td_report.mrtd
-    assert again.ek_cert_chain.certs[0] is golden.ek_cert_chain.certs[0]
-    assert again.event_log[0] is golden.event_log[0]
+# the six arrays and objects of a bundle that the reader holds
+HELD_VALUES = attrgetter("ak_cert", "ek_cert_chain", "event_log", "td_report.qe_chain",
+                         "td_report.rtmrs", "tpm_quote.values")
 
 
-def _interned_values(bundle):
-    """Every certificate, event-log entry and register digest of ``bundle``."""
+def _repeated_values(bundle):
+    """Every certificate, event-log entry and register digest of ``bundle``
+    that one of its held values holds: all of them but MRTD."""
     certs = bundle.td_report.qe_chain.certs + bundle.ek_cert_chain.certs + (bundle.ak_cert,)
-    digests = (bundle.td_report.mrtd,) + bundle.td_report.rtmrs
-    return certs + bundle.event_log + digests + tuple(v for _, v in bundle.tpm_quote.values)
+    digests = bundle.td_report.rtmrs + tuple(v for _, v in bundle.tpm_quote.values)
+    return certs + bundle.event_log + digests
 
 
 @pytest.mark.parametrize("pair", GOLDEN)
-def test_a_second_decode_shares_every_repeated_value(pair):
+def test_a_second_decode_shares_the_six_held_values(pair):
     data = (FIXTURES / f"{pair}.dcea.json").read_bytes()
-    first, second = (_interned_values(evidence.deserialize(data)) for _ in range(2))
-    assert len(first) == len(second) > 30
-    assert None not in first
-    for i, (a, b) in enumerate(zip(first, second)):
+    first, second = evidence.deserialize(data), evidence.deserialize(data)
+    assert all(a is b for a, b in zip(HELD_VALUES(first), HELD_VALUES(second)))
+    repeated = list(zip(_repeated_values(first), _repeated_values(second)))
+    assert len(repeated) > 30
+    assert None not in [a for a, _ in repeated]
+    for i, (a, b) in enumerate(repeated):
         assert a is b, (i, a)
+    # MRTD is no array or object, so the reader parses it again: equal, not shared
+    assert second.td_report.mrtd == first.td_report.mrtd
+    assert second.td_report.mrtd is not first.td_report.mrtd
+
+
+def _decoded_objects(bundle):
+    """Every certificate, event-log entry and digest object of ``bundle``."""
+    return (_repeated_values(bundle) + (bundle.td_report.mrtd,)
+            + tuple(entry.event_digest for entry in bundle.event_log))
+
+
+def test_the_full_path_holds_no_state():
+    data = (FIXTURES / "honest_s1.dcea.json").read_bytes()
+    held = evidence.deserialize(data)  # the reader now holds this document's six values
+    texts = dict(evidence._HELD)
+    obj = json.loads(data)
+    first, second = evidence.obj_to_bundle(obj), evidence.obj_to_bundle(obj)
+    assert first == second == held
+    ids = [set(map(id, _decoded_objects(bundle))) for bundle in (first, second, held)]
+    assert len(ids[0]) > 40
+    assert not ids[0] & ids[1] and not ids[0] & ids[2] and not ids[1] & ids[2]
+    assert evidence._HELD == texts
 
 
 def test_a_second_decode_parses_no_repeated_array_or_object(monkeypatch):
@@ -565,10 +575,7 @@ def test_a_second_decode_parses_no_repeated_array_or_object(monkeypatch):
     assert loads == []
     assert [value for value in scanned if isinstance(value, (list, dict))] == [
         obj["scenario_meta"], obj["tpm_quote"]["selection"]]
-    for held in (lambda b: b.event_log, lambda b: b.ek_cert_chain, lambda b: b.ak_cert,
-                 lambda b: b.td_report.qe_chain, lambda b: b.td_report.rtmrs,
-                 lambda b: b.tpm_quote.values):
-        assert held(second) is held(first)
+    assert all(a is b for a, b in zip(HELD_VALUES(second), HELD_VALUES(first)))
     assert second == first
 
 
@@ -658,7 +665,7 @@ def _full_path(data):
 def test_the_reader_decodes_as_the_full_path_does_from_warm_and_empty_tables(case):
     original, data = case
     for warm in (True, False):
-        empty_intern_tables()
+        empty_held_texts()
         if warm:
             evidence.deserialize(original)
             assert evidence._HELD
@@ -710,36 +717,26 @@ def compiled_inputs(draw):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-_TABLES = (*evidence._INTERNED, evidence._HELD)
-
-
 @functools.lru_cache(maxsize=None)
-def full_tables():
-    """Copies of the intern tables and the held texts, each filled to its
-    bound by decoding the goldens and then random bundles."""
+def full_held_texts():
+    """A copy of the held texts, filled to their bound by decoding the goldens
+    and then random bundles."""
     for pair in GOLDEN:
         evidence.deserialize((FIXTURES / f"{pair}.dcea.json").read_bytes())
-    for seed in range(120):
+    for seed in range(60):
         evidence.deserialize(evidence.serialize(random_bundle(seed)))
-    bounds = [evidence.MAX_INTERNED] * 3 + [evidence.MAX_HELD]
-    assert [len(table) for table in _TABLES] == bounds
-    tables = tuple(dict(table) for table in _TABLES)
-    empty_intern_tables()
-    return tables
+    assert len(evidence._HELD) == evidence.MAX_HELD
+    held = dict(evidence._HELD)
+    empty_held_texts()
+    return held
 
 
-def _decode_outcome(decode, obj, tables):
-    """From ``tables`` (None for empty ones): the repr of what ``decode(obj, "$")``
-    returns, or the type and text of what it raises, and the keys of the intern
-    tables after it."""
-    empty_intern_tables()
-    for table, held in zip(_TABLES, tables or ()):
-        table.update(held)
+def _outcome(decode, value):
+    """The repr of what ``decode(value)`` returns, or the type and text of what it raises."""
     try:
-        outcome = repr(decode(obj, "$"))
+        return repr(decode(value))
     except Exception as exc:  # any outcome must match the walk's
-        outcome = type(exc), str(exc)
-    return outcome, [list(table) for table in evidence._INTERNED]
+        return type(exc), str(exc)
 
 
 @settings(max_examples=500, deadline=None)
@@ -749,14 +746,33 @@ def test_the_compiled_decode_decodes_as_the_combinator_walk(data):
         obj = evidence.load_json(data)
     except ParseError:
         return  # no JSON value to decode
-    for tables in (None, full_tables()):
-        compiled = _decode_outcome(evidence._BUNDLE.decode, obj, tables)
-        assert compiled == _decode_outcome(evidence._BUNDLE.walk, obj, tables)
+    want = _outcome(lambda obj: evidence._BUNDLE.walk(obj, "$"), obj)
+    assert _outcome(evidence.obj_to_bundle, obj) == want
+    # the reader's compiled field decodes, from empty and from full held texts
+    for held in ({}, full_held_texts()):
+        evidence._HELD.clear()
+        evidence._HELD.update(held)
+        assert _outcome(evidence.deserialize, data) == want
+
+
+def _reader_decodes(plan):
+    """(name, decode) of each field the reader reads in the record ``plan``."""
+    for _, name, decode, inner in plan[1]:
+        yield from _reader_decodes(inner) if inner else [(name, decode)]
 
 
 def test_every_record_decodes_through_compiled_code():
+    compiled = "<compiled decode>"
     for codec in (evidence._BUNDLE, evidence._CERT, verifier.POLICY, verifier.REGISTRY, cli._CONTEXT):
-        assert codec.decode.__code__.co_filename == "<compiled decode>"
+        assert codec.decode.__code__.co_filename == compiled
+    # so is the decode of every field the reader reads, but scenario_meta's, its walk
+    decodes = dict(_reader_decodes(evidence._BUNDLE_PLAN))
+    assert len(decodes) == 29
+    assert [name for name, decode in decodes.items()
+            if decode.__code__.co_filename != compiled] == ["scenario_meta"]
+    # a part whose code its parent writes out in place keeps its walk as its decode
+    for codec in (evidence.DIGEST, evidence.PCR_INDEX, evidence.STRING, evidence._CHAIN):
+        assert codec.decode is codec.walk
 
 
 @pytest.mark.parametrize("spoil", [
@@ -827,7 +843,7 @@ def test_the_event_log_is_capped_on_both_decode_paths(reencode):
         assert str(exc.value) == f"$.event_log: expected at most {cap} items, got {cap + 1}"
 
 
-# -- interned values keep the text they were first written as ----------------
+# -- certificates and entries keep the text they were first written as -------
 
 # every record's encoder shares this code object; the value it renders is its argument
 RECORD_ENCODE = evidence._CERT.encode.__code__
@@ -853,7 +869,7 @@ def renders(action):
 
 
 def _certs_and_entries(bundle):
-    return [v for v in _interned_values(bundle) if isinstance(v, KEEPS_TEXT)]
+    return [v for v in _repeated_values(bundle) if isinstance(v, KEEPS_TEXT)]
 
 
 def test_a_second_serialize_renders_no_certificate_or_entry_again():
@@ -880,7 +896,7 @@ def test_kept_text_is_rendered_from_the_value_not_copied_from_the_input():
     golden = (FIXTURES / "honest_s1.dcea.json").read_bytes()
     spaced = json.dumps(json.loads(golden), indent=1).encode()  # same values, other bytes
     for data in (spaced, golden):
-        empty_intern_tables()
+        empty_held_texts()
         assert evidence.serialize(evidence.deserialize(data)) == golden
 
 

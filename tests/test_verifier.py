@@ -15,7 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from dcea import adversary, cli, crypto, evidence, platform, td, tpm, verifier
 from dcea.tpm import TpmKind
 
-from support import empty_intern_tables, verify_once
+from support import empty_held_texts, verify_once
 from test_evidence import honest_bundle, honest_pieces
 from test_td import make_qe
 
@@ -639,8 +639,8 @@ def wire_trip(bundle):
 
 def warm_wire_verifier():
     """A world and a long-lived verifier that has accepted one bundle decoded
-    through emptied intern tables, and that bundle."""
-    empty_intern_tables()
+    from emptied held texts, and that bundle."""
+    empty_held_texts()
     world = adversary.build_world(adversary.WorldConfig(seed=11))
     v = new_verifier(world)
     bundle, challenge = next_bundle(world)
@@ -675,7 +675,7 @@ def alter_pcr2(world, bundle):
 
 
 @pytest.mark.parametrize("alter", [alter_rtmr1, alter_pcr2], ids=["rtmr1", "pcr2"])
-def test_c5_memo_rejects_one_altered_register_under_the_interned_log(alter):
+def test_c5_memo_rejects_one_altered_register_under_the_held_log(alter):
     world, v, honest = warm_wire_verifier()
     bundle, challenge = next_bundle(world)
     bundle = wire_trip(alter(world, bundle))
@@ -686,7 +686,7 @@ def test_c5_memo_rejects_one_altered_register_under_the_interned_log(alter):
     assert verdict.checks_by_id()["C5"].detail == "inconsistent registers: RTMR1"
 
 
-def test_c5_memo_rejects_one_altered_log_entry_under_the_interned_registers():
+def test_c5_memo_rejects_one_altered_log_entry_under_the_held_registers():
     world, v, honest = warm_wire_verifier()
     bundle, challenge = next_bundle(world)
     *rest, agent = bundle.event_log
@@ -717,7 +717,7 @@ def test_c5_memo_returns_the_remembered_result_object():
 def test_a_warm_verifier_gives_a_fresh_verifiers_verdict(sid, dep):
     assert len(LIVE_CELLS) == 15
     for seed in range(5):
-        empty_intern_tables()
+        empty_held_texts()
         world = adversary.build_world(adversary.WorldConfig(seed=seed, deployment=dep))
         scenario = adversary.SCENARIOS.get(sid)
         policy = adversary.default_policy_for(world, scenario)
@@ -810,7 +810,7 @@ def test_c5_memo_never_grows_past_its_bound(monkeypatch):
 
 
 def test_an_in_memory_bundle_appraised_again_replays_nothing_and_builds_no_rows(monkeypatch):
-    # the prover's own objects, which no intern table holds: the memo keys
+    # the prover's own objects, which no held text found: the memo keys
     # by value, so the second bundle from the platform hits
     world, v = warm_verifier()
     assert len(v._c5_memo) == 2  # the replay and the rows
@@ -834,8 +834,9 @@ def test_a_warm_appraisal_replays_nothing_and_builds_no_rows(monkeypatch):
         seen.append(counts.take())
     first, *warm = seen
     assert (first["verify"], first["extend"], first["RowResult"]) == (7, 11, 4)
-    # the one Digest a warm op builds is C3's digest of the quoting key
-    assert warm == [{"verify": 2, "extend": 0, "Digest": 1, "RowResult": 0}] * 2
+    # a warm op builds two Digests: C3's digest of the quoting key, and the
+    # decoded MRTD, which is no array or object, so the reader parses it again
+    assert warm == [{"verify": 2, "extend": 0, "Digest": 2, "RowResult": 0}] * 2
 
 
 def with_unlogged_guest_entries(bundle, serial, n=40):
@@ -882,9 +883,10 @@ def test_an_appraisal_with_a_check_disabled_stores_nothing_in_the_c5_memo():
     assert len(v._c5_memo) == 2
 
 
-def test_entries_that_measure_one_image_into_two_registers_intern_apart(monkeypatch):
+def test_entries_that_measure_one_image_into_two_registers_decode_apart(monkeypatch):
     # the host and the guest ``kernel`` entries of honest_pieces share an
-    # event digest; each is interned under its own scope and registers
+    # event digest; the held log keeps both, and the C5 memo keys each by its
+    # own scope and registers
     wire = evidence.serialize(honest_bundle())
     first, second = evidence.deserialize(wire), evidence.deserialize(wire)
     assert len(first.event_log) == 11
