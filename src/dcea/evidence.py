@@ -8,9 +8,10 @@ changes. Each wire type is one table of field codecs below (``record`` and
 its combinators), and each codec defines both directions: it writes a value
 straight to the canonical JSON text and reads a parsed JSON value back, so
 encoder and decoder cannot drift apart; the README documents the same layout.
-Records and the fields the canonical reader reads decode through code
-compiled from those tables at import (see ``_compile``), and the
-combinators' own walk is the reference it must equal.
+Records and the fields the canonical reader reads decode first through an
+accept function compiled from those tables at import (see ``_compile``),
+which only takes good values; the combinators' own walk judges every other
+value, and is the only decode that says why one is refused.
 A decoded object may carry no key outside its table.
 ``serialize(deserialize(x)) == x`` for canonical input ``x``, the bytes
 ``serialize`` writes. Other well-formed spellings, such as an indented
@@ -31,7 +32,6 @@ report_data layout (64 bytes):
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import json.scanner
 import math
@@ -111,19 +111,19 @@ class Codec(NamedTuple):
     very text ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
     writes for the JSON value ``obj`` that ``decode(obj, path)`` reads back.
     ``walk`` is the combinator decode, built from the walks of the codec's
-    parts: the reference that ``decode`` equals, and the only decode that
-    raises ParseError, naming where ``obj`` sits. A record's ``decode`` is
-    compiled from ``inline`` (see ``_compile``); any other codec's is
-    ``walk``, and compiled code that holds the codec writes its ``inline``
-    in place. A path is ``"$"`` or a ``(parent path, key or index)`` pair,
-    rendered only for an error."""
+    parts: the reference, and the only decode that raises ParseError,
+    naming where ``obj`` sits. A record's ``decode`` is its accept function
+    (see ``_compile``), else, for any value that function refuses, its
+    ``walk``; any other codec's is ``walk``, and an accept function that
+    holds the codec writes its ``inline`` in place. A path is ``"$"`` or a
+    ``(parent path, key or index)`` pair, rendered only for an error."""
 
     encode: Callable
     decode: Callable
     walk: Callable
-    # ``inline(codec, source, x, path, depth)`` writes the codec's checks into
-    # compiled code (see ``_Source``); None for a codec that compiled code calls
-    # through its walk
+    # ``inline(codec, source, x, depth)`` writes the checks that take a good value
+    # into an accept function (see ``_Source``); None for a codec that an accept
+    # function calls through its walk
     inline: Optional[Callable] = None
     optional: bool = False  # a record may omit the key, which reads as None
     # a record's field table in wire order and the ``make`` it decodes through;
@@ -134,15 +134,18 @@ class Codec(NamedTuple):
     make: Optional[Callable] = None
 
 
-class _Source:
-    """The text of one compiled decode, and the values that text names.
+class _Miss(Exception):
+    """An accept function does not take the value; the walk says why."""
 
-    ``codec.inline(codec, source, x, path, depth)`` writes, at ``depth``,
-    statements that turn the local ``x``, a JSON value, into its decoded
-    value. ``path`` is the text of an expression for ``x``'s path, and it is
-    written only into the branch that a failed check takes, which hands
-    ``x`` and its path to the codec's walk: the walk alone raises, and
-    should it accept ``x`` after all, its value stands."""
+
+class _Source:
+    """The text of one accept function, and the values that text names.
+
+    ``codec.inline(codec, source, x, depth)`` writes, at ``depth``,
+    statements that turn the local ``x``, a JSON value that ``codec``
+    accepts, into its decoded value, and raise for any other value: a
+    failed check raises ``_Miss``. They name no path and catch nothing, as
+    the walk alone says why a value is refused."""
 
     def __init__(self):
         self.lines: list = []
@@ -160,35 +163,35 @@ class _Source:
     def line(self, depth: int, text: str) -> None:
         self.lines.append("    " * depth + text)
 
-    def walk(self, codec: Codec, x: str, path: str) -> str:
-        return f"{self.name(codec.walk)}({x}, {path})"
+    def call(self, codec: Codec, x: str, depth: int) -> None:
+        self.line(depth, f"{x} = {self.name(_compile(codec))}({x})")
 
-    def call(self, codec: Codec, x: str, path: str, depth: int) -> None:
-        self.line(depth, f"{x} = {self.name(codec.decode)}({x}, {path})")
-
-    def emit(self, codec: Codec, x: str, path: str, depth: int) -> None:
+    def emit(self, codec: Codec, x: str, depth: int) -> None:
         """Code that turns ``x`` into ``codec``'s value: inlined, or a call."""
         if codec.inline is None:
-            self.call(codec, x, path, depth)
+            self.call(codec, x, depth)
         else:
-            codec.inline(codec, self, x, path, depth)
+            codec.inline(codec, self, x, depth)
 
 
 @functools.cache
 def _compile(codec: Codec) -> Callable:
-    """``codec``'s decode as one function, written from its codec tables
-    alone, never from input, as ``dataclasses`` writes ``__init__``; once
-    per codec. A codec without ``inline`` decodes by its walk."""
+    """``codec``'s accept function, ``accept(obj)``: the decoded value of a
+    JSON value that every check of the codec takes, and a raise for any
+    other. It is written from the codec tables alone, never from input, as
+    ``dataclasses`` writes ``__init__``; once per codec. A codec without
+    ``inline`` accepts by its walk."""
     if codec.inline is None:
-        return codec.walk
+        walk = codec.walk
+        return lambda obj: walk(obj, "$")
     source = _Source()
-    source.emit(codec, "obj", "path", 2)
-    names, values = zip(*source.values.values())
-    text = "\n".join([f"def build({', '.join(names)}):", "    def decode(obj, path):",
-                      *source.lines, "        return obj", "    return decode"])
+    source.emit(codec, "obj", 2)
+    names = [name for name, _ in source.values.values()]
+    text = "\n".join([f"def build({', '.join(names)}):", "    def accept(obj):",
+                      *source.lines, "        return obj", "    return accept"])
     scope: dict = {}
     exec(compile(text, "<compiled decode>", "exec"), globals(), scope)
-    return scope["build"](*values)
+    return scope["build"](*[value for _, value in source.values.values()])
 
 
 def _codec(encode: Callable, walk: Callable, inline: Optional[Callable] = None, **rest) -> Codec:
@@ -230,9 +233,8 @@ def scalar(kind: type, name: str) -> Codec:
             _fail(path, f"expected {name}")
         return obj
 
-    def inline(self, source, x, path, depth):
-        source.line(depth, f"if {x}.__class__ is not {source.name(kind)}:")
-        source.line(depth + 1, f"{x} = {source.walk(self, x, path)}")
+    def inline(self, source, x, depth):
+        source.line(depth, f"if {x}.__class__ is not {source.name(kind)}: raise _Miss")
 
     return _codec(_string_text if kind is str else _number_text, walk, inline)
 
@@ -248,10 +250,9 @@ def _number(obj, path) -> float:
     _fail(path, "expected a finite number")
 
 
-def _inline_number(self, source, x, path, depth):
-    # an integer, which reads as a float, takes the walk
-    source.line(depth, f"if {x}.__class__ is not float or not {source.name(math.isfinite)}({x}):")
-    source.line(depth + 1, f"{x} = {source.walk(self, x, path)}")
+def _inline_number(self, source, x, depth):
+    # an integer, which the walk reads as a float, is left to the walk
+    source.line(depth, f"if {x}.__class__ is not float or not {source.name(math.isfinite)}({x}): raise _Miss")
 
 
 STRING = scalar(str, "string")
@@ -278,19 +279,12 @@ def hex_bytes(width: Optional[int] = None) -> Codec:
             _fail(path, f"expected {width} bytes, got {len(raw)}")
         return raw
 
-    def inline(self, source, x, path, depth):
-        line, raw = source.line, source.local()
-        line(depth, f"{raw} = None")
-        line(depth, f"if {x}.__class__ is str:")
-        line(depth + 1, "try:")
-        line(depth + 2, f"{raw} = unhexlify({x})")
-        line(depth + 1, "except ValueError:")
-        line(depth + 2, "pass")
+    def inline(self, source, x, depth):
+        raw = source.local()
+        source.line(depth, f"{raw} = unhexlify({x})")  # raises for bad hex or a non-string
         fits = "" if width is None else f" or len({raw}) != {width}"
-        line(depth, f"if {raw} is None{fits} or {raw}.hex() != {x}:")
-        line(depth + 1, f"{x} = {source.walk(self, x, path)}")
-        line(depth, "else:")
-        line(depth + 1, f"{x} = {raw}")
+        source.line(depth, f"if {x}.__class__ is not str or {raw}.hex() != {x}{fits}: raise _Miss")
+        source.line(depth, f"{x} = {raw}")
 
     return _codec(lambda value: f'"{value.hex()}"', walk, inline)  # hex needs no escape
 
@@ -307,10 +301,9 @@ def enum_of(cls: Type[Enum], what: str) -> Codec:
             _fail(path, f"unknown {what} {text!r}")
         return member
 
-    def inline(self, source, x, path, depth):
-        member = source.local()
-        source.line(depth, f"{member} = {source.name(members)}.get({x}) if {x}.__class__ is str else None")
-        source.line(depth, f"{x} = {source.walk(self, x, path)} if {member} is None else {member}")
+    def inline(self, source, x, depth):
+        source.line(depth, f"if {x}.__class__ is not str: raise _Miss")
+        source.line(depth, f"{x} = {source.name(members)}[{x}]")
 
     return _codec(lambda member: _string_text(member.value), walk, inline)
 
@@ -326,11 +319,9 @@ def checked(codec: Codec, ok: Callable, why: Callable) -> Codec:
             _fail(path, why(value))
         return value
 
-    def inline(self, source, x, path, depth):
-        value = source.local()
-        source.line(depth, f"{value} = {x}")
-        source.emit(codec, value, path, depth)
-        source.line(depth, f"{x} = {value} if {source.name(ok)}({value}) else {source.walk(self, x, path)}")
+    def inline(self, source, x, depth):
+        source.emit(codec, x, depth)
+        source.line(depth, f"if not {source.name(ok)}({x}): raise _Miss")
 
     return _codec(codec.encode, walk, inline, optional=codec.optional)
 
@@ -344,8 +335,8 @@ def wrap(codec: Codec, build: Callable, unwrap: Callable) -> Codec:
     """``codec``'s wire form for what ``build`` makes of its decoded value."""
     walk_value = codec.walk
 
-    def inline(self, source, x, path, depth):
-        source.emit(codec, x, path, depth)
+    def inline(self, source, x, depth):
+        source.emit(codec, x, depth)
         source.line(depth, f"{x} = {source.name(build)}({x})")
 
     return _codec(lambda v: codec.encode(unwrap(v)), lambda o, path: build(walk_value(o, path)), inline)
@@ -378,9 +369,9 @@ def optional(codec: Codec) -> Codec:
     """``codec`` or null, which reads as None."""
     encode, walk_value = codec.encode, codec.walk
 
-    def inline(self, source, x, path, depth):
+    def inline(self, source, x, depth):
         source.line(depth, f"if {x} is not None:")
-        source.emit(codec, x, path, depth + 1)
+        source.emit(codec, x, depth + 1)
 
     return _codec(
         lambda value: "null" if value is None else encode(value),
@@ -401,17 +392,15 @@ def list_of(item: Codec, most: Optional[int] = None) -> Codec:
             _fail(path, f"expected at most {most} items, got {len(obj)}")
         return tuple([walk_item(x, (path, i)) for i, x in enumerate(obj)])
 
-    def inline(self, source, x, path, depth):
-        items, i, value = source.local(), source.local(), source.local()
-        fits = "" if most is None else f" and len({x}) <= {most}"
-        source.line(depth, f"if {x}.__class__ is list{fits}:")
-        source.line(depth + 1, f"{items} = []")
-        source.line(depth + 1, f"for {i}, {value} in enumerate({x}):")
-        source.emit(item, value, f"({path}, {i})", depth + 2)
-        source.line(depth + 2, f"{items}.append({value})")
-        source.line(depth + 1, f"{x} = tuple({items})")
-        source.line(depth, "else:")
-        source.line(depth + 1, f"{x} = {source.walk(self, x, path)}")
+    def inline(self, source, x, depth):
+        items, value = source.local(), source.local()
+        fits = "" if most is None else f" or len({x}) > {most}"
+        source.line(depth, f"if {x}.__class__ is not list{fits}: raise _Miss")
+        source.line(depth, f"{items} = []")
+        source.line(depth, f"for {value} in {x}:")
+        source.emit(item, value, depth + 1)
+        source.line(depth + 1, f"{items}.append({value})")
+        source.line(depth, f"{x} = tuple({items})")
 
     return _codec(lambda values: "[" + ",".join([encode(v) for v in values]) + "]", walk, inline)
 
@@ -426,15 +415,13 @@ def pair_of(first: Codec, second: Codec) -> Codec:
             _fail(path, "expected a two-item array")
         return walk_first(obj[0], (path, 0)), walk_second(obj[1], (path, 1))
 
-    def inline(self, source, x, path, depth):
+    def inline(self, source, x, depth):
         a, b = source.local(), source.local()
-        source.line(depth, f"if {x}.__class__ is list and len({x}) == 2:")
-        source.line(depth + 1, f"{a}, {b} = {x}")
-        source.emit(first, a, f"({path}, 0)", depth + 1)
-        source.emit(second, b, f"({path}, 1)", depth + 1)
-        source.line(depth + 1, f"{x} = {a}, {b}")
-        source.line(depth, "else:")
-        source.line(depth + 1, f"{x} = {source.walk(self, x, path)}")
+        source.line(depth, f"if {x}.__class__ is not list or len({x}) != 2: raise _Miss")
+        source.line(depth, f"{a}, {b} = {x}")
+        source.emit(first, a, depth)
+        source.emit(second, b, depth)
+        source.line(depth, f"{x} = {a}, {b}")
 
     return _codec(
         lambda pair: "[" + encode_first(pair[0]) + "," + encode_second(pair[1]) + "]", walk, inline
@@ -478,31 +465,14 @@ STRING_MAP = _codec(lambda pairs: _object_text(pairs, _string_text), _string_map
 _REFUSED = (InvalidEntry, IncompleteBundle, ValueError)
 
 
-def _arguments(make: Callable, values: Mapping[str, str]) -> str:
-    """The arguments of a call of ``make`` with the named ``values``: by
-    position for the leading parameters they fill, which a call binds
-    faster, and by keyword for the rest."""
-    by_keyword = dict(values)
-    by_position = []
-    try:
-        parameters = inspect.signature(make).parameters.values()
-    except ValueError:  # a builtin, such as SimpleNamespace, that states none
-        parameters = ()
-    for parameter in parameters:
-        if parameter.kind not in (parameter.POSITIONAL_ONLY, parameter.POSITIONAL_OR_KEYWORD) \
-                or parameter.name not in by_keyword:
-            break
-        by_position.append(by_keyword.pop(parameter.name))
-    return ", ".join(by_position + [f"{name}={value}" for name, value in by_keyword.items()])
-
-
 def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
     """A JSON object with exactly the keys of ``fields``: written from the
     value's attributes of those names, read as ``make(**values)``. An
     InvalidEntry, IncompleteBundle or ValueError from ``make`` fails at the
-    object's path. Its decode is compiled: the checks of every field are
-    written in place, a field that is itself a record is called through its
-    own decode, and ``make`` is called once."""
+    object's path. Its decode runs its accept function, compiled with the
+    checks of every field written in place, a field that is itself a record
+    called through its own accept function, and ``make`` called once; any
+    value that function refuses goes to the walk, which judges it."""
     names = frozenset(fields)
     required = frozenset(name for name, codec in fields.items() if not codec.optional)
     walks = tuple((name, codec.walk) for name, codec in fields.items())
@@ -528,41 +498,44 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
         except _REFUSED as exc:
             _fail(path, exc)
 
-    def inline(self, source, x, path, depth):
-        line = source.line
-        line(depth, f"if {x}.__class__ is dict and {x}.keys() == {source.name(names)}:")
-        values = {}
-        for name, codec in fields.items():  # the walk's order, so the same check fails first
-            value = values[name] = source.local()
-            line(depth + 1, f"{value} = {x}[{name!r}]")
+    def inline(self, source, x, depth):
+        source.line(depth, f"if {x}.__class__ is not dict or {x}.keys() != {source.name(names)}: raise _Miss")
+        values = []
+        for name, codec in fields.items():
+            value = source.local()
+            source.line(depth, f"{value} = {x}[{name!r}]")
             # a record field is called: it runs once per object, and written out
             # in place it would make the memory compiling its parent takes grow
-            write = source.call if codec.fields else source.emit
-            write(codec, value, f"({path}, {name!r})", depth + 1)
-        line(depth + 1, "try:")
-        line(depth + 2, f"{x} = {source.name(make)}({_arguments(make, values)})")
-        line(depth + 1, "except _REFUSED:")
-        line(depth + 2, f"{x} = {source.walk(self, x, path)}")
-        line(depth, "else:")
-        line(depth + 1, f"{x} = {source.walk(self, x, path)}")
+            (source.call if codec.fields else source.emit)(codec, value, depth)
+            values.append(f"{name}={value}")
+        source.line(depth, f"{x} = {source.name(make)}({', '.join(values)})")
 
     def encode(value):
         return "{" + ",".join([prefix + enc(get(value)) for prefix, get, enc in encoders]) + "}"
 
-    codec = _codec(encode, walk, inline, fields=table, make=make)
-    return codec._replace(decode=_compile(codec))
+    def decode(obj, path):
+        try:
+            return accept(obj)
+        except Exception:  # refused, by a check or by ``make``: the walk judges
+            return walk(obj, path)
+
+    codec = Codec(encode, decode, walk, inline, fields=table, make=make)
+    accept = _compile(codec)  # read by ``decode`` when it runs
+    return codec
 
 
 # -- the bundle's wire types; the README documents the same layout ----------
 
 DIGEST = wrap(hex_bytes(crypto.DIGEST_LEN), Digest, attrgetter("data"))
 NONCE = hex_bytes(NONCE_LEN)
+# one codec per width, so each width's accept function is compiled once
+_HEX, _HEX_48 = hex_bytes(), hex_bytes(48)
 
 _CERT = record(Certificate, {
-    "subject_public": hex_bytes(),
+    "subject_public": _HEX,
     "issuer_id": STRING,
     "claims": wrap(STRING_MAP, lambda claims: tuple(sorted(claims.items())), dict),
-    "signature": hex_bytes(),
+    "signature": _HEX,
 })
 
 
@@ -599,24 +572,24 @@ _BUNDLE = record(_bundle, {
             list_of(DIGEST), lambda rtmrs: len(rtmrs) == N_RTMRS,
             lambda rtmrs: f"expected {N_RTMRS} registers, got {len(rtmrs)}",
         ),
-        "mrconfigid": hex_bytes(48),
-        "mrowner": hex_bytes(48),
-        "mrownerconfig": hex_bytes(48),
+        "mrconfigid": _HEX_48,
+        "mrowner": _HEX_48,
+        "mrownerconfig": _HEX_48,
         "report_data": hex_bytes(REPORT_DATA_LEN),
-        "tee_tcb_svn": hex_bytes(),
-        "mrseam": hex_bytes(),
-        "seam_attributes": hex_bytes(),
-        "td_attributes": hex_bytes(),
+        "tee_tcb_svn": _HEX,
+        "mrseam": _HEX,
+        "seam_attributes": _HEX,
+        "td_attributes": _HEX,
         "ppid": STRING,
-        "qe_signature": hex_bytes(),
+        "qe_signature": _HEX,
         "qe_chain": _CHAIN,
     }),
     "tpm_quote": record(_quote, {
         "selection": list_of(PCR_INDEX),
         "values": list_of(pair_of(PCR_INDEX, DIGEST)),
         "nonce": NONCE,
-        "ak_public": hex_bytes(),
-        "signature": hex_bytes(),
+        "ak_public": _HEX,
+        "signature": _HEX,
         "algorithm": exactly(STRING, crypto.SIGNATURE_ALGORITHM, "algorithm"),
     }),
     "ek_cert_chain": _CHAIN,
@@ -668,6 +641,8 @@ def _parse_json(text: str):
     except json.JSONDecodeError as exc:
         offset = len(exc.doc[:exc.pos].encode())  # exc.pos counts characters
         raise ParseError(f"not valid JSON at byte {offset}: {exc.msg}", offset=offset) from exc
+    except RecursionError as exc:  # arrays or objects nested deeper than the parser's stack
+        raise ParseError("not valid JSON: nested too deeply") from exc
 
 
 # -- the canonical reader: a repeated value is found by its text, not parsed -----
@@ -686,7 +661,7 @@ _scan = json.scanner.make_scanner(json.JSONDecoder())
 def _plan(codec: Codec):
     """How the reader walks a record: its ``make``, and for each field in wire
     order the tag ``serialize`` writes before its value, its name, and its
-    compiled decode or, for a field that is itself a record, that record's plan."""
+    accept function or, for a field that is itself a record, that record's plan."""
     steps = []
     for i, (name, field) in enumerate(codec.fields):
         tag = ("{" if i == 0 else ",") + _string_text(name) + ":"
@@ -705,7 +680,7 @@ def _read(text: str, pos: int, plan, misses: list):
     Appends each array or object that was parsed, not found, to ``misses``."""
     make, steps = plan
     values = {}
-    for tag, name, decode, inner in steps:
+    for tag, name, accept, inner in steps:
         if not text.startswith(tag, pos):
             raise ValueError(f"no {tag!r} at {pos}")
         pos += len(tag)
@@ -714,7 +689,7 @@ def _read(text: str, pos: int, plan, misses: list):
             continue
         key = None
         if text[pos] in "[{":
-            key = (decode, text[pos:pos + HELD_PREFIX])
+            key = (accept, text[pos:pos + HELD_PREFIX])
             held = _HELD.get(key)
             if held is not None and text.startswith(held[0], pos):
                 values[name] = held[1]
@@ -725,7 +700,7 @@ def _read(text: str, pos: int, plan, misses: list):
                     raise LookupError("a full table and a new first value")
                 key = None
         obj, end = _scan(text, pos)
-        values[name] = decode(obj, "$")
+        values[name] = accept(obj)
         if key is not None and end - pos >= HELD_PREFIX:
             misses.append((key, text[pos:end], values[name]))
         pos = end
@@ -740,10 +715,10 @@ def deserialize(data: bytes) -> EvidenceBundle:
 
     Canonical text is read by ``_read``: a JSON array or object whose exact
     text was decoded before returns the value decoded then, and every other
-    value is parsed by the ``json`` scanner and decoded by its codec. Any
-    other text, and any failure, goes to the full path,
-    ``obj_to_bundle(load_json(data))`` on the text already decoded, which
-    alone reports errors, so both paths decode alike. A document read
+    value is parsed by the ``json`` scanner and decoded by its codec's
+    accept function. Any other text, and any failure, goes to the full
+    path, ``obj_to_bundle(load_json(data))`` on the text already decoded,
+    which alone reports errors, so both paths decode alike. A document read
     completely admits its new, immutable arrays and objects to the table."""
     text = _utf8(data)
     misses = []

@@ -4,8 +4,10 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from operator import attrgetter
@@ -19,6 +21,7 @@ from dcea import adversary, cli, crypto, evidence, platform, td, tpm, verifier
 from dcea.errors import IncompleteBundle, ParseError
 
 from support import empty_held_texts, rand_cert, random_bundle, verify_once
+from test_adversary import CELL_DIGESTS, attest_cell
 from test_platform import make_platform
 from test_td import make_qe
 
@@ -178,6 +181,10 @@ def test_parse_error_carries_offset():
     with pytest.raises(ParseError, match=r"^not valid JSON at byte 9: Expecting value$") as exc:
         evidence.deserialize('{"éé": x}'.encode())
     assert exc.value.offset == 9
+    # nesting deeper than the parser's stack is a parse error too, not a RecursionError
+    for decode in (evidence.deserialize, evidence.load_json):
+        with pytest.raises(ParseError, match=r"^not valid JSON: nested too deeply$"):
+            decode(b"[" * 1000 + b"]" * 1000)
 
 
 def test_parse_error_on_schema_violations():
@@ -755,24 +762,88 @@ def test_the_compiled_decode_decodes_as_the_combinator_walk(data):
         assert _outcome(evidence.deserialize, data) == want
 
 
-def _reader_decodes(plan):
-    """(name, decode) of each field the reader reads in the record ``plan``."""
-    for _, name, decode, inner in plan[1]:
-        yield from _reader_decodes(inner) if inner else [(name, decode)]
+def _reader_accepts(plan):
+    """(name, accept function) of each field the reader reads in the record ``plan``."""
+    for _, name, accept, inner in plan[1]:
+        yield from _reader_accepts(inner) if inner else [(name, accept)]
+
+
+# counts the accept functions compiled while ``dcea.cli`` is imported, and their bytes
+_COUNT_COMPILED = """
+import builtins
+texts, real = [], builtins.compile
+def counting(source, filename, *args, **kwargs):
+    if filename == "<compiled decode>":
+        texts.append(source)
+    return real(source, filename, *args, **kwargs)
+builtins.compile = counting
+import dcea.cli
+print(len(texts), sum(len(text.encode()) for text in texts))
+"""
 
 
 def test_every_record_decodes_through_compiled_code():
     compiled = "<compiled decode>"
     for codec in (evidence._BUNDLE, evidence._CERT, verifier.POLICY, verifier.REGISTRY, cli._CONTEXT):
-        assert codec.decode.__code__.co_filename == compiled
-    # so is the decode of every field the reader reads, but scenario_meta's, its walk
-    decodes = dict(_reader_decodes(evidence._BUNDLE_PLAN))
-    assert len(decodes) == 29
-    assert [name for name, decode in decodes.items()
-            if decode.__code__.co_filename != compiled] == ["scenario_meta"]
+        assert evidence._compile(codec).__code__.co_filename == compiled
+    # so is the accept function of every field the reader reads, but scenario_meta's, its walk
+    accepts = dict(_reader_accepts(evidence._BUNDLE_PLAN))
+    assert len(accepts) == 29
+    assert [name for name, accept in accepts.items()
+            if accept.__code__.co_filename != compiled] == ["scenario_meta"]
     # a part whose code its parent writes out in place keeps its walk as its decode
     for codec in (evidence.DIGEST, evidence.PCR_INDEX, evidence.STRING, evidence._CHAIN):
         assert codec.decode is codec.walk
+    # one function per codec: the hex fields of each width share one
+    src = str(Path(evidence.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _COUNT_COMPILED], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    functions, size = map(int, out.split())
+    assert functions <= 33 and size <= 30_000
+
+
+def test_the_accept_functions_take_every_golden_and_live_cell_document():
+    # a refusal by compiled code is hidden behind the walk's equal value: call it directly
+    accept = evidence._compile(evidence._BUNDLE)
+    assert len(CELL_DIGESTS) == 15  # one bundle of each live cell
+    for data in [(FIXTURES / f"{pair}.dcea.json").read_bytes() for pair in GOLDEN] + [
+            evidence.serialize(attest_cell(sid, dep, seed=0).bundle) for sid, dep in CELL_DIGESTS]:
+        obj = json.loads(data)
+        assert accept(obj) == evidence._BUNDLE.walk(obj, "$")
+        assert evidence._read(data.decode(), 0, evidence._BUNDLE_PLAN, [])[1] == len(data)
+    accept = evidence._compile(cli._CONTEXT)
+    for pair in GOLDEN:
+        obj = json.loads((FIXTURES / f"{pair}.policy.json").read_bytes())
+        assert accept(obj) == cli._CONTEXT.walk(obj, "$")
+
+
+def test_a_full_table_of_held_texts_decodes_goldens_and_their_variants_as_the_walk_does():
+    def outcome(decode, data):
+        try:
+            return decode(data)
+        except ParseError as exc:
+            return str(exc)
+
+    # the state of a long-running verifier: honest bundles from 60 worlds fill
+    # the held texts to their bound
+    for seed in range(60):
+        world = adversary.build_world(adversary.WorldConfig(seed=seed))
+        evidence.deserialize(evidence.serialize(adversary.attest_honest(world).bundle))
+    assert len(evidence._HELD) == evidence.MAX_HELD
+
+    goldens = [(FIXTURES / f"{pair}.dcea.json").read_bytes() for pair in GOLDEN]
+    documents = goldens + [json.dumps(json.loads(g), indent=1).encode() for g in goldens]
+    documents += [json.dumps(_reversed_keys(json.loads(g)), separators=(",", ":")).encode()
+                  for g in goldens]
+    # byte flips: broken JSON, changed values and an upper-case MRTD digit
+    documents += [g[:i] + bytes([g[i] ^ flip]) + g[i + 1:] for g in goldens for i, flip in
+                  ((9, 1), (400, 1), (2000, 1), (5000, 1), (g.index(b'"mrtd":"') + 8, 32))]
+    assert len(documents) == 24
+    for data in documents + goldens:  # the goldens again, now held
+        want = outcome(lambda data: evidence._BUNDLE.walk(evidence.load_json(data), "$"), data)
+        assert outcome(lambda data: evidence.obj_to_bundle(evidence.load_json(data)), data) == want
+        assert outcome(evidence.deserialize, data) == want
+    assert len(evidence._HELD) == evidence.MAX_HELD
 
 
 @pytest.mark.parametrize("spoil", [
