@@ -288,20 +288,52 @@ def _respond(
 
 
 # ---------------------------------------------------------------------------
-# scenario generators
+# scenario catalog: each generator declares its scenario
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class AttackScenario:
+    scenario_id: str
+    targeted_check: str
+    deployments: Tuple[Deployment, ...]
+    description: str
+    generate: Callable[[World, Challenge], EvidenceBundle]
+    policy_overrides: Mapping[str, object] = field(default_factory=dict)
+
+    @property
+    def declared_attack(self) -> str:  # the attack class: the id's prefix
+        return self.scenario_id.split("_", 1)[0]
+
+
+# in declaration order, which the matrix and its digests follow
+SCENARIOS: Dict[str, AttackScenario] = {}
+
+_BOTH, _S2 = tuple(Deployment), (Deployment.S2,)
+
+
+def _scenario(scenario_id: str, targeted_check: str, deployments: Tuple[Deployment, ...],
+              description: str, **policy_overrides: object):
+    """Declare the decorated generator's scenario and enter it into ``SCENARIOS``."""
+    def enter(generate: Callable[[World, Challenge], EvidenceBundle]):
+        SCENARIOS[scenario_id] = AttackScenario(
+            scenario_id, targeted_check, deployments, description, generate, policy_overrides
+        )
+        return generate
+    return enter
+
+
+@_scenario("A1_quote_forgery", "C2", _BOTH,
+           "fabricated TPM quote: honest structure, forged signature")
 def _gen_quote_forgery(world: World, challenge: Challenge) -> EvidenceBundle:
-    # the adversary mirrors an honest quote's structure but cannot reach the
-    # sealed key, so the signature is junk of the right size
+    # the adversary cannot reach the sealed key: the signature is junk of the right size
     bundle = _respond(world, challenge, "A1_quote_forgery")
     junk = (_seed_bytes(world.config, "forged-sig-a") + _seed_bytes(world.config, "forged-sig-b"))[:64]
     return replace(bundle, tpm_quote=replace(bundle.tpm_quote, signature=junk))
 
 
+@_scenario("A1_report_forgery", "C1", _BOTH,
+           "fabricated TD report signed by a self-minted quoting-enclave chain")
 def _gen_report_forgery(world: World, challenge: Challenge) -> EvidenceBundle:
-    # honest-looking TD report content, signed by a quoting-enclave chain the
-    # adversary minted itself
     bundle = _respond(world, challenge, "A1_report_forgery")
     rogue_ca = crypto.keygen(_seed_bytes(world.config, "rogue-tee-ca"), crypto.KeyKind.CA)
     rogue_qe = crypto.keygen(_seed_bytes(world.config, "rogue-qe"), crypto.KeyKind.QE)
@@ -317,9 +349,10 @@ def _gen_report_forgery(world: World, challenge: Challenge) -> EvidenceBundle:
     return replace(bundle, td_report=signed)
 
 
+@_scenario("A2_mix_match", "C3", _S2,
+           "TD report from one machine paired with a live quote from another")
 def _gen_mix_match(world: World, challenge: Challenge) -> EvidenceBundle:
-    # genuine TD report from plat-A, genuine quote from plat-B; identical
-    # stacks and parallel queries keep everything but the key binding green
+    # identical stacks and parallel queries keep everything but the key binding green
     _spawn_platform(world, "plat-B")
     return _respond(
         world, challenge, "A2_mix_match", "plat-B",
@@ -327,10 +360,10 @@ def _gen_mix_match(world: World, challenge: Challenge) -> EvidenceBundle:
     )
 
 
+@_scenario("A2_frankenstein", "C7", _S2,
+           "local TD vouches for a remote platform's AK; quotes relayed over the wire")
 def _gen_frankenstein(world: World, challenge: Challenge) -> EvidenceBundle:
-    # the local TD is configured to vouch for a remote honest platform's AK,
-    # and that platform's quotes are relayed in; only the wire time gives it
-    # away
+    # the remote platform is honest: only the wire time gives the relay away
     _spawn_platform(world, "plat-R")
     guest = _boot_guest(world, world.platforms["plat-A"], world.bound_pubs["plat-R"])
     return _respond(
@@ -339,15 +372,17 @@ def _gen_frankenstein(world: World, challenge: Challenge) -> EvidenceBundle:
     )
 
 
+@_scenario("A3_register_desync", "C5", _BOTH,
+           "host filters one guest event out of the PCR mirror stream")
 def _gen_register_desync(world: World, challenge: Challenge) -> EvidenceBundle:
-    # the host filters one guest event out of the PCR mirror stream, so the
-    # two measurement views stop describing the same boot
+    # the two measurement views stop describing the same boot
     _spawn_platform(world, "plat-D", tamper_index=TAMPER_EVENT_INDEX)
     return _respond(world, challenge, "A3_register_desync", "plat-D")
 
 
+@_scenario("A4_replay", "C4", _S2,
+           "previously captured bundle resubmitted against a new challenge")
 def _gen_replay(world: World, challenge: Challenge) -> EvidenceBundle:
-    # a bundle captured under an earlier challenge, resubmitted as-is
     stale = Challenge(
         td_nonce=world.rng.randbytes(32),
         tpm_nonce=world.rng.randbytes(32),
@@ -356,9 +391,10 @@ def _gen_replay(world: World, challenge: Challenge) -> EvidenceBundle:
     return _respond(world, stale, "A4_replay")
 
 
+@_scenario("A5_ek_spoof", "C2", _S2,
+           "platform endorsed by a rogue CA that impersonates the provider by name")
 def _gen_ek_spoof(world: World, challenge: Challenge) -> EvidenceBundle:
-    # a platform endorsed by the adversary's own CA that copies the provider
-    # name into its claims; the chain verifies but roots nowhere trusted
+    # the chain verifies but roots nowhere trusted
     rogue_ca = crypto.keygen(_seed_bytes(world.config, "rogue-provider-ca"), crypto.KeyKind.CA)
     rogue_root = crypto.issue_cert(
         rogue_ca, rogue_ca.public, {"role": "root", "provider": PROVIDER}
@@ -367,9 +403,10 @@ def _gen_ek_spoof(world: World, challenge: Challenge) -> EvidenceBundle:
     return _respond(world, challenge, "A5_ek_spoof", "plat-E", root_cert=rogue_root)
 
 
+@_scenario("A5_ak_substitute", "C3", _S2,
+           "quote made with a second certified AK the TD never bound")
 def _gen_ak_substitute(world: World, challenge: Challenge) -> EvidenceBundle:
-    # quote made with a second, genuinely certified AK that the TD never
-    # bound; certification alone doesn't tie a key to a guest
+    # certification alone doesn't tie a key to a guest
     _spawn_platform(world, "plat-S")
     vtpm_s, handle2 = tpm_mod.create_sealed_ak(
         world.vtpms["plat-S"],
@@ -381,9 +418,12 @@ def _gen_ak_substitute(world: World, challenge: Challenge) -> EvidenceBundle:
     return _respond(world, challenge, "A5_ak_substitute", "plat-S", handle=handle2)
 
 
+@_scenario("A5_ak_clone", "C8", _S2,
+           "victim's sealed AK cloned onto a second platform and enrolled again",
+           require_ak_registry_uniqueness=True)
 def _gen_ak_clone(world: World, challenge: Challenge) -> EvidenceBundle:
-    # the victim's sealed AK material turns up on a second platform with the
-    # same stack; every signature checks out, only the registry notices
+    # the second platform has the same stack; every signature checks out,
+    # only the registry notices
     victim_vtpm = world.vtpms["plat-A"]
     sealed = victim_vtpm.aks[world.ak_handles["plat-A"]]
     _spawn_platform(world, "plat-C", bind_ak_pub=sealed.keypair.public)
@@ -395,10 +435,11 @@ def _gen_ak_clone(world: World, challenge: Challenge) -> EvidenceBundle:
     )
 
 
+@_scenario("A6_stack_downgrade", "C6", _S2,
+           "host rebooted into a patched hypervisor; a fresh AK is sealed to the live state")
 def _gen_stack_downgrade(world: World, challenge: Challenge) -> EvidenceBundle:
-    # provisioned on the reference stack, rebooted into a patched hypervisor:
-    # the provisioned AK strands on its sealed policy, the adversary re-seals
-    # a new one to the live state, and only the pinned anchors disagree
+    # the AK provisioned on the reference stack strands on its sealed policy,
+    # so the adversary quotes with a fresh one: only the pinned anchors disagree
     _spawn_platform(world, "plat-M", register=False)
     provisioned = world.vtpms["plat-M"].aks[world.ak_handles["plat-M"]]
 
@@ -419,85 +460,6 @@ def _gen_stack_downgrade(world: World, challenge: Challenge) -> EvidenceBundle:
     return _respond(
         world, challenge, "A6_stack_downgrade", "plat-M", fallback="policy-violation"
     )
-
-
-# ---------------------------------------------------------------------------
-# scenario catalog
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AttackScenario:
-    scenario_id: str
-    targeted_check: str
-    deployments: Tuple[Deployment, ...]
-    description: str
-    generate: Callable[[World, Challenge], EvidenceBundle]
-    policy_overrides: Mapping[str, object] = field(default_factory=dict)
-
-    @property
-    def declared_attack(self) -> str:  # the attack class: the id's prefix
-        return self.scenario_id.split("_", 1)[0]
-
-
-_S2 = (Deployment.S2,)
-
-
-SCENARIOS: Mapping[str, AttackScenario] = {
-    s.scenario_id: s
-    for s in (
-        AttackScenario(
-            "A1_quote_forgery", "C2", tuple(Deployment),
-            "fabricated TPM quote: honest structure, forged signature",
-            _gen_quote_forgery,
-        ),
-        AttackScenario(
-            "A1_report_forgery", "C1", tuple(Deployment),
-            "fabricated TD report signed by a self-minted quoting-enclave chain",
-            _gen_report_forgery,
-        ),
-        AttackScenario(
-            "A2_mix_match", "C3", _S2,
-            "TD report from one machine paired with a live quote from another",
-            _gen_mix_match,
-        ),
-        AttackScenario(
-            "A2_frankenstein", "C7", _S2,
-            "local TD vouches for a remote platform's AK; quotes relayed over the wire",
-            _gen_frankenstein,
-        ),
-        AttackScenario(
-            "A3_register_desync", "C5", tuple(Deployment),
-            "host filters one guest event out of the PCR mirror stream",
-            _gen_register_desync,
-        ),
-        AttackScenario(
-            "A4_replay", "C4", _S2,
-            "previously captured bundle resubmitted against a new challenge",
-            _gen_replay,
-        ),
-        AttackScenario(
-            "A5_ek_spoof", "C2", _S2,
-            "platform endorsed by a rogue CA that impersonates the provider by name",
-            _gen_ek_spoof,
-        ),
-        AttackScenario(
-            "A5_ak_substitute", "C3", _S2,
-            "quote made with a second certified AK the TD never bound",
-            _gen_ak_substitute,
-        ),
-        AttackScenario(
-            "A5_ak_clone", "C8", _S2,
-            "victim's sealed AK cloned onto a second platform and enrolled again",
-            _gen_ak_clone,
-            policy_overrides={"require_ak_registry_uniqueness": True},
-        ),
-        AttackScenario(
-            "A6_stack_downgrade", "C6", _S2,
-            "host rebooted into a patched hypervisor; a fresh AK is sealed to the live state",
-            _gen_stack_downgrade,
-        ),
-    )
-}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ is carried in artifacts as the algorithm-id string "ed25519".
 Canonical signing encodings (byte-exact, also documented in the README):
 
 * ``enc_bytes(b)``: 4-byte big-endian length, then the raw bytes.
-* ``enc_str(s)``: ``enc_bytes`` of the UTF-8 encoding.
+* ``enc_str(s)``: ``enc_bytes`` of the UTF-8 encoding, a lone surrogate
+  written as its three-byte form (``surrogatepass``).
 * ``enc_map(m)``: 4-byte big-endian pair count, then for each key in
   ascending lexicographic order ``enc_str(key) || enc_str(value)``.
 * certificate payload: ``enc_str("dcea-cert-v1") || enc_bytes(subject_public)
@@ -184,7 +185,7 @@ DIGEST_PREFIX = enc_len(DIGEST_LEN)
 
 
 def enc_str(text: str) -> bytes:
-    data = text.encode("utf-8")
+    data = text.encode("utf-8", "surrogatepass")
     return enc_len(len(data)) + data
 
 
@@ -195,12 +196,12 @@ def cert_signing_payload(
     subject_public: bytes, issuer_id: str, claims: Sequence[Tuple[str, str]]
 ) -> bytes:
     """The certificate payload, ``enc_map(claims)`` included, in one join."""
-    issuer = issuer_id.encode("utf-8")
+    issuer = issuer_id.encode("utf-8", "surrogatepass")
     ordered = sorted(claims)
     parts = [_CERT_TAG, enc_len(len(subject_public)), subject_public,
              enc_len(len(issuer)), issuer, enc_len(len(ordered))]
     for key, value in ordered:
-        key, value = key.encode("utf-8"), value.encode("utf-8")
+        key, value = key.encode("utf-8", "surrogatepass"), value.encode("utf-8", "surrogatepass")
         parts += (enc_len(len(key)), key, enc_len(len(value)), value)
     return b"".join(parts)
 

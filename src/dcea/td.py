@@ -132,7 +132,7 @@ def rtmr_extend(td: TdState, *entries: EventLogEntry) -> TdState:
 
 def report_signing_payload(report: TdReport) -> bytes:
     enc_len = crypto.enc_len
-    ppid = report.ppid.encode("utf-8")
+    ppid = report.ppid.encode("utf-8", "surrogatepass")
     parts = [_REPORT_TAG, crypto.DIGEST_PREFIX, report.mrtd.data, enc_len(len(report.rtmrs))]
     for rtmr in report.rtmrs:
         parts += (crypto.DIGEST_PREFIX, rtmr.data)

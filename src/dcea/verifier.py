@@ -282,7 +282,7 @@ def _check_c4(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) 
 
 def _check_c5(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
     result = evidence.check_rtmr_pcr_consistency(
-        bundle.td_report, bundle.tpm_quote, bundle.event_log, verifier._c5_staged
+        bundle.td_report, bundle.tpm_quote, bundle.event_log, verifier._c5_memo
     )
     if result.all_matched:
         return True, "TD registers and quoted PCRs replay the same event stream"
@@ -354,33 +354,6 @@ CHECK_IDS = tuple(check.check_id for check in CHECKS)
 CHECK_ATTACKS: Mapping[str, Tuple[str, ...]] = {check.check_id: check.attacks for check in CHECKS}
 
 
-class _StagedMemo:
-    """One appraisal's view of a verifier's C5 memo: it answers from the memo
-    and from the entries the appraisal computed, and keeps those apart until
-    ``commit`` stores them in the memo, up to its bound."""
-
-    __slots__ = ("memo", "new")
-
-    def __init__(self, memo: dict):
-        self.memo, self.new = memo, {}
-
-    def get(self, key):
-        held = self.memo.get(key)
-        return self.new.get(key) if held is None else held
-
-    def __len__(self) -> int:
-        return len(self.memo) + len(self.new)
-
-    def __setitem__(self, key, value) -> None:
-        self.new[key] = value
-
-    def commit(self) -> None:
-        for key, value in self.new.items():
-            if len(self.memo) >= evidence.MAX_C5_MEMO:
-                break
-            self.memo.setdefault(key, value)
-
-
 def verify_bundle(
     bundle: EvidenceBundle,
     challenge: Challenge,
@@ -392,29 +365,35 @@ def verify_bundle(
     The checks read the policy, the AK registry, the memo of verified
     certificate links, the C5 memo and the challenge ledger of
     ``verifier``; none of them writes the ledger (``Verifier.verify``
-    consumes the challenge afterwards). C5 stores what it computed in the C5
-    memo only once the verdict accepts with no check disabled, so a rejected
-    bundle cannot fill the memo. ``disabled_checks`` is a diagnostic
-    hook for ablation runs; a disabled check is reported as passed without
-    being evaluated.
+    consumes the challenge afterwards). C5 only appends to the C5 memo, so
+    the entries this appraisal stored are the memo's newest. They are popped
+    again unless the verdict accepts with no check disabled, and when a check
+    raises, so a rejected bundle cannot fill the memo. ``disabled_checks``
+    is a diagnostic hook for ablation runs; a disabled check is reported as
+    passed without being evaluated.
     """
-    staged = verifier._c5_staged = _StagedMemo(verifier._c5_memo)
+    memo = verifier._c5_memo
+    held, keep = len(memo), False
     checks = []
     flags: List[str] = []
-    for check_id, name, attacks, evaluate in CHECKS:
-        if check_id in disabled_checks:
-            passed, detail = True, "disabled (diagnostic hook)"
-        else:
-            try:
-                passed, detail = evaluate(bundle, challenge, verifier)
-            except DceaError as exc:
-                passed, detail = False, f"{type(exc).__name__}: {exc}"
-            if not passed:
-                flags += attacks  # every row names at least one attack
-        checks.append(CheckResult(check_id, name, passed, detail))
-    raised = frozenset(flags)
-    if not raised and not disabled_checks:
-        staged.commit()
+    try:
+        for check_id, name, attacks, evaluate in CHECKS:
+            if check_id in disabled_checks:
+                passed, detail = True, "disabled (diagnostic hook)"
+            else:
+                try:
+                    passed, detail = evaluate(bundle, challenge, verifier)
+                except DceaError as exc:
+                    passed, detail = False, f"{type(exc).__name__}: {exc}"
+                if not passed:
+                    flags += attacks  # every row names at least one attack
+            checks.append(CheckResult(check_id, name, passed, detail))
+        raised = frozenset(flags)
+        keep = not raised and not disabled_checks
+    finally:
+        if not keep:
+            for _ in range(len(memo) - held):
+                memo.popitem()  # the newest entry first
     at_risk = frozenset().union(*[ATTACK_GOALS[a] for a in raised])
     return Verdict(not raised, tuple(checks), raised, {g: g not in at_risk for g in GOALS})
 

@@ -286,6 +286,30 @@ def test_verify_rejects_a_golden_bundle_without_its_ak_certificate(tmp_path, cap
     assert json.loads(out)["failed_checks"] == ["C2"]
 
 
+@pytest.mark.parametrize(
+    "path, value, failed",
+    [
+        (("td_report", "ppid"), "\ud800", ["C1"]),
+        (("ak_cert", "issuer_id"), "\udfff", ["C2"]),
+    ],
+    ids=["ppid", "ak_cert_issuer"],
+)
+def test_verify_rejects_a_golden_bundle_with_a_lone_surrogate_in_a_signed_string(
+    tmp_path, capsys, path, value, failed
+):
+    # the decoder reads a lone surrogate back; its signing encoding is the
+    # one every other string has, and the altered string breaks the signature
+    obj = json.loads((FIXTURES / "honest_s1.dcea.json").read_text())
+    obj[path[0]][path[1]] = value
+    bundle = tmp_path / "surrogate.dcea.json"
+    bundle.write_text(json.dumps(obj))
+    rc, out, _ = run_cli(
+        capsys, "verify", str(bundle), "--policy", str(FIXTURES / "honest_s1.policy.json")
+    )
+    assert rc == cli.EXIT_CONTRARY
+    assert json.loads(out)["failed_checks"] == failed
+
+
 def test_verify_golden_pairs(capsys):
     for pair, want in (("honest_s1", 0), ("honest_s2", 0), ("a5_ak_clone", 1)):
         rc, out, _ = run_cli(
@@ -315,6 +339,21 @@ def test_list_scenarios(capsys):
     rc, out, _ = run_cli(capsys, "list-scenarios", "--format", "json")
     ids = [row["id"] for row in json.loads(out)]
     assert len(ids) == 10
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        ((), "4bde5af74685cc182e3c40dc08893eadfd04fa7b1f3f01ec5dd23cd89bb6d973"),
+        (("--format", "json"), "c9dc1dced97876eca902aec547cc4e4928b6d70b0a3fa99b5a173d51082b4cc1"),
+    ],
+    ids=["markdown", "json"],
+)
+def test_list_scenarios_output_is_pinned(capsys, argv, sha256):
+    # the catalogue's ids, checks, deployments, overrides and descriptions, in order
+    rc, out, _ = run_cli(capsys, "list-scenarios", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_matrix_csv(capsys):

@@ -174,6 +174,20 @@ def _chain(*, break_middle=False):
     return crypto.CertChain((leaf_cert, mid_cert, root_cert)), root_cert
 
 
+def test_an_intermediate_with_a_malformed_key_breaks_the_link_it_should_have_signed():
+    # the root validly certifies a 31-byte subject key, which no Ed25519 key
+    # parses from: the leaf's signature cannot verify under it
+    ca = crypto.keygen(b"chain-ca", crypto.KeyKind.CA)
+    root_cert = crypto.issue_cert(ca, ca.public, {"role": "root"})
+    mid_cert = crypto.issue_cert(ca, b"\x01" * 31, {"role": "intermediate"})
+    leaf = crypto.keygen(b"chain-leaf", crypto.KeyKind.EK)
+    leaf_cert = crypto.issue_cert(leaf, leaf.public, {"role": "leaf"})
+    chain, known = crypto.CertChain((leaf_cert, mid_cert, root_cert)), set()
+    verdict = crypto.verify_chain(chain, [root_cert], known)
+    assert verdict == crypto.ChainVerdict(crypto.ChainStatus.BROKEN_LINK, broken_index=0)
+    assert known == set()
+
+
 def test_verify_chain_valid():
     chain, root = _chain()
     verdict = crypto.verify_chain(chain, [root], set())

@@ -1,6 +1,7 @@
 """Measured launch and guest-facing TPM instantiation."""
 
 import hashlib
+from dataclasses import fields
 
 import pytest
 
@@ -83,6 +84,13 @@ def test_stack_sensitivity():
         device = tpm.tpm_init(b"ek", ca, {"platform_id": "plat-1"})
         plat = platform.measured_launch(stack, device)
         assert tpm.read_pcrs(plat.tpm, [0, 17, 18]) != base_vals, field_name
+
+
+@pytest.mark.parametrize("field_name", ["firmware_image", "vtpm_binary"])
+def test_a_stack_with_an_empty_image_is_refused(field_name):
+    images = {f.name: getattr(make_stack(), f.name) for f in fields(platform.HostStack)}
+    with pytest.raises(ValueError, match=f"stack image {field_name} must be non-empty"):
+        platform.HostStack(**{**images, field_name: b""})
 
 
 def test_double_launch_rejected():

@@ -123,6 +123,15 @@ def test_report_signature_under_malformed_leaf_key_is_invalid():
     assert not td.verify_td_report_signature(replace(report, qe_chain=bad_chain))
 
 
+def test_report_signature_without_a_qe_chain_is_invalid():
+    from dataclasses import replace
+
+    guest, _, _ = make_td()
+    qe, chain, _ = make_qe()
+    report = td.td_report(guest, b"\x00" * 64, qe, chain)
+    assert not td.verify_td_report_signature(replace(report, qe_chain=crypto.CertChain(())))
+
+
 def test_report_data_width_enforced():
     guest, _, _ = make_td()
     qe, chain, _ = make_qe()

@@ -106,6 +106,18 @@ def test_create_sealed_ak_empty_policy_rejected():
         tpm.create_sealed_ak(state, b"ak-seed", set())
 
 
+def test_default_ak_handle_needs_exactly_one_ak():
+    state, _ = make_tpm()
+    with pytest.raises(UnknownAk, match="device holds 0"):
+        tpm.default_ak_handle(state)
+    state = extend(state, 17, b"acm-image")
+    state, first = tpm.create_sealed_ak(state, b"ak-seed", {17})
+    assert tpm.default_ak_handle(state) == first
+    state, _ = tpm.create_sealed_ak(state, b"ak-seed-2", {17})
+    with pytest.raises(UnknownAk, match="device holds 2"):
+        tpm.default_ak_handle(state)
+
+
 def test_quote_roundtrip_and_signature_oracle():
     state, _ = make_tpm()
     state = extend(state, 17, b"acm-image")

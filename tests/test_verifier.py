@@ -883,6 +883,35 @@ def test_an_appraisal_with_a_check_disabled_stores_nothing_in_the_c5_memo():
     assert len(v._c5_memo) == 2
 
 
+def late_timing(bundle):
+    """The bundle with its quote received a second past its challenge: C7 alone rejects it."""
+    late = bundle.timing.challenge_sent + 1000.0
+    return replace(bundle, timing=replace(bundle.timing, quote_received=late))
+
+
+def raising_c6(bundle, challenge, v):
+    raise RuntimeError("check after C5 raised")
+
+
+def test_a_rejected_or_raising_appraisal_leaves_the_c5_memo_as_it_was(monkeypatch):
+    # each bundle carries new C5 values that pass, so C5 computes two entries
+    # the appraisal then gives up: the memo keeps exactly what it held before
+    world, v = warm_verifier()
+    held = list(v._c5_memo.items())
+    assert len(held) == 2  # the replay and the rows
+    verdict = appraise(v, world, lambda b: late_timing(with_rtmr3_event(b, 0)))
+    assert verdict.failed_checks() == ("C7",)
+    assert list(v._c5_memo.items()) == held
+    assert all(a[1] is b[1] for a, b in zip(v._c5_memo.items(), held))
+    rows = [row._replace(evaluate=raising_c6) if row.check_id == "C6" else row
+            for row in verifier.CHECKS]
+    monkeypatch.setattr(verifier, "CHECKS", tuple(rows))
+    with pytest.raises(RuntimeError, match="check after C5 raised"):
+        appraise(v, world, lambda b: with_rtmr3_event(b, 1))
+    assert list(v._c5_memo.items()) == held
+    assert all(a[1] is b[1] for a, b in zip(v._c5_memo.items(), held))
+
+
 def test_entries_that_measure_one_image_into_two_registers_decode_apart(monkeypatch):
     # the host and the guest ``kernel`` entries of honest_pieces share an
     # event digest; the held log keeps both, and the C5 memo keys each by its
