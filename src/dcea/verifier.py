@@ -19,8 +19,10 @@ Checks, by what they decide:
   has not been consumed before, and it has not expired (see ``Verifier``).
 * C5 -- the TD's runtime registers and the quoted PCRs are two views of
   the same event stream (see ``evidence.check_rtmr_pcr_consistency``).
-* C6 -- the quoted launch anchors (PCR 17 and 18) equal the values the
-  relying party pinned for this host configuration.
+* C6 -- the TD and the TDX module run in production mode (DEBUG, bit 0
+  of td_attributes, is clear, and seam_attributes are zero), and the
+  quoted launch anchors (PCR 17 and 18) equal the values the relying
+  party pinned for this host configuration.
 * C7 -- the challenge round-trip stayed within the physical budget for a
   co-located TPM; a relay to a second machine cannot.
 * C8 -- optionally, the quoting key is registered to exactly one
@@ -290,11 +292,16 @@ def _check_c5(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) 
 
 
 def _check_c6(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
-    pinned = verifier.policy.expected_pcr17_18
-    if not pinned:
+    report = bundle.td_report
+    bad = []
+    if int.from_bytes(report.td_attributes, "little") & 1:  # bit 0 of TDATTRIBUTES
+        bad.append("debug TD: td_attributes sets DEBUG")
+    if any(report.seam_attributes):  # all zero for a production TDX module
+        bad.append("debug TDX module: seam_attributes are not zero")
+    pinned = verifier.policy.expected_pcr17_18 or {}
+    if not pinned and not bad:
         return True, "no launch anchors pinned by policy"
     quoted = bundle.tpm_quote.values_dict()
-    bad = []
     for index, want in sorted(pinned.items()):
         got = quoted.get(index)
         if got is None:

@@ -4,10 +4,8 @@ import functools
 import hashlib
 import json
 import math
-import os
 import random
 import re
-import subprocess
 import sys
 from dataclasses import replace
 from operator import attrgetter
@@ -683,7 +681,7 @@ def test_the_reader_decodes_as_the_full_path_does_from_warm_and_empty_tables(cas
 
 
 @st.composite
-def compiled_inputs(draw):
+def decode_inputs(draw):
     """A document from ``reader_inputs``, or its canonical bundle with one
     value changed: to another JSON type, a string cut short or in upper case,
     an integer or a number out of range, an integer spelt as a float or a
@@ -742,82 +740,35 @@ def _outcome(decode, value):
     """The repr of what ``decode(value)`` returns, or the type and text of what it raises."""
     try:
         return repr(decode(value))
-    except Exception as exc:  # any outcome must match the walk's
+    except Exception as exc:  # any outcome must match the full path's
         return type(exc), str(exc)
 
 
 @settings(max_examples=500, deadline=None)
-@given(compiled_inputs())
-def test_the_compiled_decode_decodes_as_the_combinator_walk(data):
+@given(decode_inputs())
+def test_the_reader_decodes_as_obj_to_bundle_from_empty_and_full_held_texts(data):
     try:
         obj = evidence.load_json(data)
     except ParseError:
         return  # no JSON value to decode
-    want = _outcome(lambda obj: evidence._BUNDLE.walk(obj, "$"), obj)
-    assert _outcome(evidence.obj_to_bundle, obj) == want
-    # the reader's compiled field decodes, from empty and from full held texts
+    want = _outcome(evidence.obj_to_bundle, obj)
     for held in ({}, full_held_texts()):
         evidence._HELD.clear()
         evidence._HELD.update(held)
         assert _outcome(evidence.deserialize, data) == want
 
 
-def _reader_accepts(plan):
-    """(name, accept function) of each field the reader reads in the record ``plan``."""
-    for _, name, accept, inner in plan[1]:
-        yield from _reader_accepts(inner) if inner else [(name, accept)]
-
-
-# counts the accept functions compiled while ``dcea.cli`` is imported, and their bytes
-_COUNT_COMPILED = """
-import builtins
-texts, real = [], builtins.compile
-def counting(source, filename, *args, **kwargs):
-    if filename == "<compiled decode>":
-        texts.append(source)
-    return real(source, filename, *args, **kwargs)
-builtins.compile = counting
-import dcea.cli
-print(len(texts), sum(len(text.encode()) for text in texts))
-"""
-
-
-def test_every_record_decodes_through_compiled_code():
-    compiled = "<compiled decode>"
-    for codec in (evidence._BUNDLE, evidence._CERT, verifier.POLICY, verifier.REGISTRY, cli._CONTEXT):
-        assert evidence._compile(codec).__code__.co_filename == compiled
-    # so is the accept function of every field the reader reads, but scenario_meta's, its walk
-    accepts = dict(_reader_accepts(evidence._BUNDLE_PLAN))
-    assert len(accepts) == 29
-    assert [name for name, accept in accepts.items()
-            if accept.__code__.co_filename != compiled] == ["scenario_meta"]
-    # a part whose code its parent writes out in place keeps its walk as its decode
-    for codec in (evidence.DIGEST, evidence.PCR_INDEX, evidence.STRING, evidence._CHAIN):
-        assert codec.decode is codec.walk
-    # one function per codec: the hex fields of each width share one
-    src = str(Path(evidence.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _COUNT_COMPILED], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True).stdout
-    functions, size = map(int, out.split())
-    assert functions <= 33 and size <= 30_000
-
-
-def test_the_accept_functions_take_every_golden_and_live_cell_document():
-    # a refusal by compiled code is hidden behind the walk's equal value: call it directly
-    accept = evidence._compile(evidence._BUNDLE)
+def test_the_reader_reads_every_golden_and_live_cell_document_to_its_end():
+    # the full path would hide a reader that gives up: call the reader directly
     assert len(CELL_DIGESTS) == 15  # one bundle of each live cell
     for data in [(FIXTURES / f"{pair}.dcea.json").read_bytes() for pair in GOLDEN] + [
             evidence.serialize(attest_cell(sid, dep, seed=0).bundle) for sid, dep in CELL_DIGESTS]:
-        obj = json.loads(data)
-        assert accept(obj) == evidence._BUNDLE.walk(obj, "$")
-        assert evidence._read(data.decode(), 0, evidence._BUNDLE_PLAN, [])[1] == len(data)
-    accept = evidence._compile(cli._CONTEXT)
-    for pair in GOLDEN:
-        obj = json.loads((FIXTURES / f"{pair}.policy.json").read_bytes())
-        assert accept(obj) == cli._CONTEXT.walk(obj, "$")
+        bundle, end = evidence._read(data.decode(), 0, evidence._BUNDLE_PLAN, [])
+        assert end == len(data)
+        assert bundle == evidence._BUNDLE.decode(json.loads(data), "$")
 
 
-def test_a_full_table_of_held_texts_decodes_goldens_and_their_variants_as_the_walk_does():
+def test_a_full_table_of_held_texts_decodes_goldens_and_their_variants_as_the_full_path_does():
     def outcome(decode, data):
         try:
             return decode(data)
@@ -840,9 +791,7 @@ def test_a_full_table_of_held_texts_decodes_goldens_and_their_variants_as_the_wa
                   ((9, 1), (400, 1), (2000, 1), (5000, 1), (g.index(b'"mrtd":"') + 8, 32))]
     assert len(documents) == 24
     for data in documents + goldens:  # the goldens again, now held
-        want = outcome(lambda data: evidence._BUNDLE.walk(evidence.load_json(data), "$"), data)
-        assert outcome(lambda data: evidence.obj_to_bundle(evidence.load_json(data)), data) == want
-        assert outcome(evidence.deserialize, data) == want
+        assert outcome(evidence.deserialize, data) == outcome(_full_path, data)
     assert len(evidence._HELD) == evidence.MAX_HELD
 
 

@@ -660,6 +660,31 @@ def resign_quote(world, quote):
     return replace(quote, signature=crypto.sign(key, payload))
 
 
+@pytest.mark.parametrize("attribute, detail", [
+    ("td_attributes", "debug TD: td_attributes sets DEBUG"),
+    ("seam_attributes", "debug TDX module: seam_attributes are not zero"),
+], ids=["td", "seam"])
+@pytest.mark.parametrize("config", [
+    adversary.WorldConfig(deployment=deployment, binding_channel=channel)
+    for deployment in adversary.Deployment for channel in verifier.BindingChannel
+], ids=lambda c: f"{c.deployment.value}-{c.binding_channel.value}")
+def test_c6_refuses_a_debug_td_or_tdx_module_signed_by_the_platforms_qe(config, attribute, detail):
+    world = adversary.build_world(config)
+    honest = adversary.attest_honest(world)
+    assert honest.verdict.accepted
+    report = honest.bundle.td_report
+    assert getattr(report, attribute) == bytes(8)
+    debug = resign_report(world, replace(report, **{attribute: b"\x01" + bytes(7)}))
+    bundle = replace(honest.bundle, td_report=debug)
+    verdict = verify_once(bundle, honest.policy, honest.challenge, honest.registry)
+    assert verdict.failed_checks() == ("C6",)
+    assert verdict.checks_by_id()["C6"].detail == detail
+    # a launch anchor that differs too is named after the debug mode
+    pinned = replace(honest.policy, expected_pcr17_18={17: crypto.digest(b"other")})
+    verdict = verify_once(bundle, pinned, honest.challenge, honest.registry)
+    assert verdict.checks_by_id()["C6"].detail == f"{detail}; PCR17 differs from the pinned value"
+
+
 def alter_rtmr1(world, bundle):
     report = bundle.td_report
     rtmrs = list(report.rtmrs)
