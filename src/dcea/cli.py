@@ -127,17 +127,18 @@ def cmd_run(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _load(path: str, decode: Callable = lambda obj: _CONTEXT.decode(obj, "$")):
-    """Decode the JSON in file ``path``, a context by default; a ParseError names the file."""
+def _load(path: str,
+          read: Callable = lambda data: _CONTEXT.decode(evidence.load_json(data), "$")):
+    """Read the bytes of file ``path``, a context by default; a ParseError names the file."""
     try:
         with open(path, "rb") as fh:
-            return decode(evidence.load_json(fh.read()))
+            return read(fh.read())
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}", exc.offset) from exc
 
 
 def cmd_verify(args) -> int:
-    bundle = _load(args.bundle, evidence.obj_to_bundle)
+    bundle = _load(args.bundle, evidence.deserialize)
     ctx = _load(args.policy)
     verifier = Verifier(ctx.policy)
     if ctx.registry is not None:

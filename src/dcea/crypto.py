@@ -30,7 +30,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -44,9 +44,6 @@ DIGEST_LEN = 48
 SIGNATURE_ALGORITHM = "ed25519"
 
 CERT_DOMAIN_TAG = "dcea-cert-v1"
-
-# Most certificate links a known-links memo holds; a full memo only answers lookups.
-MAX_KNOWN_LINKS = 1024
 
 
 @dataclass(frozen=True)
@@ -286,7 +283,7 @@ Link = Tuple[Certificate, bytes]
 def verify_chain(
     chain: CertChain,
     trusted_roots: Iterable[Certificate],
-    known_links: Set[Link],
+    known_links: Dict[Link, None],
 ) -> ChainVerdict:
     """Test the chain's anchor, then walk it leaf to root.
 
@@ -299,12 +296,13 @@ def verify_chain(
     under its own. BROKEN_LINK carries the index of the first certificate
     whose signature fails.
 
-    ``known_links`` is the caller's memo of verified links: a link in it
-    skips its signature check. The links of a VALID chain are added while
-    the memo holds fewer than ``MAX_KNOWN_LINKS``; a full memo only answers
-    lookups. So a link enters the memo only under a trusted root and only
-    when its whole chain is valid. A link is a certificate plus its signer
-    key, so altering any signed field makes it a new link.
+    ``known_links`` is the caller's memo of verified links, an
+    insertion-ordered dict: a link in it skips its signature check, and the
+    links of a VALID chain that it lacks are appended to it in walk order.
+    So a link enters the memo only under a trusted root and only when its
+    whole chain is valid; ``verifier.verify_bundle`` decides which links
+    stay. A link is a certificate plus its signer key, so altering any
+    signed field makes it a new link.
     """
     certs = chain.certs
     if not certs:
@@ -321,6 +319,5 @@ def verify_chain(
                 return ChainVerdict(ChainStatus.BROKEN_LINK, broken_index=i)
             unknown.append(link)
     for link in unknown:
-        if len(known_links) < MAX_KNOWN_LINKS:
-            known_links.add(link)
+        known_links[link] = None
     return _VALID

@@ -495,8 +495,8 @@ def _parse_json(text: str):
 
 # Held texts: (a codec's decode, the first HELD_PREFIX characters of a JSON array or
 # object it decoded) -> (that value's whole text, the immutable value decoded from it).
-# The table admits entries until it holds MAX_HELD, and then only answers lookups, as
-# every verifier memo does. A platform's bundles repeat six such values; see README.
+# The table admits entries until it holds MAX_HELD, and then only answers lookups.
+# A platform's bundles repeat six such values; see README.
 MAX_HELD = 128
 HELD_PREFIX = 128  # also the shortest text held: a shorter value is cheaper to parse
 _HELD: dict = {}
@@ -588,9 +588,6 @@ def deserialize(data: bytes) -> EvidenceBundle:
 # replay and consistency
 # ---------------------------------------------------------------------------
 
-# Most entries a C5 memo holds; a full memo only answers lookups.
-MAX_C5_MEMO = 128
-
 # the zeroed register files a replay starts from
 _ZERO_PCRS = (crypto.ZERO_DIGEST,) * N_PCRS
 _ZERO_RTMRS = (crypto.ZERO_DIGEST,) * N_RTMRS
@@ -612,8 +609,8 @@ def replay_event_log(
     ``memo`` is a caller's C5 memo (see ``check_rtmr_pcr_consistency``),
     keyed here by ``scope`` and each entry's scope, register indices and
     event digest bytes: a log equal in those values to one replayed before
-    under the same scope returns the remembered result object. Without a
-    memo, the call gets one of its own.
+    under the same scope returns the remembered result object, and a new
+    one's result is appended. Without a memo, the call gets one of its own.
     """
     memo = {} if memo is None else memo
     key = (scope, tuple(map(_ENTRY_VALUES, log)))
@@ -630,8 +627,7 @@ def replay_event_log(
             (entry.rtmr_index, entry.event_digest) for entry in log if entry.rtmr_index is not None
         ]),
     )
-    if len(memo) < MAX_C5_MEMO:
-        memo[key] = result
+    memo[key] = result
     return result
 
 
@@ -679,15 +675,15 @@ def check_rtmr_pcr_consistency(
     count as matched only if their reference is still zero: an attacker
     cannot hide a mapped register by narrowing the quote selection.
 
-    ``memo`` is a caller's C5 memo, a dict that this function and
-    ``replay_event_log`` share; it admits results while it holds fewer than
-    ``MAX_C5_MEMO`` and then only answers lookups. Without one, the call
-    gets a memo of its own. Its key here holds every value the rows read:
-    each guest entry's scope, register indices and event digest bytes, the
-    bytes of MRTD and RTMR 0..2, and each quoted index with its digest's
-    bytes. Inputs equal in those values to an earlier call's return that
-    call's result object. The two functions' keys differ in length, so
-    they never meet.
+    ``memo`` is a caller's C5 memo, an insertion-ordered dict that this
+    function and ``replay_event_log`` share. Each looks itself up and, on
+    a miss, appends its result; ``verifier.verify_bundle`` decides which
+    results stay. Without one, the call gets a memo of its own. Its key
+    here holds every value the rows read: each guest entry's scope,
+    register indices and event digest bytes, the bytes of MRTD and RTMR
+    0..2, and each quoted index with its digest's bytes. Inputs equal in
+    those values to an earlier call's return that call's result object.
+    The two functions' keys differ in length, so they never meet.
     """
     memo = {} if memo is None else memo
     guest = [e for e in event_log if e.scope is Scope.GUEST]
@@ -721,6 +717,5 @@ def check_rtmr_pcr_consistency(
         rows.append(row(f"RTMR{rtmr_index}", RTMR_PCR_MAP[rtmr_index], td_expected, td_actual,
                         td_actual == td_expected))
     result = ConsistencyResult(rows=tuple(rows))
-    if len(memo) < MAX_C5_MEMO:
-        memo[key] = result
+    memo[key] = result
     return result

@@ -35,7 +35,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import crypto, evidence, td, tpm
 from .crypto import CertChain, Certificate, Digest
@@ -111,6 +111,10 @@ def _challenge_key(challenge: Challenge) -> bytes:
 
 # the fewest keys at which a Verifier's challenge ledger prunes expired ones
 LEDGER_FLOOR = 16
+
+# the most entries each memo of a Verifier keeps (see verify_bundle)
+MAX_KNOWN_LINKS = 1024  # verified certificate links
+MAX_C5_MEMO = 128  # replay and consistency results together
 
 
 @dataclass(frozen=True)
@@ -369,18 +373,18 @@ def verify_bundle(
 ) -> Verdict:
     """Run every check and fold the outcomes into a verdict.
 
-    The checks read the policy, the AK registry, the memo of verified
-    certificate links, the C5 memo and the challenge ledger of
-    ``verifier``; none of them writes the ledger (``Verifier.verify``
-    consumes the challenge afterwards). C5 only appends to the C5 memo, so
-    the entries this appraisal stored are the memo's newest. They are popped
-    again unless the verdict accepts with no check disabled, and when a check
-    raises, so a rejected bundle cannot fill the memo. ``disabled_checks``
-    is a diagnostic hook for ablation runs; a disabled check is reported as
-    passed without being evaluated.
+    The checks read the policy, the AK registry, the two memos and the
+    challenge ledger of ``verifier``; none writes the ledger
+    (``Verifier.verify`` consumes the challenge afterwards). C1 and C2 only
+    append to the link memo and C5 to the C5 memo, so this appraisal's
+    entries are each memo's newest, and only here is it decided which stay:
+    all are popped, newest first, unless the verdict accepts with no check
+    disabled (and when a check raises), and otherwise those past the memo's
+    bound. ``disabled_checks`` is a diagnostic hook for ablation runs; a
+    disabled check is reported as passed without being evaluated.
     """
-    memo = verifier._c5_memo
-    held, keep = len(memo), False
+    memos = ((verifier._known_links, MAX_KNOWN_LINKS), (verifier._c5_memo, MAX_C5_MEMO))
+    sizes, keep = [len(memo) for memo, _ in memos], False
     checks = []
     flags: List[str] = []
     try:
@@ -398,8 +402,8 @@ def verify_bundle(
         raised = frozenset(flags)
         keep = not raised and not disabled_checks
     finally:
-        if not keep:
-            for _ in range(len(memo) - held):
+        for (memo, bound), size in zip(memos, sizes):
+            while len(memo) > (bound if keep else size):
                 memo.popitem()  # the newest entry first
     at_risk = frozenset().union(*[ATTACK_GOALS[a] for a in raised])
     return Verdict(not raised, tuple(checks), raised, {g: g not in at_risk for g in GOALS})
@@ -407,14 +411,14 @@ def verify_bundle(
 
 class Verifier:
     """Stateful relying party: issues single-use challenges and keeps the
-    challenge ledger, the AK registry, and across verifications a memo of
-    certificate links verified under its pinned roots (see
-    ``crypto.verify_chain``) and a C5 memo keyed by the values its results
-    read (see ``evidence.check_rtmr_pcr_consistency``), which admits only
-    from appraisals it accepted (see ``verify_bundle``). Each memo admits
-    entries until it reaches its bound and then only answers lookups.
-    Every appraisal runs through one; a one-shot appraisal (``dcea verify``)
-    adopts its challenge into a fresh Verifier.
+    challenge ledger, the AK registry, and across verifications two
+    insertion-ordered memos: certificate links verified under its pinned
+    roots (see ``crypto.verify_chain``) and C5 results keyed by the values
+    they read (see ``evidence.check_rtmr_pcr_consistency``). Both admit only
+    from appraisals accepted with no check disabled, up to ``MAX_KNOWN_LINKS``
+    and ``MAX_C5_MEMO`` (see ``verify_bundle``). Every appraisal runs
+    through one; a one-shot appraisal (``dcea verify``) adopts its challenge
+    into a fresh Verifier.
 
     The ledger maps each outstanding and each spent challenge key to its
     ``issued_at``. Its logical clock is the newest ``issued_at`` among the
@@ -443,7 +447,7 @@ class Verifier:
         self._spent: Dict[bytes, float] = {}
         self._now = -math.inf  # the ledger's logical clock
         self._prune_above = LEDGER_FLOOR
-        self._known_links: Set[crypto.Link] = set()
+        self._known_links: Dict[crypto.Link, None] = {}
         self._c5_memo: Dict[tuple, object] = {}
 
     def challenge(self) -> Challenge:

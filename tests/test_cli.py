@@ -320,6 +320,19 @@ def test_verify_golden_pairs(capsys):
         assert json.loads(out)["failed_checks"] == ([] if want == 0 else ["C8"])
 
 
+def test_verify_reads_each_bundle_through_deserialize(capsys, monkeypatch):
+    # the one function from bytes to a bundle: the canonical reader, then the
+    # full path, which alone reports errors
+    read = []
+    real = cli.evidence.deserialize
+    monkeypatch.setattr(cli.evidence, "deserialize", lambda data: read.append(data) or real(data))
+    for pair in ("honest_s1", "honest_s2", "a5_ak_clone"):
+        bundle = FIXTURES / f"{pair}.dcea.json"
+        run_cli(capsys, "verify", str(bundle), "--policy", str(FIXTURES / f"{pair}.policy.json"))
+        assert read.pop() == bundle.read_bytes()
+    assert read == []
+
+
 def test_verify_markdown_prints_one_line_per_check(capsys):
     rc, out, _ = run_cli(
         capsys, "verify", str(FIXTURES / "honest_s1.dcea.json"),

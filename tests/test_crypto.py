@@ -182,15 +182,15 @@ def test_an_intermediate_with_a_malformed_key_breaks_the_link_it_should_have_sig
     mid_cert = crypto.issue_cert(ca, b"\x01" * 31, {"role": "intermediate"})
     leaf = crypto.keygen(b"chain-leaf", crypto.KeyKind.EK)
     leaf_cert = crypto.issue_cert(leaf, leaf.public, {"role": "leaf"})
-    chain, known = crypto.CertChain((leaf_cert, mid_cert, root_cert)), set()
+    chain, known = crypto.CertChain((leaf_cert, mid_cert, root_cert)), {}
     verdict = crypto.verify_chain(chain, [root_cert], known)
     assert verdict == crypto.ChainVerdict(crypto.ChainStatus.BROKEN_LINK, broken_index=0)
-    assert known == set()
+    assert known == {}
 
 
 def test_verify_chain_valid():
     chain, root = _chain()
-    verdict = crypto.verify_chain(chain, [root], set())
+    verdict = crypto.verify_chain(chain, [root], {})
     assert verdict.status is crypto.ChainStatus.VALID
     assert verdict.ok
 
@@ -202,14 +202,14 @@ def _other_root():
 
 def test_verify_chain_untrusted_root():
     chain, _ = _chain()
-    verdict = crypto.verify_chain(chain, [_other_root()], set())
+    verdict = crypto.verify_chain(chain, [_other_root()], {})
     assert verdict.status is crypto.ChainStatus.UNTRUSTED_ROOT
     assert not verdict.ok
 
 
 def test_verify_chain_broken_middle_link_index_1():
     chain, root = _chain(break_middle=True)
-    verdict = crypto.verify_chain(chain, [root], set())
+    verdict = crypto.verify_chain(chain, [root], {})
     assert verdict.status is crypto.ChainStatus.BROKEN_LINK
     assert verdict.broken_index == 1
 
@@ -219,49 +219,46 @@ def test_a_chain_to_an_unpinned_root_makes_no_verify(monkeypatch, break_middle):
     # precedence: UNTRUSTED_ROOT before BROKEN_LINK, because the anchor is
     # tested before any link is walked
     chain, _ = _chain(break_middle=break_middle)
-    calls, known = [], set()
+    calls, known = [], {}
     monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args))
     verdict = crypto.verify_chain(chain, [_other_root()], known)
     assert verdict == crypto.ChainVerdict(crypto.ChainStatus.UNTRUSTED_ROOT)
     assert calls == []
-    assert known == set()
+    assert known == {}
 
 
 def test_a_pinned_root_with_a_broken_leaf_reports_index_0_and_remembers_nothing():
     chain, root = _chain()
     leaf = replace(chain.leaf, claims=(("role", "altered"),))
-    known = set()
+    known = {}
     verdict = crypto.verify_chain(crypto.CertChain((leaf,) + chain.certs[1:]), [root], known)
     assert verdict == crypto.ChainVerdict(crypto.ChainStatus.BROKEN_LINK, broken_index=0)
-    assert known == set()
+    assert known == {}
 
 
-def test_full_memo_keeps_a_chain_it_already_holds(monkeypatch):
+def test_a_memo_holding_every_link_verifies_nothing_and_stays_as_it_was(monkeypatch):
     world = adversary.build_world()
     chain = world.qe_chain
-    known = set()
+    known = {}
     assert crypto.verify_chain(chain, [world.tee_root], known).ok
-    filler = crypto.keygen(b"memo-filler", crypto.KeyKind.CA)
-    while len(known) < crypto.MAX_KNOWN_LINKS - 1:
-        cert = crypto.Certificate(filler.public, str(len(known)), (), b"")
-        known.add((cert, filler.public))
-    before = set(known)
+    assert list(known) == list(zip(chain.certs, [world.tee_root.subject_public] * 2))
+    before = list(known)
     calls = []
     monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args))
     assert crypto.verify_chain(chain, [world.tee_root], known).ok
-    assert known == before
+    assert list(known) == before
     assert calls == []
 
 
 def test_verify_chain_empty_rejected():
     with pytest.raises(EmptyChain):
-        crypto.verify_chain(crypto.CertChain(()), [], set())
+        crypto.verify_chain(crypto.CertChain(()), [], {})
 
 
 def test_self_signed_single_cert_chain():
     ca = crypto.keygen(b"solo", crypto.KeyKind.CA)
     root = crypto.issue_cert(ca, ca.public, {"role": "root"})
-    assert crypto.verify_chain(crypto.CertChain((root,)), [root], set()).ok
+    assert crypto.verify_chain(crypto.CertChain((root,)), [root], {}).ok
 
 
 # -- the three signing payloads against the README's "Canonical signing encodings"

@@ -119,4 +119,4 @@ def test_instantiate_vtpm_kind_and_cert_chain():
     # EK cert chains to the provider CA that instantiated it
     root = crypto.issue_cert(ca, ca.public, {"role": "root"})
     chain = crypto.CertChain((vtpm.ek_cert, root))
-    assert crypto.verify_chain(chain, [root], set()).ok
+    assert crypto.verify_chain(chain, [root], {}).ok

@@ -96,8 +96,8 @@ def test_create_sealed_ak_snapshots_policy():
     # the device's own EK certifies the AK, so it chains to the EK's issuer
     root = crypto.issue_cert(ca, ca.public, {"role": "root"})
     chain = crypto.CertChain((sealed.ak_cert, state.ek_cert, root))
-    assert crypto.verify_chain(chain, (root,), set()).ok
-    assert not crypto.verify_chain(crypto.CertChain((sealed.ak_cert, root)), (root,), set()).ok
+    assert crypto.verify_chain(chain, (root,), {}).ok
+    assert not crypto.verify_chain(crypto.CertChain((sealed.ak_cert, root)), (root,), {}).ok
 
 
 def test_create_sealed_ak_empty_policy_rejected():

@@ -1,14 +1,16 @@
 """Verifier: challenge issuance, the eight-check pipeline, registry."""
 
+import functools
 import itertools
 import json
 import math
 import random
 from dataclasses import astuple, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -479,7 +481,7 @@ def ek_chain_as_qe_chain(bundle):
 )
 def test_memo_still_rejects_a_chain_to_an_unpinned_root(alter):
     world, v = warm_verifier()
-    known = set(v._known_links)
+    known = dict(v._known_links)
     verdict = appraise(v, world, alter)
     assert verdict.failed_checks() == ("C1",)
     assert verdict.checks_by_id()["C1"].detail == "TEE certificate chain: untrusted_root"
@@ -539,7 +541,7 @@ def test_a_fresh_verifier_spends_no_verify_on_an_unpinned_chain(monkeypatch):
 
 
 def test_memo_never_grows_past_its_bound(monkeypatch):
-    monkeypatch.setattr(crypto, "MAX_KNOWN_LINKS", 8)
+    monkeypatch.setattr(verifier, "MAX_KNOWN_LINKS", 8)
     world, v = warm_verifier()  # 5 links: both roots and the QE, EK and AK certificates
     ek = world.vtpms["plat-A"].ek
     ak_cert = next_bundle(world)[0].ak_cert
@@ -554,13 +556,13 @@ def test_memo_never_grows_past_its_bound(monkeypatch):
         v.adopt_challenge(challenge)
         counts.take()
         assert v.verify(replace(bundle, ak_cert=ak_cert), challenge).accepted
-        assert len(v._known_links) <= crypto.MAX_KNOWN_LINKS
+        assert len(v._known_links) <= verifier.MAX_KNOWN_LINKS
         return counts.take()["verify"]
 
     assert [verifies(cert) for cert in ak_certs] == [3] * 12
     # the first three were admitted; the memo was then full and admitted no more
     assert [(cert, ek.public) in v._known_links for cert in ak_certs] == [True] * 3 + [False] * 9
-    known = set(v._known_links)
+    known = dict(v._known_links)
     assert [verifies(cert) for cert in ak_certs] == [2] * 3 + [3] * 9
     assert v._known_links == known
 
@@ -809,28 +811,34 @@ def with_rtmr3_event(bundle, serial):
 
 
 def test_c5_memo_never_grows_past_its_bound(monkeypatch):
-    monkeypatch.setattr(evidence, "MAX_C5_MEMO", 8)
+    monkeypatch.setattr(verifier, "MAX_C5_MEMO", 8)
     world, v = warm_verifier()  # 2 entries: the replay and the rows
-    bundles = []
-    for serial in range(12):
+
+    def appraise_rtmr3(serial):
         bundle, challenge = next_bundle(world)
         bundle = with_rtmr3_event(bundle, serial)  # distinct values: two new keys
         v.adopt_challenge(challenge)
         assert v.verify(bundle, challenge).accepted
-        assert len(v._c5_memo) <= evidence.MAX_C5_MEMO
-        bundles.append(bundle)
+        assert len(v._c5_memo) <= verifier.MAX_C5_MEMO
+        return bundle
+
+    for serial in range(12):
+        appraise_rtmr3(serial)
     held = dict(v._c5_memo)
     counts = Counts(monkeypatch)
-    for serial, bundle in enumerate(bundles):
-        args = (bundle.td_report, bundle.tpm_quote, bundle.event_log)
+    results = []
+    real_check = evidence.check_rtmr_pcr_consistency
+    monkeypatch.setattr(evidence, "check_rtmr_pcr_consistency",
+                        lambda *args: results.append(real_check(*args)) or results[-1])
+    for serial in range(12):
         counts.take()
-        result = evidence.check_rtmr_pcr_consistency(*args, v._c5_memo)
+        bundle = appraise_rtmr3(serial)  # a fresh bundle with the same C5 values
         built = counts.take()["RowResult"]
         # the first three were admitted and still hit; the rest are computed
         # again, correctly, and the full memo stores none of them
         assert built == (0 if serial < 3 else 4)
-        assert any(result is stored for stored in held.values()) == (serial < 3)
-        assert result == evidence.check_rtmr_pcr_consistency(*args)
+        assert any(results[-1] is stored for stored in held.values()) == (serial < 3)
+        assert results[-1] == real_check(bundle.td_report, bundle.tpm_quote, bundle.event_log)
     assert v._c5_memo == held
 
 
@@ -918,23 +926,45 @@ def raising_c6(bundle, challenge, v):
     raise RuntimeError("check after C5 raised")
 
 
-def test_a_rejected_or_raising_appraisal_leaves_the_c5_memo_as_it_was(monkeypatch):
-    # each bundle carries new C5 values that pass, so C5 computes two entries
-    # the appraisal then gives up: the memo keeps exactly what it held before
+def test_a_rejected_raising_or_diagnostic_appraisal_leaves_both_memos_as_they_were(monkeypatch):
+    # each bundle comes from a second platform, plat-B, and carries new C5
+    # values that pass: C1 and C2 append its two links and C5 two entries,
+    # which the appraisal then gives up, so each memo keeps what it held
     world, v = warm_verifier()
-    held = list(v._c5_memo.items())
-    assert len(held) == 2  # the replay and the rows
-    verdict = appraise(v, world, lambda b: late_timing(with_rtmr3_event(b, 0)))
-    assert verdict.failed_checks() == ("C7",)
-    assert list(v._c5_memo.items()) == held
-    assert all(a[1] is b[1] for a, b in zip(v._c5_memo.items(), held))
+    adversary._spawn_platform(world, "plat-B")
+    links, held = list(v._known_links), list(v._c5_memo.items())
+    assert (len(links), len(held)) == (5, 2)  # see warm_verifier; the replay and the rows
+
+    def appraise_b(serial, alter=lambda bundle: bundle, disabled=frozenset()):
+        rng = random.Random(serial)
+        challenge = verifier.Challenge(rng.randbytes(32), rng.randbytes(32), world.clock_ms)
+        bundle = with_rtmr3_event(adversary._respond(world, challenge, "honest", "plat-B"), serial)
+        new_links = [(bundle.ak_cert, bundle.ek_cert_chain.leaf.subject_public),
+                     (bundle.ek_cert_chain.leaf, world.provider_root.subject_public)]
+        assert not any(link in v._known_links for link in new_links)
+        v.adopt_challenge(challenge)
+        return v.verify(alter(bundle), challenge, disabled)
+
+    def as_they_were():
+        assert list(v._known_links) == links
+        assert list(v._c5_memo.items()) == held
+        assert all(a[1] is b[1] for a, b in zip(v._c5_memo.items(), held))
+
+    assert appraise_b(0, late_timing).failed_checks() == ("C7",)
+    as_they_were()
+    assert appraise_b(1, disabled=frozenset({"C8"})).accepted
+    as_they_were()
     rows = [row._replace(evaluate=raising_c6) if row.check_id == "C6" else row
             for row in verifier.CHECKS]
     monkeypatch.setattr(verifier, "CHECKS", tuple(rows))
     with pytest.raises(RuntimeError, match="check after C5 raised"):
-        appraise(v, world, lambda b: with_rtmr3_event(b, 1))
-    assert list(v._c5_memo.items()) == held
-    assert all(a[1] is b[1] for a, b in zip(v._c5_memo.items(), held))
+        appraise_b(2)
+    as_they_were()
+    monkeypatch.undo()
+    # a plat-B bundle accepted with nothing disabled appends its entries
+    assert appraise_b(2).accepted
+    assert (list(v._known_links)[:5], len(v._known_links)) == (links, 7)
+    assert (list(v._c5_memo.items())[:2], len(v._c5_memo)) == (held, 4)
 
 
 def test_entries_that_measure_one_image_into_two_registers_decode_apart(monkeypatch):
@@ -1009,7 +1039,7 @@ def test_a_full_link_memo_keeps_answering_for_the_platforms_it_admitted(monkeypa
     # one platform its EK certificate
     n = 600
     v, warm = warm_fleet_counts(monkeypatch, n)
-    assert len(v._known_links) == crypto.MAX_KNOWN_LINKS
+    assert len(v._known_links) == verifier.MAX_KNOWN_LINKS
     assert warm["verify"] == (2 * n + 2 * 89 + 1) / n
     assert (warm["extend"], warm["RowResult"]) == (0.0, 0.0)
 
@@ -1168,3 +1198,77 @@ class ChallengeLedger(RuleBasedStateMachine):
 
 TestChallengeLedger = ChallengeLedger.TestCase
 TestChallengeLedger.settings = settings(max_examples=60, stateful_step_count=80, deadline=None)
+
+
+# -- the memo rule: one long-lived Verifier against a fresh one per appraisal ---
+
+@functools.lru_cache(maxsize=None)
+def appraisal_pool(deployment):
+    """The policy of one world (seed 3) and bundles to appraise under it, each
+    with its own challenge: honest answers from plat-A and plat-B, two of
+    each with one more RTMR 3 event (new C5 values that pass), the same
+    answers late (C7 alone rejects them), and one bundle of each live attack
+    cell of the deployment. The policy does not require the registry, so
+    A5_ak_clone's bundle is accepted. Every challenge is issued at 0, so none
+    expires."""
+    world = adversary.build_world(adversary.WorldConfig(seed=3, deployment=deployment))
+    adversary._spawn_platform(world, "plat-B")
+    rng = random.Random(3)
+    pool = []
+
+    def challenge():
+        return verifier.Challenge(rng.randbytes(32), rng.randbytes(32), 0.0)
+
+    for pid in ("plat-A", "plat-B"):
+        for serial in range(3):
+            c = challenge()
+            bundle = adversary._respond(world, c, "honest", pid)
+            pool.append((with_rtmr3_event(bundle, serial) if serial else bundle, c))
+            if serial:
+                c = challenge()
+                late = late_timing(adversary._respond(world, c, "honest", pid))
+                pool.append((with_rtmr3_event(late, serial), c))
+    for sid, dep in LIVE_CELLS:
+        if sid != "honest" and dep is deployment:
+            c = challenge()
+            pool.append((adversary.SCENARIOS[sid].generate(world, c), c))
+    return adversary.default_policy_for(world), tuple(pool)
+
+
+STEP_DISABLES = (None,) * 24 + verifier.CHECK_IDS
+
+
+@pytest.mark.parametrize("deployment", adversary.Deployment, ids=lambda d: d.value)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    bounds=st.tuples(st.integers(2, 8), st.integers(1, 5)),
+    # a replay draws a bundle again; one step in four disables a check
+    steps=st.lists(st.tuples(st.integers(0, 99), st.sampled_from(STEP_DISABLES)),
+                   min_size=10, max_size=40),
+)
+def test_a_long_lived_verifier_gives_a_fresh_verifiers_verdicts_within_its_bounds(
+    deployment, bounds, steps
+):
+    policy, pool = appraisal_pool(deployment)
+    v, spent = verifier.Verifier(policy), {}
+    with mock.patch.multiple(verifier, MAX_KNOWN_LINKS=bounds[0], MAX_C5_MEMO=bounds[1]):
+        for index, disabled in steps:
+            bundle, challenge = pool[index % len(pool)]
+            disabled = frozenset([disabled] if disabled else [])
+            # C4 as the long-lived ledger sees it: a replayed challenge is spent
+            fresh = verifier.Verifier(policy)
+            fresh._spent = dict(spent)
+            key = verifier._challenge_key(challenge)
+            if key not in spent:
+                v.adopt_challenge(challenge)
+                fresh.adopt_challenge(challenge)
+            before = list(v._known_links), list(v._c5_memo.items())
+            verdict = v.verify(bundle, challenge, disabled)
+            assert verdict.to_obj() == fresh.verify(bundle, challenge, disabled).to_obj()
+            spent[key] = challenge.issued_at
+            after = list(v._known_links), list(v._c5_memo.items())
+            assert [len(held) <= bound for held, bound in zip(after, bounds)] == [True, True]
+            if verdict.accepted and not disabled:
+                assert tuple(held[:len(was)] for held, was in zip(after, before)) == before
+            else:
+                assert after == before
