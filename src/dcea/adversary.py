@@ -135,7 +135,7 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
     tee_ca = crypto.keygen(_seed_bytes(config, "tee-ca"), crypto.KeyKind.CA)
     tee_root = crypto.issue_cert(tee_ca, tee_ca.public, {"role": "tee-root"})
     qe = crypto.keygen(_seed_bytes(config, "qe"), crypto.KeyKind.QE)
-    qe_chain = CertChain((crypto.issue_cert(tee_ca, qe.public, {"role": "qe"}), tee_root))
+    qe_chain = (crypto.issue_cert(tee_ca, qe.public, {"role": "qe"}), tee_root)
     events = tuple(
         EventLogEntry(pcr, crypto.digest(_seed_bytes(config, f"guest:{label}")), label,
                       Scope.GUEST, rtmr)
@@ -272,7 +272,7 @@ def _respond(
     return EvidenceBundle(
         td_report=report,
         tpm_quote=quote,
-        ek_cert_chain=CertChain((ek_cert or vtpm.ek_cert, root_cert or world.provider_root)),
+        ek_cert_chain=(ek_cert or vtpm.ek_cert, root_cert or world.provider_root),
         ak_cert=vtpm.aks[handle].ak_cert,
         event_log=tuple(e for e in vtpm.log if e.scope is Scope.HOST) + guest.guest_log,
         nonces=Nonces(challenge.td_nonce, challenge.tpm_nonce),
@@ -337,10 +337,10 @@ def _gen_report_forgery(world: World, challenge: Challenge) -> EvidenceBundle:
     bundle = _respond(world, challenge, "A1_report_forgery")
     rogue_ca = crypto.keygen(_seed_bytes(world.config, "rogue-tee-ca"), crypto.KeyKind.CA)
     rogue_qe = crypto.keygen(_seed_bytes(world.config, "rogue-qe"), crypto.KeyKind.QE)
-    rogue_chain = CertChain((
+    rogue_chain = (
         crypto.issue_cert(rogue_ca, rogue_qe.public, {"role": "qe"}),
         crypto.issue_cert(rogue_ca, rogue_ca.public, {"role": "tee-root"}),
-    ))
+    )
     unsigned = replace(bundle.td_report, qe_chain=rogue_chain, qe_signature=b"")
     signed = replace(
         unsigned,

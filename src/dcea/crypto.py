@@ -224,15 +224,8 @@ class Certificate:
         return dict(self.claims)
 
 
-@dataclass(frozen=True)
-class CertChain:
-    """Leaf-first chain; the last certificate is expected to be self-signed."""
-
-    certs: Tuple[Certificate, ...] = ()
-
-    @property
-    def leaf(self) -> Certificate:
-        return self.certs[0]
+# A leaf-first chain; the last certificate is expected to be self-signed.
+CertChain = Tuple[Certificate, ...]
 
 
 class ChainStatus(Enum):
@@ -285,7 +278,8 @@ def verify_chain(
     trusted_roots: Iterable[Certificate],
     known_links: Dict[Link, None],
 ) -> ChainVerdict:
-    """Test the chain's anchor, then walk it leaf to root.
+    """Test the chain's anchor, then walk it leaf to root. A chain is a
+    plain tuple of certificates, leaf first; an empty one raises EmptyChain.
 
     Status precedence: UNTRUSTED_ROOT, then BROKEN_LINK, then VALID. The
     last certificate must be one of ``trusted_roots`` (by equality); if it
@@ -304,14 +298,13 @@ def verify_chain(
     stay. A link is a certificate plus its signer key, so altering any
     signed field makes it a new link.
     """
-    certs = chain.certs
-    if not certs:
+    if not chain:
         raise EmptyChain("certificate chain is empty")
-    if certs[-1] not in trusted_roots:
+    if chain[-1] not in trusted_roots:
         return _UNTRUSTED_ROOT
-    signers = [cert.subject_public for cert in certs[1:]]
-    signers.append(certs[-1].subject_public)
-    links = list(zip(certs, signers))
+    signers = [cert.subject_public for cert in chain[1:]]
+    signers.append(chain[-1].subject_public)
+    links = list(zip(chain, signers))
     unknown = []
     for i, link in enumerate(links):
         if link not in known_links:

@@ -94,7 +94,7 @@ class EvidenceBundle:
     format_version: ClassVar[int] = FORMAT_VERSION  # the wire generation it encodes as
 
     def __post_init__(self):
-        if not self.ek_cert_chain.certs:
+        if not self.ek_cert_chain:
             raise IncompleteBundle("ek_cert_chain must hold at least one certificate")
 
 
@@ -108,17 +108,16 @@ class Codec(NamedTuple):
     writes for the JSON value ``obj`` that ``decode(obj, path)`` reads back.
     ``decode`` is built from the decodes of the codec's parts, and raises
     ParseError that names where ``obj`` sits. A path is ``"$"`` or a
-    ``(parent path, key or index)`` pair, rendered only for an error."""
+    ``(parent path, key or index)`` pair, rendered only for an error.
+    A record's ``plan`` is its ``make`` and its one step table, which its
+    encode and the canonical reader walk (see ``record``); any other codec
+    has none, and the reader reads its value whole. ``checked`` drops the
+    plan, so the reader never walks past a check; ``kept_text`` keeps it."""
 
     encode: Callable
     decode: Callable
     optional: bool = False  # a record may omit the key, which reads as None
-    # a record's field table in wire order and the ``make`` it decodes through;
-    # None for every other codec, which the canonical reader reads as one value.
-    # A combinator over a record that adds a check (``checked``) drops both, so
-    # the reader never walks past it; ``kept_text``, which adds none, keeps them.
-    fields: Optional[Tuple[Tuple[str, "Codec"], ...]] = None
-    make: Optional[Callable] = None
+    plan: Optional[Tuple[Callable, Tuple[tuple, ...]]] = None
 
 
 def _json_path(path) -> str:
@@ -340,14 +339,18 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
     """A JSON object with exactly the keys of ``fields``: written from the
     value's attributes of those names, read as ``make(**values)`` from each
     field's decode. An InvalidEntry, IncompleteBundle or ValueError from
-    ``make`` fails at the object's path."""
+    ``make`` fails at the object's path. Its plan is ``(make, steps)``: per
+    field in ``sort_keys`` order, the text before its value (``{`` or ``,``,
+    then ``"name":``), its name, getter, encode, decode and own plan (None
+    unless it is a record), which the encode and ``_read`` both walk."""
     names = frozenset(fields)
     required = frozenset(name for name, codec in fields.items() if not codec.optional)
     decoders = tuple((name, codec.decode) for name, codec in fields.items())
-    table = tuple((name, fields[name]) for name in sorted(fields))  # in sort_keys order
-    # each field's '"name":' prefix, its getter and its encoder
-    encoders = tuple((_string_text(name) + ":", attrgetter(name), codec.encode)
-                     for name, codec in table)
+    steps = tuple(
+        (("," if i else "{") + _string_text(name) + ":", name, attrgetter(name),
+         codec.encode, codec.decode, codec.plan)
+        for i, (name, codec) in enumerate(sorted(fields.items()))
+    )
 
     def decode(obj, path):
         if obj.__class__ is not dict or obj.keys() != names:
@@ -367,9 +370,9 @@ def record(make: Callable, fields: Mapping[str, Codec]) -> Codec:
             _fail(path, exc)
 
     def encode(value):
-        return "{" + ",".join([prefix + enc(get(value)) for prefix, get, enc in encoders]) + "}"
+        return "".join([tag + enc(get(value)) for tag, _, get, enc, _, _ in steps]) + "}"
 
-    return Codec(encode, decode, fields=table, make=make)
+    return Codec(encode, decode, plan=(make, steps))
 
 
 # -- the bundle's wire types; the README documents the same layout ----------
@@ -387,7 +390,7 @@ _CERT = record(Certificate, {
 
 CERT = kept_text(_CERT)
 
-_CHAIN = wrap(list_of(CERT), CertChain, attrgetter("certs"))
+_CHAIN = list_of(CERT)  # leaf first
 
 
 PCR_INDEX = checked(INTEGER, lambda index: 0 <= index < N_PCRS,
@@ -504,28 +507,17 @@ _HELD: dict = {}
 _scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
-def _plan(codec: Codec):
-    """How the reader walks a record: its ``make``, and for each field in wire
-    order the tag ``serialize`` writes before its value, its name, its decode
-    and, for a field that is itself a record, that record's plan."""
-    steps = []
-    for i, (name, field) in enumerate(codec.fields):
-        tag = ("{" if i == 0 else ",") + _string_text(name) + ":"
-        steps.append((tag, name, field.decode, field.fields and _plan(field)))
-    return codec.make, tuple(steps)
-
-
-_BUNDLE_PLAN = _plan(_BUNDLE)
-_FIRST_VALUE_AT = len(_BUNDLE_PLAN[1][0][0])  # where the first field's value starts
+_FIRST_VALUE_AT = len(_BUNDLE.plan[1][0][0])  # where the first field's value starts
 
 
 def _read(text: str, pos: int, plan, misses: list):
-    """The record ``plan`` read from ``text`` at ``pos``, with the position
-    after it. Raises on any text ``serialize`` would not write around a value.
-    Appends each array or object that was parsed, not found, to ``misses``."""
+    """The record of ``plan`` (see ``record``) read from ``text`` at ``pos``,
+    with the position after it. Raises on any text ``serialize`` would not
+    write around a value. Appends each array or object that was parsed, not
+    found, to ``misses``."""
     make, steps = plan
     values = {}
-    for tag, name, decode, inner in steps:
+    for tag, name, _, _, decode, inner in steps:
         if not text.startswith(tag, pos):
             raise ValueError(f"no {tag!r} at {pos}")
         pos += len(tag)
@@ -568,7 +560,7 @@ def deserialize(data: bytes) -> EvidenceBundle:
     text = _utf8(data)
     misses = []
     try:
-        bundle, end = _read(text, 0, _BUNDLE_PLAN, misses)
+        bundle, end = _read(text, 0, _BUNDLE.plan, misses)
         if end != len(text):
             raise ValueError(f"text after the bundle at {end}")
     except Exception:  # the full path decodes it, or says why it cannot

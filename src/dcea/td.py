@@ -182,10 +182,10 @@ def td_report(td: TdState, report_data: bytes, qe: KeyPair, qe_chain: CertChain)
 
 def verify_td_report_signature(report: TdReport) -> bool:
     """Check the report signature under the leaf key of its carried chain."""
-    if not report.qe_chain.certs:
+    if not report.qe_chain:
         return False
     payload = report_signing_payload(report)
     try:
-        return crypto.verify(report.qe_chain.leaf.subject_public, payload, report.qe_signature)
+        return crypto.verify(report.qe_chain[0].subject_public, payload, report.qe_signature)
     except InvalidKey:
         return False

@@ -12,9 +12,9 @@ Checks, by what they decide:
 * C2 -- the TPM quote verifies under its attestation key, and that key's
   certificate chains through the presented EK chain to a trusted
   platform-provider root. A bundle without an AK certificate fails.
-* C3 -- the TD launch configuration binds the quoting key (MRCONFIGID
-  carries digest(AK_public), or the report_data tail does, depending on
-  the deployment's binding channel).
+* C3 -- the TD runs on the chassis an EK ``ppid`` claim endorses, if any,
+  and its launch configuration binds the quoting key (MRCONFIGID carries
+  digest(AK_public), or the report_data tail does, per binding channel).
 * C4 -- both halves of the challenge are echoed verbatim, the challenge
   has not been consumed before, and it has not expired (see ``Verifier``).
 * C5 -- the TD's runtime registers and the quoted PCRs are two views of
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import crypto, evidence, td, tpm
-from .crypto import CertChain, Certificate, Digest
+from .crypto import Certificate, Digest
 from .errors import DceaError
 from .evidence import (
     BOOLEAN,
@@ -226,20 +226,20 @@ def _check_c2(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) 
     ek_chain = bundle.ek_cert_chain
     # the provider anchor first, as verify_chain tests it: a chain under an
     # unpinned root fails however the quote stands, so no verify is spent on it
-    if ek_chain.certs[-1] not in policy.trusted_provider_roots:
+    if ek_chain[-1] not in policy.trusted_provider_roots:
         return False, f"AK provenance chain: {crypto.ChainStatus.UNTRUSTED_ROOT.value}"
     quote = bundle.tpm_quote
     if not tpm.verify_quote_signature(quote):
         return False, "quote signature does not verify under the presented AK"
     if policy.provider_allowlist:
-        provider = ek_chain.leaf.claims_dict().get("provider")
+        provider = ek_chain[0].claims_dict().get("provider")
         if provider not in policy.provider_allowlist:
             return False, f"EK provider {provider!r} is not on the allowlist"
     if bundle.ak_cert is None:
         return False, "no AK certificate: the quoting key is not certified by the EK"
     if bundle.ak_cert.subject_public != quote.ak_public:
         return False, "AK certificate covers a different key than the quote"
-    full = CertChain((bundle.ak_cert,) + ek_chain.certs)
+    full = (bundle.ak_cert,) + ek_chain
     verdict = crypto.verify_chain(full, policy.trusted_provider_roots, known_links)
     if not verdict.ok:
         return False, f"AK provenance chain: {verdict.status.value}"
@@ -247,6 +247,13 @@ def _check_c2(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) 
 
 
 def _check_c3(bundle: EvidenceBundle, challenge: Challenge, verifier: Verifier) -> Tuple[bool, str]:
+    """Same chassis, then key binding. An EK leaf's ``ppid`` claim, the provider's
+    endorsement of the chassis that holds the TPM, must equal the report's signed
+    ``ppid``; a leaf without the claim endorses no chassis, and the rule passes."""
+    ppid = bundle.td_report.ppid
+    endorsed = bundle.ek_cert_chain[0].claims_dict().get("ppid", ppid)
+    if endorsed != ppid:
+        return False, f"TD report ppid {ppid!r} is not the EK's endorsed chassis {endorsed!r}"
     want = crypto.digest(bundle.tpm_quote.ak_public)
     if verifier.policy.binding_channel is BindingChannel.MRCONFIGID:
         if bundle.td_report.mrconfigid == want.data:
@@ -446,22 +453,28 @@ class Verifier:
         self._outstanding: Dict[bytes, float] = {}
         self._spent: Dict[bytes, float] = {}
         self._now = -math.inf  # the ledger's logical clock
+        self._lead = 0.0  # the most an adopted issued_at has led the clock
         self._prune_above = LEDGER_FLOOR
         self._known_links: Dict[crypto.Link, None] = {}
         self._c5_memo: Dict[tuple, object] = {}
 
     def challenge(self) -> Challenge:
+        """A fresh challenge stamped ``clock()`` plus the most an adopted
+        ``issued_at`` led the clock, and never older than the logical clock: so
+        C4 never finds it expired at issue, and a lagging clock's stamps age."""
         n = evidence.NONCE_LEN
         while True:
             key = self._rng.randbytes(2 * n)  # the same stream as two n-byte draws
             if key not in self._outstanding and key not in self._spent:
                 break
-        challenge = Challenge(td_nonce=key[:n], tpm_nonce=key[n:], issued_at=float(self._clock()))
+        issued_at = max(float(self._clock()) + self._lead, self._now)
+        challenge = Challenge(td_nonce=key[:n], tpm_nonce=key[n:], issued_at=issued_at)
         self.adopt_challenge(challenge)
         return challenge
 
     def adopt_challenge(self, challenge: Challenge) -> None:
         """Treat an externally built challenge as issued by this verifier."""
+        self._lead = max(self._lead, challenge.issued_at - float(self._clock()))
         self._now = max(self._now, challenge.issued_at)
         self._enter(self._outstanding, _challenge_key(challenge), challenge.issued_at)
 

@@ -48,7 +48,7 @@ def rand_cert(rng):
 
 
 def rand_chain(rng, max_len=3):
-    return crypto.CertChain(tuple(rand_cert(rng) for _ in range(rng.randrange(1, max_len + 1))))
+    return tuple(rand_cert(rng) for _ in range(rng.randrange(1, max_len + 1)))
 
 
 def rand_entry(rng):

@@ -171,7 +171,7 @@ def _chain(*, break_middle=False):
     mid_issuer = crypto.keygen(b"unrelated", crypto.KeyKind.CA) if break_middle else ca
     mid_cert = crypto.issue_cert(mid_issuer, mid.public, {"role": "intermediate"})
     leaf_cert = crypto.issue_cert(mid, leaf.public, {"role": "leaf"})
-    return crypto.CertChain((leaf_cert, mid_cert, root_cert)), root_cert
+    return (leaf_cert, mid_cert, root_cert), root_cert
 
 
 def test_an_intermediate_with_a_malformed_key_breaks_the_link_it_should_have_signed():
@@ -182,7 +182,7 @@ def test_an_intermediate_with_a_malformed_key_breaks_the_link_it_should_have_sig
     mid_cert = crypto.issue_cert(ca, b"\x01" * 31, {"role": "intermediate"})
     leaf = crypto.keygen(b"chain-leaf", crypto.KeyKind.EK)
     leaf_cert = crypto.issue_cert(leaf, leaf.public, {"role": "leaf"})
-    chain, known = crypto.CertChain((leaf_cert, mid_cert, root_cert)), {}
+    chain, known = (leaf_cert, mid_cert, root_cert), {}
     verdict = crypto.verify_chain(chain, [root_cert], known)
     assert verdict == crypto.ChainVerdict(crypto.ChainStatus.BROKEN_LINK, broken_index=0)
     assert known == {}
@@ -229,9 +229,9 @@ def test_a_chain_to_an_unpinned_root_makes_no_verify(monkeypatch, break_middle):
 
 def test_a_pinned_root_with_a_broken_leaf_reports_index_0_and_remembers_nothing():
     chain, root = _chain()
-    leaf = replace(chain.leaf, claims=(("role", "altered"),))
+    leaf = replace(chain[0], claims=(("role", "altered"),))
     known = {}
-    verdict = crypto.verify_chain(crypto.CertChain((leaf,) + chain.certs[1:]), [root], known)
+    verdict = crypto.verify_chain((leaf,) + chain[1:], [root], known)
     assert verdict == crypto.ChainVerdict(crypto.ChainStatus.BROKEN_LINK, broken_index=0)
     assert known == {}
 
@@ -241,7 +241,7 @@ def test_a_memo_holding_every_link_verifies_nothing_and_stays_as_it_was(monkeypa
     chain = world.qe_chain
     known = {}
     assert crypto.verify_chain(chain, [world.tee_root], known).ok
-    assert list(known) == list(zip(chain.certs, [world.tee_root.subject_public] * 2))
+    assert list(known) == list(zip(chain, [world.tee_root.subject_public] * 2))
     before = list(known)
     calls = []
     monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args))
@@ -252,13 +252,13 @@ def test_a_memo_holding_every_link_verifies_nothing_and_stays_as_it_was(monkeypa
 
 def test_verify_chain_empty_rejected():
     with pytest.raises(EmptyChain):
-        crypto.verify_chain(crypto.CertChain(()), [], {})
+        crypto.verify_chain((), [], {})
 
 
 def test_self_signed_single_cert_chain():
     ca = crypto.keygen(b"solo", crypto.KeyKind.CA)
     root = crypto.issue_cert(ca, ca.public, {"role": "root"})
-    assert crypto.verify_chain(crypto.CertChain((root,)), [root], {}).ok
+    assert crypto.verify_chain((root,), [root], {}).ok
 
 
 # -- the three signing payloads against the README's "Canonical signing encodings"
@@ -329,7 +329,7 @@ REPORT_BLOBS = ("mrconfigid", "mrowner", "mrownerconfig", "report_data", "tee_tc
        st.text())
 def test_report_payload_matches_the_readme_field_by_field(mrtd, rtmrs, blobs, ppid):
     report = td.TdReport(mrtd=mrtd, rtmrs=tuple(rtmrs), **dict(zip(REPORT_BLOBS, blobs)),
-                         ppid=ppid, qe_signature=b"", qe_chain=crypto.CertChain(()))
+                         ppid=ppid, qe_signature=b"", qe_chain=())
     want = _enc_str("dcea-td-report-v1") + _enc_bytes(mrtd.data) + struct.pack(">I", len(rtmrs))
     for rtmr in rtmrs:
         want += _enc_bytes(rtmr.data)

@@ -69,7 +69,7 @@ def honest_bundle():
     return evidence.EvidenceBundle(
         td_report=report,
         tpm_quote=quote,
-        ek_cert_chain=crypto.CertChain((vtpm.ek_cert, root)),
+        ek_cert_chain=(vtpm.ek_cert, root),
         ak_cert=vtpm.aks[handle].ak_cert,
         event_log=log,
         nonces=evidence.Nonces(b"\x0a" * 32, b"\x0b" * 32),
@@ -122,18 +122,18 @@ def hard_bundle(seed):
         return {key: text() for key in keys}
 
     def chain(certs):
-        return crypto.CertChain(tuple(
+        return tuple(
             replace(cert, issuer_id=text(), claims=tuple(sorted(strings().items())))
             for cert in certs
-        ))
+        )
 
     times = HARD_TIMES[seed % 5:] + HARD_TIMES[:seed % 5]
     report = base.td_report
     return replace(
         base,
-        td_report=replace(report, ppid=text(), qe_chain=chain(report.qe_chain.certs)),
-        ek_cert_chain=chain(base.ek_cert_chain.certs),
-        ak_cert=None if seed % 4 == 0 else chain((base.ak_cert or rand_cert(rng),)).leaf,
+        td_report=replace(report, ppid=text(), qe_chain=chain(report.qe_chain)),
+        ek_cert_chain=chain(base.ek_cert_chain),
+        ak_cert=None if seed % 4 == 0 else chain((base.ak_cert or rand_cert(rng),))[0],
         event_log=() if seed % 3 == 0 else tuple(
             replace(entry, description=text()) for entry in base.event_log
         ),
@@ -522,7 +522,7 @@ HELD_VALUES = attrgetter("ak_cert", "ek_cert_chain", "event_log", "td_report.qe_
 def _repeated_values(bundle):
     """Every certificate, event-log entry and register digest of ``bundle``
     that one of its held values holds: all of them but MRTD."""
-    certs = bundle.td_report.qe_chain.certs + bundle.ek_cert_chain.certs + (bundle.ak_cert,)
+    certs = bundle.td_report.qe_chain + bundle.ek_cert_chain + (bundle.ak_cert,)
     digests = bundle.td_report.rtmrs + tuple(v for _, v in bundle.tpm_quote.values)
     return certs + bundle.event_log + digests
 
@@ -763,7 +763,7 @@ def test_the_reader_reads_every_golden_and_live_cell_document_to_its_end():
     assert len(CELL_DIGESTS) == 15  # one bundle of each live cell
     for data in [(FIXTURES / f"{pair}.dcea.json").read_bytes() for pair in GOLDEN] + [
             evidence.serialize(attest_cell(sid, dep, seed=0).bundle) for sid, dep in CELL_DIGESTS]:
-        bundle, end = evidence._read(data.decode(), 0, evidence._BUNDLE_PLAN, [])
+        bundle, end = evidence._read(data.decode(), 0, evidence._BUNDLE.plan, [])
         assert end == len(data)
         assert bundle == evidence._BUNDLE.decode(json.loads(data), "$")
 
@@ -818,7 +818,7 @@ def test_the_held_table_fills_to_its_bound_and_keeps_answering(monkeypatch):
         evidence.deserialize(evidence.serialize(random_bundle(seed)))
         assert len(evidence._HELD) <= evidence.MAX_HELD
     assert len(evidence._HELD) == evidence.MAX_HELD
-    assert all(isinstance(value, (tuple, crypto.Certificate, crypto.CertChain))
+    assert all(isinstance(value, (tuple, crypto.Certificate))
                for _, value in evidence._HELD.values())
     held = dict(evidence._HELD)
     again = evidence.deserialize(golden)
@@ -933,11 +933,11 @@ def test_replace_builds_a_value_that_renders_again():
     bundle = honest_bundle()
     evidence.serialize(bundle)
     changed = replace(bundle.event_log[0], description="changed")
-    cert = replace(bundle.ek_cert_chain.leaf, issuer_id="changed")
+    cert = replace(bundle.ek_cert_chain[0], issuer_id="changed")
     rebuilt = replace(
         bundle,
         event_log=(changed,) + bundle.event_log[1:],
-        ek_cert_chain=crypto.CertChain((cert,) + bundle.ek_cert_chain.certs[1:]),
+        ek_cert_chain=(cert,) + bundle.ek_cert_chain[1:],
     )
     assert [id(v) for v in renders(lambda: evidence.serialize(rebuilt))] == [id(cert), id(changed)]
     obj = json.loads(evidence.serialize(rebuilt))
@@ -948,7 +948,7 @@ def test_build_bundle_missing_mandatory():
     # a bundle needs at least the EK certificate to anchor its vTPM
     bundle = honest_bundle()
     with pytest.raises(IncompleteBundle):
-        replace(bundle, ek_cert_chain=crypto.CertChain(()))
+        replace(bundle, ek_cert_chain=())
 
 
 # -- report_data layout ------------------------------------------------------

@@ -118,5 +118,5 @@ def test_instantiate_vtpm_kind_and_cert_chain():
     assert vtpm.kind is tpm.TpmKind.DISCRETE
     # EK cert chains to the provider CA that instantiated it
     root = crypto.issue_cert(ca, ca.public, {"role": "root"})
-    chain = crypto.CertChain((vtpm.ek_cert, root))
+    chain = (vtpm.ek_cert, root)
     assert crypto.verify_chain(chain, [root], {}).ok

@@ -23,7 +23,7 @@ def make_qe():
     qe = crypto.keygen(b"qe", crypto.KeyKind.QE)
     root = crypto.issue_cert(tee_ca, tee_ca.public, {"role": "tee-root"})
     leaf = crypto.issue_cert(tee_ca, qe.public, {"role": "qe"})
-    return qe, crypto.CertChain((leaf, root)), root
+    return qe, (leaf, root), root
 
 
 def test_launch_measurements():
@@ -118,8 +118,8 @@ def test_report_signature_under_malformed_leaf_key_is_invalid():
     guest, _, _ = make_td()
     qe, chain, _ = make_qe()
     report = td.td_report(guest, b"\x00" * 64, qe, chain)
-    bad_leaf = replace(chain.leaf, subject_public=b"\x01\x02")
-    bad_chain = crypto.CertChain((bad_leaf,) + chain.certs[1:])
+    bad_leaf = replace(chain[0], subject_public=b"\x01\x02")
+    bad_chain = (bad_leaf,) + chain[1:]
     assert not td.verify_td_report_signature(replace(report, qe_chain=bad_chain))
 
 
@@ -129,7 +129,7 @@ def test_report_signature_without_a_qe_chain_is_invalid():
     guest, _, _ = make_td()
     qe, chain, _ = make_qe()
     report = td.td_report(guest, b"\x00" * 64, qe, chain)
-    assert not td.verify_td_report_signature(replace(report, qe_chain=crypto.CertChain(())))
+    assert not td.verify_td_report_signature(replace(report, qe_chain=()))
 
 
 def test_report_data_width_enforced():

@@ -95,9 +95,9 @@ def test_create_sealed_ak_snapshots_policy():
     assert sealed.ak_cert.subject_public == sealed.keypair.public
     # the device's own EK certifies the AK, so it chains to the EK's issuer
     root = crypto.issue_cert(ca, ca.public, {"role": "root"})
-    chain = crypto.CertChain((sealed.ak_cert, state.ek_cert, root))
+    chain = (sealed.ak_cert, state.ek_cert, root)
     assert crypto.verify_chain(chain, (root,), {}).ok
-    assert not crypto.verify_chain(crypto.CertChain((sealed.ak_cert, root)), (root,), {}).ok
+    assert not crypto.verify_chain((sealed.ak_cert, root), (root,), {}).ok
 
 
 def test_create_sealed_ak_empty_policy_rejected():

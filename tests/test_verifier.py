@@ -71,10 +71,10 @@ def test_c1_untrusted_qe_root():
     bundle = honest_bundle()
     fake_ca = crypto.keygen(b"fake-tee", crypto.KeyKind.CA)
     fake_qe = crypto.keygen(b"fake-qe", crypto.KeyKind.QE)
-    fake_chain = crypto.CertChain((
+    fake_chain = (
         crypto.issue_cert(fake_ca, fake_qe.public, {"role": "qe"}),
         crypto.issue_cert(fake_ca, fake_ca.public, {"role": "tee-root"}),
-    ))
+    )
     report = replace(bundle.td_report, qe_chain=fake_chain, qe_signature=b"")
     from dcea import td as td_mod
 
@@ -139,7 +139,7 @@ def test_c3_report_data_channel():
     bundle = evidence.EvidenceBundle(
         td_report=report,
         tpm_quote=quote,
-        ek_cert_chain=crypto.CertChain((vtpm.ek_cert, root)),
+        ek_cert_chain=(vtpm.ek_cert, root),
         ak_cert=vtpm.aks[handle].ak_cert,
         event_log=log,
         nonces=evidence.Nonces(TD_NONCE, TPM_NONCE),
@@ -436,7 +436,7 @@ def altered_claim(cert):
 
 def alter_qe_leaf(bundle):
     chain = bundle.td_report.qe_chain
-    qe_chain = crypto.CertChain((altered_claim(chain.leaf),) + chain.certs[1:])
+    qe_chain = (altered_claim(chain[0]),) + chain[1:]
     return replace(bundle, td_report=replace(bundle.td_report, qe_chain=qe_chain))
 
 
@@ -460,10 +460,10 @@ def reroot_qe_chain(bundle):
     """A QE chain with valid links up to a self-signed root nobody pinned."""
     fake_ca = crypto.keygen(b"fake-tee", crypto.KeyKind.CA)
     fake_qe = crypto.keygen(b"fake-qe", crypto.KeyKind.QE)
-    chain = crypto.CertChain((
+    chain = (
         crypto.issue_cert(fake_ca, fake_qe.public, {"role": "qe"}),
         crypto.issue_cert(fake_ca, fake_ca.public, {"role": "tee-root"}),
-    ))
+    )
     report = replace(bundle.td_report, qe_chain=chain)
     report = replace(
         report, qe_signature=crypto.sign(fake_qe, td.report_signing_payload(report))
@@ -630,6 +630,59 @@ def test_only_one_platforms_own_parts_pass(config):
                 accepted.append(parts(bundle))
     assert all(p in own_parts for p in accepted)
     assert all(p in accepted for p in own_parts)
+
+
+# -- C3's chassis rule: the EK leaf's ppid claim names the TD's platform -------
+
+def endorse(world, bundle, ppid):
+    """The bundle with its EK leaf re-issued by the provider with one more
+    claim, ``ppid``: the EK key, and so the AK certificate's link, stay."""
+    leaf = bundle.ek_cert_chain[0]
+    claims = {**leaf.claims_dict(), "ppid": ppid}
+    endorsed = crypto.issue_cert(world.provider_ca, leaf.subject_public, claims)
+    return replace(bundle, ek_cert_chain=(endorsed,) + bundle.ek_cert_chain[1:])
+
+
+def remote_td(config):
+    """A2_remote_td: a TD booted on unregistered plat-X and bound to plat-A's
+    AK, answered with plat-A's quote, EK chain and AK certificate; with its
+    world and challenge."""
+    world = adversary.build_world(config)
+    adversary._spawn_platform(world, "plat-X", bind_ak_pub=world.bound_pubs["plat-A"],
+                              register=False)
+    challenge = new_verifier(world).challenge()
+    bundle = adversary._respond(world, challenge, "A2_remote_td", guest=world.tds["plat-X"])
+    assert bundle.td_report.ppid == world.tds["plat-X"].ppid != world.tds["plat-A"].ppid
+    return world, bundle, challenge
+
+
+@TWO_PLATFORM_CONFIGS
+def test_an_honest_round_endorsed_with_its_chassis_is_accepted(config):
+    world = adversary.build_world(config)
+    challenge = new_verifier(world).challenge()
+    bundle = adversary._respond(world, challenge, "honest")
+    endorsed = endorse(world, bundle, world.tds["plat-A"].ppid)
+    assert ("ppid", bundle.td_report.ppid) in endorsed.ek_cert_chain[0].claims
+    assert appraise_once(world, endorsed, challenge).accepted
+
+
+@TWO_PLATFORM_CONFIGS
+def test_c3_alone_rejects_a_remote_td_under_a_chassis_endorsed_ek(config):
+    world, bundle, challenge = remote_td(config)
+    want, got = world.tds["plat-A"].ppid, bundle.td_report.ppid
+    verdict = appraise_once(world, endorse(world, bundle, want), challenge)
+    assert verdict.failed_checks() == ("C3",)
+    assert verdict.checks_by_id()["C3"].detail == (
+        f"TD report ppid {got!r} is not the EK's endorsed chassis {want!r}"
+    )
+
+
+@TWO_PLATFORM_CONFIGS
+def test_known_gap_a_remote_td_under_an_ek_without_a_ppid_claim_is_accepted(config):
+    # the rule fails open: an EK leaf that endorses no chassis binds none
+    world, bundle, challenge = remote_td(config)
+    assert "ppid" not in bundle.ek_cert_chain[0].claims_dict()
+    assert appraise_once(world, bundle, challenge).accepted
 
 
 # -- the C5 memo of a long-lived Verifier --------------------------------------
@@ -939,8 +992,8 @@ def test_a_rejected_raising_or_diagnostic_appraisal_leaves_both_memos_as_they_we
         rng = random.Random(serial)
         challenge = verifier.Challenge(rng.randbytes(32), rng.randbytes(32), world.clock_ms)
         bundle = with_rtmr3_event(adversary._respond(world, challenge, "honest", "plat-B"), serial)
-        new_links = [(bundle.ak_cert, bundle.ek_cert_chain.leaf.subject_public),
-                     (bundle.ek_cert_chain.leaf, world.provider_root.subject_public)]
+        new_links = [(bundle.ak_cert, bundle.ek_cert_chain[0].subject_public),
+                     (bundle.ek_cert_chain[0], world.provider_root.subject_public)]
         assert not any(link in v._known_links for link in new_links)
         v.adopt_challenge(challenge)
         return v.verify(alter(bundle), challenge, disabled)
@@ -1102,6 +1155,36 @@ def test_a_challenge_expires_past_one_budget_and_then_fails_c4_alike_held_or_pru
     assert held.detail == pruned.detail == expiry_detail(policy)
 
 
+def test_a_verifier_behind_its_ledger_clock_issues_a_challenge_at_that_clock():
+    # adopted challenges moved the ledger clock past the verifier's own clock,
+    # which still reads 0: a challenge stamped 0 would be expired at issue
+    world, v = warm_verifier()
+    for _ in range(3):
+        assert appraise(v, world).accepted
+    assert v._now > v.policy.rtt_threshold_ms
+    challenge = v.challenge()
+    assert challenge.issued_at == v._now
+    bundle = adversary._respond(world, challenge, "honest")
+    assert v.verify(bundle, challenge).accepted
+
+
+def test_a_lagging_clock_still_ages_the_challenges_it_stamps():
+    # an adopted stamp leads the clock by three budgets; the verifier's own
+    # stamps keep that lead and still advance with the clock
+    policy = honest_policy()
+    budget = policy.rtt_threshold_ms
+    wall = [0.0]
+    v = verifier.Verifier(policy, rng=random.Random(0), clock=lambda: wall[0])
+    v.adopt_challenge(verifier.Challenge(bytes(32), bytes(32), 3 * budget))
+    first = v.challenge()
+    assert first.issued_at == 3 * budget
+    wall[0] = 2 * budget
+    second = v.challenge()
+    assert second.issued_at == 5 * budget
+    assert c4(v, second).passed
+    assert c4(v, first).detail == expiry_detail(policy)
+
+
 class ChallengeLedger(RuleBasedStateMachine):
     """One long-lived Verifier whose challenges are issued, adopted,
     answered, replayed and re-adopted while its clock advances. The model
@@ -1113,6 +1196,7 @@ class ChallengeLedger(RuleBasedStateMachine):
         self.wall = 0.0
         self.v = verifier.Verifier(self.policy, rng=random.Random(0), clock=lambda: self.wall)
         self.now = -math.inf  # the newest issued_at handed to the verifier
+        self.lead = 0.0  # the most an adopted issued_at led the clock
         self.outstanding = {}  # key -> challenge, as in the verifier's ledger
         self.spent = {}
         self.unanswered = []  # handed over once and not yet answered
@@ -1122,6 +1206,11 @@ class ChallengeLedger(RuleBasedStateMachine):
     def hand(self, challenge):
         self.now = max(self.now, challenge.issued_at)
         self.outstanding[verifier._challenge_key(challenge)] = challenge
+
+    def adopt_into_verifier(self, challenge):
+        self.v.adopt_challenge(challenge)
+        self.lead = max(self.lead, challenge.issued_at - self.wall)
+        self.hand(challenge)
 
     def appraise(self, challenge):
         key = verifier._challenge_key(challenge)
@@ -1135,6 +1224,9 @@ class ChallengeLedger(RuleBasedStateMachine):
     @rule()
     def issue(self):
         challenge = self.v.challenge()
+        # never expired at issue, and advancing with the clock
+        assert challenge.issued_at == max(self.wall + self.lead, self.now)
+        self.lead = max(self.lead, challenge.issued_at - self.wall)
         self.hand(challenge)
         self.unanswered.append(challenge)
 
@@ -1145,8 +1237,7 @@ class ChallengeLedger(RuleBasedStateMachine):
         self.serial += 1
         issued_at = max(self.now, 0.0) + quarters * self.policy.rtt_threshold_ms / 4
         challenge = verifier.Challenge(self.serial.to_bytes(32, "big"), bytes(32), issued_at)
-        self.v.adopt_challenge(challenge)
-        self.hand(challenge)
+        self.adopt_into_verifier(challenge)
         self.unanswered.append(challenge)
 
     @rule(quarters=st.integers(0, 8))
@@ -1179,8 +1270,7 @@ class ChallengeLedger(RuleBasedStateMachine):
     @rule(data=st.data())
     def readopt_spent(self, data):
         challenge = data.draw(st.sampled_from(list(self.spent.values())))
-        self.v.adopt_challenge(challenge)
-        self.hand(challenge)
+        self.adopt_into_verifier(challenge)
 
     @invariant()
     def ledger_holds_every_unexpired_key_and_stays_within_bound(self):
